@@ -14,9 +14,9 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/traces go
 
 // formatTrace renders a Result in the golden trace format: every float
 // in hex so the comparison is bit-exact.
-func formatTrace(circuit, opt string, res *Result) string {
+func formatTrace(circuit, opt string, bins int, res *Result) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "# golden optimizer trace: %s %s (MaxIterations=10 Bins=400)\n", circuit, opt)
+	fmt.Fprintf(&b, "# golden optimizer trace: %s %s (MaxIterations=10 Bins=%d)\n", circuit, opt, bins)
 	fmt.Fprintf(&b, "initial %x %x\n", res.InitialObjective, res.InitialWidth)
 	for _, r := range res.Records {
 		gates := make([]string, len(r.Gates))
@@ -50,39 +50,68 @@ func TestGoldenTraces(t *testing.T) {
 	for _, circuit := range []string{"c432", "c880", "c1908"} {
 		for _, opt := range []string{"deterministic", "brute-force", "accelerated"} {
 			t.Run(circuit+"/"+opt, func(t *testing.T) {
-				d, err := eng.Benchmark(circuit)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := eng.Optimize(context.Background(), d, opt,
-					WithConfig(Config{MaxIterations: 10, Bins: 400}))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := formatTrace(circuit, opt, res)
-				path := filepath.Join("testdata", "traces", fmt.Sprintf("%s_%s.txt", circuit, opt))
-				if *updateGolden {
-					if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != string(want) {
-					gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-					for i := range gotLines {
-						if i >= len(wantLines) || gotLines[i] != wantLines[i] {
-							t.Fatalf("trace diverges from golden at line %d:\n got  %q\n want %q",
-								i+1, gotLines[i], wantLines[min(i, len(wantLines)-1)])
-						}
-					}
-					t.Fatalf("trace diverges from golden (golden has %d lines, got %d)",
-						len(wantLines), len(gotLines))
-				}
+				checkGolden(t, eng, circuit, opt, 400, fmt.Sprintf("%s_%s.txt", circuit, opt))
 			})
 		}
+	}
+}
+
+// TestGoldenTracesWideGrid pins accelerated trajectories on grids wider
+// than the default budget. c17 at 8192 bins convolves supports of about
+// 1200 bins, so it runs the FFT route; c432 at 1600 bins (the explore
+// benchmark's grid) stays on the direct kernel, whose smaller operand
+// never exceeds ~300 bins on the Table 1 circuits.
+func TestGoldenTracesWideGrid(t *testing.T) {
+	for _, tc := range []struct {
+		circuit string
+		bins    int
+		opts    []Option
+	}{
+		{"c17", 8192, []Option{WithConvolveCrossover(768)}},
+		{"c432", 1600, nil},
+	} {
+		t.Run(fmt.Sprintf("%s/bins%d", tc.circuit, tc.bins), func(t *testing.T) {
+			checkGolden(t, newEngine(t, tc.opts...), tc.circuit, "accelerated", tc.bins,
+				fmt.Sprintf("%s_accelerated_bins%d.txt", tc.circuit, tc.bins))
+		})
+	}
+}
+
+// checkGolden runs one optimizer for 10 iterations at the given grid and
+// compares its trace with testdata/traces/<file> (or rewrites the file
+// under -update-golden).
+func checkGolden(t *testing.T, eng *Engine, circuit, opt string, bins int, file string) {
+	t.Helper()
+	d, err := eng.Benchmark(circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Optimize(context.Background(), d, opt,
+		WithConfig(Config{MaxIterations: 10, Bins: bins}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := formatTrace(circuit, opt, bins, res)
+	path := filepath.Join("testdata", "traces", file)
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range gotLines {
+			if i >= len(wantLines) || gotLines[i] != wantLines[i] {
+				t.Fatalf("trace diverges from golden at line %d:\n got  %q\n want %q",
+					i+1, gotLines[i], wantLines[min(i, len(wantLines)-1)])
+			}
+		}
+		t.Fatalf("trace diverges from golden (golden has %d lines, got %d)",
+			len(wantLines), len(gotLines))
 	}
 }
