@@ -103,15 +103,16 @@ func BenchmarkBoundsVsMC(b *testing.B) {
 // circuit — the inner building block whose cost Table 2's brute force
 // multiplies by the gate count.
 func BenchmarkSSTA(b *testing.B) {
+	eng := newEngine(b)
 	for _, name := range []string{"c432", "c880", "c2670", "c6288"} {
 		b.Run(name, func(b *testing.B) {
-			d, err := Benchmark(name)
+			d, err := eng.Benchmark(name)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := AnalyzeSSTA(d, 600); err != nil {
+				if _, err := eng.AnalyzeSSTA(context.Background(), d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -122,26 +123,18 @@ func BenchmarkSSTA(b *testing.B) {
 // BenchmarkSizingIteration measures one coordinate-descent iteration of
 // each statistical optimizer — the per-iteration times behind Table 2.
 func BenchmarkSizingIteration(b *testing.B) {
-	for _, method := range []string{"brute", "accel"} {
+	eng := newEngine(b)
+	for _, method := range []struct{ label, opt string }{{"brute", "brute-force"}, {"accel", "accelerated"}} {
 		for _, name := range []string{"c432", "c880"} {
-			b.Run(fmt.Sprintf("%s/%s", method, name), func(b *testing.B) {
-				d, err := Benchmark(name)
+			b.Run(fmt.Sprintf("%s/%s", method.label, name), func(b *testing.B) {
+				d, err := eng.Benchmark(name)
 				if err != nil {
 					b.Fatal(err)
 				}
-				cfg := Config{MaxIterations: 1, Bins: 400}
+				cfg := WithConfig(Config{MaxIterations: 1, Bins: 400})
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					fresh := d.Clone()
-					b.StartTimer()
-					var err error
-					if method == "brute" {
-						_, err = OptimizeBruteForce(fresh, cfg)
-					} else {
-						_, err = OptimizeAccelerated(fresh, cfg)
-					}
-					if err != nil {
+					if _, err := eng.Optimize(context.Background(), d, method.opt, cfg); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -174,7 +167,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 			name = "off"
 		}
 		b.Run(name, func(b *testing.B) {
-			d, err := Benchmark("c432")
+			d, err := newEngine(b).Benchmark("c432")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -199,7 +192,7 @@ func BenchmarkAblationElision(b *testing.B) {
 			name = "off"
 		}
 		b.Run(name, func(b *testing.B) {
-			d, err := Benchmark("c432")
+			d, err := newEngine(b).Benchmark("c432")
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -220,13 +213,14 @@ func BenchmarkAblationElision(b *testing.B) {
 func BenchmarkGridResolution(b *testing.B) {
 	for _, bins := range []int{200, 400, 800, 1600} {
 		b.Run(fmt.Sprintf("bins%d", bins), func(b *testing.B) {
-			d, err := Benchmark("c880")
+			eng := newEngine(b, WithBins(bins))
+			d, err := eng.Benchmark("c880")
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := AnalyzeSSTA(d, bins); err != nil {
+				if _, err := eng.AnalyzeSSTA(context.Background(), d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -333,7 +327,7 @@ func BenchmarkFullReanalyze(b *testing.B) {
 					next = w
 				}
 				d.SetWidth(gate, next)
-				if _, err := AnalyzeSSTA(d, 600); err != nil {
+				if _, err := eng.AnalyzeSSTA(context.Background(), d); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -346,13 +340,14 @@ func BenchmarkFullReanalyze(b *testing.B) {
 
 // BenchmarkMonteCarlo measures the Figure 10 validation cost.
 func BenchmarkMonteCarlo(b *testing.B) {
-	d, err := Benchmark("c3540")
+	eng := newEngine(b)
+	d, err := eng.Benchmark("c3540")
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MonteCarlo(d, 1000, int64(i)); err != nil {
+		if _, err := eng.MonteCarlo(context.Background(), d, 1000, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -360,7 +355,7 @@ func BenchmarkMonteCarlo(b *testing.B) {
 
 // BenchmarkPathHistogram measures the exact Figure 1 path-count DP.
 func BenchmarkPathHistogram(b *testing.B) {
-	d, err := Benchmark("c3540")
+	d, err := newEngine(b).Benchmark("c3540")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -376,23 +371,21 @@ func BenchmarkPathHistogram(b *testing.B) {
 // BenchmarkHeuristicMode measures the paper's future-work heuristic
 // (fronts cut off after k levels) against the exact algorithm.
 func BenchmarkHeuristicMode(b *testing.B) {
+	eng := newEngine(b)
 	for _, levels := range []int{0, 2, 4} {
 		name := "exact"
 		if levels > 0 {
 			name = fmt.Sprintf("levels%d", levels)
 		}
 		b.Run(name, func(b *testing.B) {
-			d, err := Benchmark("c880")
+			d, err := eng.Benchmark("c880")
 			if err != nil {
 				b.Fatal(err)
 			}
-			cfg := Config{MaxIterations: 2, Bins: 400, HeuristicLevels: levels}
+			cfg := WithConfig(Config{MaxIterations: 2, Bins: 400, HeuristicLevels: levels})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				fresh := d.Clone()
-				b.StartTimer()
-				if _, err := OptimizeAccelerated(fresh, cfg); err != nil {
+				if _, err := eng.Optimize(context.Background(), d, "accelerated", cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -466,11 +459,11 @@ func BenchmarkWhatIfBatch(b *testing.B) {
 }
 
 // BenchmarkAnalyzeParallel measures the level-parallel full SSTA pass
-// against the serial reference — the scaling behind session open and
-// legacy resync.
+// against the serial reference — the scaling behind session open.
 func BenchmarkAnalyzeParallel(b *testing.B) {
+	eng := newEngine(b)
 	for _, name := range []string{"c1908", "c6288"} {
-		d, err := Benchmark(name)
+		d, err := eng.Benchmark(name)
 		if err != nil {
 			b.Fatal(err)
 		}

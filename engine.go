@@ -43,12 +43,6 @@ type Engine struct {
 	objective   Objective
 	parallelism int
 
-	// convolveCrossover, when positive, is the default FFT dispatch
-	// threshold sessions opened by this engine install (see
-	// WithConvolveCrossover); 0 leaves the process auto-calibration
-	// in charge.
-	convolveCrossover int
-
 	// counters is the engine-wide atomic session rollup behind Stats:
 	// every session the engine opens (Open, Optimize, OptimizeSuite)
 	// is bound to it and mirrors its activity inline. Atomic, so it
@@ -108,16 +102,6 @@ func WithObjective(o Objective) Option { return func(e *Engine) { e.objective = 
 // serial evaluation.
 func WithParallelism(n int) Option { return func(e *Engine) { e.parallelism = n } }
 
-// WithConvolveCrossover sets the support width (in bins) at which the
-// SSTA convolution kernels switch from the exact direct algorithm to
-// the FFT fast path; 1 forces the FFT everywhere, 0 (the default)
-// keeps the auto-calibrated threshold, which no session at or below
-// the default 600-bin grid can reach. The setting is installed when a
-// session opens and is process-wide dispatch policy — the FFT route
-// agrees with the direct kernel to ~1e-15 of probability mass per bin,
-// so which route runs never changes any documented contract.
-func WithConvolveCrossover(n int) Option { return func(e *Engine) { e.convolveCrossover = n } }
-
 // New builds an Engine from functional options.
 func New(opts ...Option) (*Engine, error) {
 	e := &Engine{cache: make(map[string]*design.Design)}
@@ -145,20 +129,8 @@ func New(opts ...Option) (*Engine, error) {
 	if e.parallelism == 0 {
 		e.parallelism = runtime.GOMAXPROCS(0)
 	}
-	if e.convolveCrossover < 0 {
-		return nil, &ConfigError{Option: "WithConvolveCrossover", Value: e.convolveCrossover, Reason: "crossover must be non-negative (0 means auto-calibrated)"}
-	}
 	return e, nil
 }
-
-// defaultEngine backs the package-level convenience functions.
-var defaultEngine = sync.OnceValue(func() *Engine {
-	e, err := New()
-	if err != nil {
-		panic("statsize: default engine: " + err.Error())
-	}
-	return e
-})
 
 // Library returns the engine's cell library.
 func (e *Engine) Library() *Library { return e.lib }
@@ -291,8 +263,8 @@ func OnIteration(fn func(IterRecord)) RunOption { return func(c *Config) { c.OnI
 
 // WithConfig replaces the run configuration wholesale; later options
 // still apply on top, and unset fields still inherit engine defaults.
-// It is the bridge for code migrating from the deprecated free
-// functions, which took a Config directly.
+// It reaches the Config knobs no other RunOption exposes, such as an
+// explicit grid (Bins or DT) for one run.
 func WithConfig(cfg Config) RunOption { return func(c *Config) { *c = cfg } }
 
 // buildConfig resolves one run's Config: run options over a zero
@@ -310,9 +282,6 @@ func (e *Engine) buildConfig(opts []RunOption) Config {
 	}
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = e.parallelism
-	}
-	if cfg.ConvolveCrossover <= 0 {
-		cfg.ConvolveCrossover = e.convolveCrossover
 	}
 	return cfg
 }

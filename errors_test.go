@@ -7,7 +7,7 @@ import (
 )
 
 func TestBenchmarkUnknownCircuitError(t *testing.T) {
-	_, err := Benchmark("c1355x")
+	_, err := newEngine(t).Benchmark("c1355x")
 	var unknown *UnknownCircuitError
 	if !errors.As(err, &unknown) {
 		t.Fatalf("err = %v, want *UnknownCircuitError", err)
@@ -17,10 +17,6 @@ func TestBenchmarkUnknownCircuitError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "c1355x") {
 		t.Error("message should include the circuit name")
-	}
-	eng := newEngine(t)
-	if _, err := eng.Benchmark("nope"); !errors.As(err, &unknown) {
-		t.Errorf("engine Benchmark err = %v, want *UnknownCircuitError", err)
 	}
 }
 
@@ -35,9 +31,10 @@ func TestLoadBenchMalformedInput(t *testing.T) {
 		{"duplicate driver", "INPUT(a)\nOUTPUT(z)\nz = NOT(a)\nz = NOT(a)\n"},
 		{"empty", ""},
 	}
+	eng := newEngine(t)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d, err := LoadBench(strings.NewReader(tc.src), tc.name)
+			d, err := eng.LoadBench(strings.NewReader(tc.src), tc.name)
 			if err == nil {
 				t.Fatalf("parsed %q into %v, want error", tc.src, d.NL)
 			}
@@ -46,7 +43,7 @@ func TestLoadBenchMalformedInput(t *testing.T) {
 }
 
 func TestGenerateCircuitRejectsBadSpec(t *testing.T) {
-	_, err := GenerateCircuit(CircuitSpec{Name: "bad", Nodes: 10, Edges: 2, PIs: 20, POs: 1, Depth: 3})
+	_, err := newEngine(t).GenerateCircuit(CircuitSpec{Name: "bad", Nodes: 10, Edges: 2, PIs: 20, POs: 1, Depth: 3})
 	if err == nil {
 		t.Error("inconsistent spec accepted")
 	}

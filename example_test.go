@@ -1,6 +1,7 @@
 package statsize_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -10,8 +11,12 @@ import (
 // The whole pipeline is deterministic (seeded generation, fixed grids),
 // so these examples assert exact output.
 
-func ExampleBenchmark() {
-	d, err := statsize.Benchmark("c17")
+func ExampleEngine_Benchmark() {
+	eng, err := statsize.New()
+	if err != nil {
+		panic(err)
+	}
+	d, err := eng.Benchmark("c17")
 	if err != nil {
 		panic(err)
 	}
@@ -19,12 +24,16 @@ func ExampleBenchmark() {
 	// Output: Netlist{c17: 6 gates, 11 nets, 5 PI, 2 PO}
 }
 
-func ExampleOptimizeAccelerated() {
-	d, err := statsize.Benchmark("c17")
+func ExampleEngine_Optimize() {
+	eng, err := statsize.New()
 	if err != nil {
 		panic(err)
 	}
-	res, err := statsize.OptimizeAccelerated(d, statsize.Config{MaxIterations: 3})
+	d, err := eng.Benchmark("c17")
+	if err != nil {
+		panic(err)
+	}
+	res, err := eng.Optimize(context.Background(), d, "accelerated", statsize.MaxIterations(3))
 	if err != nil {
 		panic(err)
 	}
@@ -32,9 +41,13 @@ func ExampleOptimizeAccelerated() {
 	// Output: 3 true
 }
 
-func ExampleLoadBench() {
+func ExampleEngine_LoadBench() {
+	eng, err := statsize.New()
+	if err != nil {
+		panic(err)
+	}
 	src := "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = NAND(a, b)\n"
-	d, err := statsize.LoadBench(strings.NewReader(src), "tiny")
+	d, err := eng.LoadBench(strings.NewReader(src), "tiny")
 	if err != nil {
 		panic(err)
 	}
@@ -43,7 +56,11 @@ func ExampleLoadBench() {
 }
 
 func ExamplePathHistogram() {
-	d, err := statsize.Benchmark("c17")
+	eng, err := statsize.New()
+	if err != nil {
+		panic(err)
+	}
+	d, err := eng.Benchmark("c17")
 	if err != nil {
 		panic(err)
 	}
@@ -53,7 +70,11 @@ func ExamplePathHistogram() {
 }
 
 func ExampleTopPaths() {
-	d, err := statsize.Benchmark("c17")
+	eng, err := statsize.New()
+	if err != nil {
+		panic(err)
+	}
+	d, err := eng.Benchmark("c17")
 	if err != nil {
 		panic(err)
 	}

@@ -1,17 +1,19 @@
 package statsize
 
 import (
+	"context"
 	"math"
 	"testing"
 )
 
 func TestGaussianFacade(t *testing.T) {
-	d, err := Benchmark("c17")
+	eng := newEngine(t, WithBins(800))
+	d, err := eng.Benchmark("c17")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ga := AnalyzeGaussian(d)
-	a, err := AnalyzeSSTA(d, 800)
+	a, err := eng.AnalyzeSSTA(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +25,7 @@ func TestGaussianFacade(t *testing.T) {
 }
 
 func TestTopPathsFacade(t *testing.T) {
-	d, err := Benchmark("c17")
+	d, err := newEngine(t).Benchmark("c17")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +42,12 @@ func TestTopPathsFacade(t *testing.T) {
 }
 
 func TestCriticalityFacade(t *testing.T) {
-	d, err := Benchmark("c17")
+	eng := newEngine(t)
+	d, err := eng.Benchmark("c17")
 	if err != nil {
 		t.Fatal(err)
 	}
-	crit, err := Criticality(d, 2000, 3)
+	crit, err := eng.Criticality(context.Background(), d, 2000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,15 +67,17 @@ func TestCriticalityFacade(t *testing.T) {
 }
 
 func TestCorrelatedMCFacade(t *testing.T) {
-	d, err := Benchmark("c17")
+	eng := newEngine(t)
+	ctx := context.Background()
+	d, err := eng.Benchmark("c17")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ind, err := MonteCarloCorrelated(d, 8000, 5, CorrModel{})
+	ind, err := eng.MonteCarloCorrelated(ctx, d, 8000, 5, CorrModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	corr, err := MonteCarloCorrelated(d, 8000, 5, CorrModel{GlobalFrac: 0.7})
+	corr, err := eng.MonteCarloCorrelated(ctx, d, 8000, 5, CorrModel{GlobalFrac: 0.7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,15 +89,9 @@ func TestCorrelatedMCFacade(t *testing.T) {
 // The three optimizers expose a consistent protocol: running any of them
 // on a WMax-saturated design is a clean no-op.
 func TestOptimizersOnSaturatedDesign(t *testing.T) {
-	for _, opt := range []struct {
-		name string
-		run  func(*Design, Config) (*Result, error)
-	}{
-		{"det", OptimizeDeterministic},
-		{"brute", OptimizeBruteForce},
-		{"accel", OptimizeAccelerated},
-	} {
-		d, err := Benchmark("c17")
+	eng := newEngine(t)
+	for _, opt := range []string{"deterministic", "brute-force", "accelerated"} {
+		d, err := eng.Benchmark("c17")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,12 +99,12 @@ func TestOptimizersOnSaturatedDesign(t *testing.T) {
 		for g := 0; g < d.NL.NumGates(); g++ {
 			d.SetWidth(GateID(g), lib.WMax)
 		}
-		res, err := opt.run(d, Config{MaxIterations: 3})
+		res, err := eng.Optimize(context.Background(), d, opt, MaxIterations(3))
 		if err != nil {
-			t.Fatalf("%s: %v", opt.name, err)
+			t.Fatalf("%s: %v", opt, err)
 		}
 		if res.Iterations != 0 {
-			t.Errorf("%s iterated on a saturated design", opt.name)
+			t.Errorf("%s iterated on a saturated design", opt)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package statsize
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -10,8 +11,10 @@ import (
 // their documented error envelopes. This is the strongest cross-check in
 // the repository: the engines share no numerical machinery.
 func TestThreeEngineConsistency(t *testing.T) {
+	eng := newEngine(t)
+	ctx := context.Background()
 	for seed := int64(1); seed <= 5; seed++ {
-		d, err := GenerateCircuit(CircuitSpec{
+		d, err := eng.GenerateCircuit(CircuitSpec{
 			Name:  "xcheck",
 			Nodes: 120, Edges: 210, PIs: 10, POs: 6, Depth: 12,
 			Seed: seed,
@@ -19,12 +22,12 @@ func TestThreeEngineConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := AnalyzeSSTA(d, 600)
+		a, err := eng.AnalyzeSSTA(ctx, d)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ga := AnalyzeGaussian(d)
-		mc, err := MonteCarlo(d, 20000, seed*31)
+		mc, err := eng.MonteCarlo(ctx, d, 20000, seed*31)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,11 +51,13 @@ func TestThreeEngineConsistency(t *testing.T) {
 // optimizer reports must match a from-scratch SSTA pass exactly and
 // Monte Carlo within the bound's envelope.
 func TestOptimizeThenValidate(t *testing.T) {
-	d, err := Benchmark("c880")
+	eng := newEngine(t)
+	ctx := context.Background()
+	d, err := eng.Benchmark("c880")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := OptimizeAccelerated(d, Config{MaxIterations: 15})
+	res, err := eng.Optimize(ctx, d, "accelerated", MaxIterations(15))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +65,7 @@ func TestOptimizeThenValidate(t *testing.T) {
 	// The incremental commits inside the optimizer must leave the sized
 	// clone in a state where a fresh analysis reproduces the reported
 	// value.
-	a, err := AnalyzeSSTA(sized, 600)
+	a, err := eng.AnalyzeSSTA(ctx, sized)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +73,7 @@ func TestOptimizeThenValidate(t *testing.T) {
 	if rel := math.Abs(fresh-res.FinalObjective) / fresh; rel > 0.002 {
 		t.Errorf("fresh SSTA p99 %.5f vs optimizer-reported %.5f", fresh, res.FinalObjective)
 	}
-	mc, err := MonteCarlo(sized, 20000, 7)
+	mc, err := eng.MonteCarlo(ctx, sized, 20000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,14 +106,6 @@ type Config struct {
 	// DisableDeadFrontElision keeps propagating fronts whose perturbed
 	// arrivals have collapsed onto the base analysis (ablation).
 	DisableDeadFrontElision bool
-	// ConvolveCrossover, when positive, sets the support width at which
-	// the dist kernels switch from the exact direct convolution to the
-	// FFT fast path (1 forces the FFT everywhere, as the validation
-	// oracle does). Zero keeps the current process setting — by default
-	// an auto-calibrated threshold that no grid at or below the default
-	// 600-bin budget can reach. Note this is process-wide dispatch
-	// policy (dist.SetConvolveCrossover), not per-session state.
-	ConvolveCrossover int
 	// DisableWarmStart skips evaluating the previous iteration's winner
 	// first (ablation). The warm start only reorders the inner loop and
 	// never changes results; measurements show the best-first Smx order
@@ -226,9 +218,6 @@ func gridFor(d *design.Design, cfg Config) float64 {
 // analysis it used to build for itself.
 func OpenSession(ctx context.Context, d *design.Design, cfg Config) (*session.Session, error) {
 	cfg = cfg.withDefaults()
-	if cfg.ConvolveCrossover > 0 {
-		dist.SetConvolveCrossover(cfg.ConvolveCrossover)
-	}
 	return session.Open(ctx, d, gridFor(d, cfg), cfg.Objective, cfg.Parallelism)
 }
 

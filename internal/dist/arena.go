@@ -4,7 +4,7 @@ import "unsafe"
 
 // distHeaderSize is the in-memory size of one Dist header, used only
 // for footprint accounting.
-var distHeaderSize = unsafe.Sizeof(Dist{})
+const distHeaderSize = unsafe.Sizeof(Dist{})
 
 // Arena is reusable scratch memory for the Into-form kernels: mass
 // vectors come from append-only float slabs, headers from fixed-size

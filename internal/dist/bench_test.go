@@ -22,14 +22,10 @@ func kernelOperands(b *testing.B, bins int) (*Dist, *Dist) {
 // machine-readable perf trajectory cmd/benchreport records per PR.
 // Run with -benchmem: the Into forms must show 0 allocs/op warm.
 //
-// Convolve rows dispatch through the crossover (wide shapes take the
-// FFT); ConvolveFFT rows force the FFT route so its own trajectory is
+// Convolve rows dispatch on FFTMinSupport (wide shapes take the FFT);
+// ConvolveFFT rows force the FFT route so its own trajectory is
 // visible even at widths the dispatcher would serve directly.
 func BenchmarkDistKernels(b *testing.B) {
-	// Resolve the crossover calibration before timing anything so its
-	// one-time cost cannot land inside a measured iteration (material
-	// at -benchtime=1x, the CI smoke setting).
-	ConvolveCrossover()
 	for _, bins := range []int{400, 1600, 6400} {
 		x, y := kernelOperands(b, bins)
 		ar := NewArena()

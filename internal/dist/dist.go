@@ -283,11 +283,10 @@ func Convolve(a, b *Dist) *Dist { return ConvolveInto(nil, a, b) }
 // from ar; a nil arena allocates, making it identical to Convolve. The
 // result values are bit-identical either way.
 //
-// Wide convolutions — both operand supports at or above the process
-// crossover (see SetConvolveCrossover and fft.go) — take an O(n log n)
-// FFT route whose per-bin values agree with the direct kernel to
-// ~1e-15 of mass; everything below the crossover runs the direct
-// kernel bit for bit.
+// Wide convolutions — both operand supports at least FFTMinSupport
+// bins (see fft.go) — take an O(n log n) FFT route whose per-bin
+// values agree with the direct kernel to ~1e-15 of mass; everything
+// narrower runs the direct kernel bit for bit.
 func ConvolveInto(ar *Arena, a, b *Dist) *Dist {
 	if useFFT(len(a.p), len(b.p)) {
 		return convolveFFTInto(ar, a, b)
@@ -298,8 +297,8 @@ func ConvolveInto(ar *Arena, a, b *Dist) *Dist {
 // convolveDirectInto is the exact O(n·m) kernel: every output bin is
 // the correctly-rounded sum of its contributing products, accumulated
 // in index order. The FFT route's results are validated against this
-// kernel, and calibration times it, so it must stay reachable without
-// going through the dispatching ConvolveInto.
+// kernel, so it must stay reachable without going through the
+// dispatching ConvolveInto.
 func convolveDirectInto(ar *Arena, a, b *Dist) *Dist {
 	out := scratchFloats(ar, len(a.p)+len(b.p)-1)
 	// Convolve with the shorter operand outer so the inner loop runs

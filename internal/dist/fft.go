@@ -1,149 +1,37 @@
 // FFT convolution fast path. The direct kernel in dist.go is O(n·m)
 // and exact; for wide supports this file provides an O(n log n)
-// real-to-complex radix-2 FFT route. Dispatch is governed by an
-// exactness crossover: only when BOTH operand supports are at least
-// the crossover width does ConvolveInto take the FFT path, so every
-// configuration on a grid at or below the default 600-bin budget —
-// including the golden traces — keeps the direct kernel bit for bit
-// (see crossoverFloor). FFT results are cleaned up to satisfy the
-// package invariants the direct kernel provides structurally:
-// negatives clamp to zero, the end bins are overwritten with the exact
-// single-product values (so support bounds match the direct kernel
-// exactly), and total mass is renormalized to sum(a)·sum(b).
+// real-to-complex radix-2 FFT route. ConvolveInto takes it only when
+// BOTH operand supports span at least FFTMinSupport bins, so the route
+// is a pure function of the operands, and every configuration on a
+// grid at or below the default 600-bin budget — including the golden
+// traces at 400 bins — keeps the direct kernel bit for bit. FFT
+// results are cleaned up to satisfy the package invariants the direct
+// kernel provides structurally: negatives clamp to zero, the end bins
+// are overwritten with the exact single-product values (so support
+// bounds match the direct kernel exactly), and total mass is
+// renormalized to sum(a)·sum(b).
 package dist
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// crossoverFloor is the smallest support width the auto-calibrated
-// crossover may choose. It exists for exactness, not speed: the widest
-// support a default-budget grid can produce is bounded by the
-// SuggestDT construction (dt = 1.35·maxDelay/bins, supports span at
-// most ~1.3·maxDelay ≈ 0.96·bins ≈ 578 bins at the 600-bin default),
-// so with the floor at 768 every session at or below the default bin
-// budget — the golden traces run at 400 — computes bit-identically to
-// the direct kernel regardless of where calibration lands.
-const crossoverFloor = 768
-
-// crossoverNever is the effective threshold when calibration finds no
-// width at which the FFT wins (it always does in practice; this is the
-// defensive fallback).
-const crossoverNever = math.MaxInt32
-
-// convolveCrossover is the active dispatch threshold: 0 means
-// "auto" (calibrate lazily on the first candidate at or above
-// crossoverFloor), any positive value is the minimum operand support
-// width that routes to the FFT. It is process-global because it is
-// dispatch policy, not numerics: which route runs changes only the
-// last-ulp rounding of wide convolutions, never the contract.
-var convolveCrossover atomic.Int64
-
-// calibrated memoizes the one-time measurement so flipping back to
-// auto after an override does not re-run it.
-var calibrated struct {
-	once sync.Once
-	val  int
-}
-
-// SetConvolveCrossover overrides the FFT dispatch threshold
-// process-wide: n ≥ 1 routes every convolution whose operands both
-// span at least n bins through the FFT (n = 1 forces the FFT on, used
-// by the validation oracle), n = 0 restores auto-calibration. The
-// previous raw setting is returned (0 if it was auto) so tests can
-// save and restore.
-func SetConvolveCrossover(n int) (prev int) {
-	if n < 0 {
-		n = 0
-	}
-	return int(convolveCrossover.Swap(int64(n)))
-}
-
-// ConvolveCrossover resolves and returns the effective dispatch
-// threshold, running the one-time calibration if it has not happened
-// yet. Benchmarks call this before timing so the calibration cost
-// never lands inside a measured iteration.
-func ConvolveCrossover() int {
-	if cx := int(convolveCrossover.Load()); cx > 0 {
-		return cx
-	}
-	cx := calibratedCrossover()
-	convolveCrossover.CompareAndSwap(0, int64(cx))
-	return int(convolveCrossover.Load())
-}
+// FFTMinSupport is the smallest support width, in bins, at which
+// ConvolveInto takes the FFT route. It is fixed for exactness, not
+// tuned for speed: SuggestDT sets dt = 1.35·maxDelay/bins and supports
+// span at most ~1.3·maxDelay, so they top out near 0.96·bins ≈ 578
+// bins on the default 600-bin grid and every such grid stays on the
+// direct kernel. The FFT already wins below the threshold (equal-width
+// operands on a 2-vCPU Xeon: 130µs direct vs 42µs FFT at 512 bins,
+// 307µs vs 93µs at 768), so exactness, not speed, draws the line.
+const FFTMinSupport = 768
 
 // useFFT decides the route for operand supports of na and nb bins.
 // The predicate is on the SMALLER operand: the direct kernel costs
 // min·max multiply-adds, so a convolution with one narrow operand is
 // already cheap and the FFT's N log N over the padded size would lose.
-func useFFT(na, nb int) bool {
-	m := na
-	if nb < m {
-		m = nb
-	}
-	cx := int(convolveCrossover.Load())
-	if cx == 0 {
-		if m < crossoverFloor {
-			// Below the floor the answer is "direct" no matter where
-			// calibration would land — don't pay for it yet.
-			return false
-		}
-		cx = calibratedCrossover()
-		convolveCrossover.CompareAndSwap(0, int64(cx))
-	}
-	return m >= cx
-}
-
-// calibratedCrossover measures, once per process, the smallest probed
-// support width at which the FFT route beats the direct kernel on
-// this machine, clamped below by crossoverFloor.
-func calibratedCrossover() int {
-	calibrated.once.Do(func() {
-		calibrated.val = measureCrossover()
-	})
-	return calibrated.val
-}
-
-// measureCrossover times both kernels on equal-width operands at a
-// few probe widths and returns the first width where the FFT wins.
-// Total cost is a handful of milliseconds, paid at most once per
-// process and only by workloads that actually reach the floor.
-func measureCrossover() int {
-	ar := NewArena()
-	for _, w := range []int{crossoverFloor, 1024, 1536, 2048} {
-		p := make([]float64, w)
-		for i := range p {
-			p[i] = 1 / float64(w)
-		}
-		d := &Dist{dt: 1, i0: 0, p: p}
-		direct := timeKernel(func() { convolveDirectInto(ar, d, d) }, ar)
-		fft := timeKernel(func() { convolveFFTInto(ar, d, d) }, ar)
-		if fft < direct {
-			return w
-		}
-	}
-	return crossoverNever
-}
-
-// timeKernel returns the best of three timed runs of f (after one
-// untimed warm-up that grows the arena and builds FFT tables).
-func timeKernel(f func(), ar *Arena) time.Duration {
-	ar.Reset()
-	f()
-	best := time.Duration(math.MaxInt64)
-	for i := 0; i < 3; i++ {
-		ar.Reset()
-		start := time.Now()
-		f()
-		if d := time.Since(start); d < best {
-			best = d
-		}
-	}
-	return best
-}
+func useFFT(na, nb int) bool { return min(na, nb) >= FFTMinSupport }
 
 // fftTable holds the precomputed bit-reversal permutation and twiddle
 // factors for one transform size. Tables are built once per size and

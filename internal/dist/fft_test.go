@@ -1,18 +1,11 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
-
-// forceFFT routes every convolution through the FFT for the duration
-// of a test, restoring the previous setting afterwards.
-func forceFFT(t *testing.T) {
-	t.Helper()
-	prev := SetConvolveCrossover(1)
-	t.Cleanup(func() { SetConvolveCrossover(prev) })
-}
 
 // randWideDist builds a distribution with exactly n support bins of
 // random positive mass (ends guaranteed nonzero), normalized to 1.
@@ -67,7 +60,7 @@ func compareFFTToDirect(t *testing.T, label string, a, b *Dist, tol float64) {
 const fftTestTol = 1e-12
 
 // TestConvolveFFTMatchesDirect pins FFT-vs-direct agreement across
-// support widths straddling the crossover, including the degenerate
+// support widths straddling FFTMinSupport, including the degenerate
 // single-bin and impulse cases.
 func TestConvolveFFTMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -79,8 +72,8 @@ func TestConvolveFFTMatchesDirect(t *testing.T) {
 		{3, 17},
 		{64, 64},
 		{100, 1000}, // asymmetric widths
-		{767, 769},  // straddling crossoverFloor
-		{768, 768},  // exactly at the floor
+		{767, 769},  // straddling FFTMinSupport
+		{768, 768},  // exactly at the threshold
 		{800, 880},  // the 1600-bin benchmark shape
 		{1000, 1600},
 	}
@@ -103,53 +96,49 @@ func TestConvolveFFTMatchesDirect(t *testing.T) {
 	compareFFTToDirect(t, "gap", trim(0.001, -5, gap), randWideDist(rng, 0.001, 800), fftTestTol)
 }
 
-// TestConvolveFFTDispatch pins the crossover policy itself.
+// TestConvolveFFTDispatch pins the route policy: ConvolveInto is the
+// FFT kernel exactly when the smaller operand spans FFTMinSupport bins
+// or more, and the direct kernel bit for bit otherwise.
 func TestConvolveFFTDispatch(t *testing.T) {
-	// The floor guarantees exactness for every grid at or below the
-	// default 600-bin budget: SuggestDT spans ~1.3× the estimated max
-	// delay across the budget, so supports top out near 0.96·bins ≈
-	// 578 bins at 600 — comfortably under the floor. Pin the margin.
-	if crossoverFloor < 600 {
-		t.Fatalf("crossoverFloor %d < 600: supports on default-budget grids could reach the FFT", crossoverFloor)
+	// The threshold must stay above the widest support a default-budget
+	// grid produces: SuggestDT spans ~1.3× the estimated max delay
+	// across the budget, so supports top out near 0.96·bins ≈ 578 bins
+	// at 600. Pin the margin.
+	if FFTMinSupport < 600 {
+		t.Fatalf("FFTMinSupport %d < 600: supports on default-budget grids could reach the FFT", FFTMinSupport)
 	}
-
-	// Below the floor the dispatch must answer "direct" without even
-	// calibrating; the smaller operand governs.
-	prev := SetConvolveCrossover(0)
-	defer SetConvolveCrossover(prev)
-	if useFFT(crossoverFloor-1, 100000) {
-		t.Fatal("useFFT fired below the floor under auto-calibration")
-	}
-	if useFFT(100000, crossoverFloor-1) {
-		t.Fatal("useFFT must key on the smaller operand")
-	}
-
-	// An explicit override beats the floor in both directions.
-	SetConvolveCrossover(1)
-	if !useFFT(1, 1) {
-		t.Fatal("SetConvolveCrossover(1) did not force the FFT route")
-	}
-	SetConvolveCrossover(1 << 20)
-	if useFFT(5000, 5000) {
-		t.Fatal("a high explicit crossover did not suppress the FFT route")
-	}
-
-	// The resolved threshold is never below the floor when automatic.
-	SetConvolveCrossover(0)
-	if cx := ConvolveCrossover(); cx < crossoverFloor {
-		t.Fatalf("auto-calibrated crossover %d below floor %d", cx, crossoverFloor)
+	rng := rand.New(rand.NewSource(5))
+	for _, tc := range []struct {
+		na, nb int
+		fft    bool
+	}{
+		{1, 1, false},
+		{578, 578, false}, // widest support on a 600-bin grid
+		{767, 767, false},
+		{767, 2000, false}, // the smaller operand decides
+		{2000, 767, false},
+		{768, 768, true},
+		{768, 2000, true},
+		{2000, 768, true},
+		{769, 1000, true},
+	} {
+		a := randWideDist(rng, 0.001, tc.na)
+		b := randWideDist(rng, 0.001, tc.nb)
+		want := convolveDirectInto(nil, a, b)
+		if tc.fft {
+			want = convolveFFTInto(nil, a, b)
+		}
+		bitIdentical(t, fmt.Sprintf("ConvolveInto(%d, %d)", tc.na, tc.nb), want, ConvolveInto(nil, a, b))
 	}
 }
 
 // TestConvolveDispatchBitIdenticalBelowCrossover verifies the whole
-// point of the crossover: ConvolveInto on sub-crossover supports is
-// the direct kernel, bit for bit — the property that keeps the golden
-// traces hex-identical across this change.
+// point of the threshold: ConvolveInto on supports narrower than
+// FFTMinSupport is the direct kernel, bit for bit — the property that
+// keeps the golden traces hex-identical.
 func TestConvolveDispatchBitIdenticalBelowCrossover(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	prev := SetConvolveCrossover(0)
-	defer SetConvolveCrossover(prev)
-	for _, n := range []int{1, 60, 400, 578, crossoverFloor - 1} {
+	for _, n := range []int{1, 60, 400, 578, FFTMinSupport - 1} {
 		a := randWideDist(rng, 0.01, n)
 		b := randWideDist(rng, 0.01, (n+1)/2)
 		bitIdentical(t, "dispatch", convolveDirectInto(nil, a, b), ConvolveInto(nil, a, b))
@@ -175,10 +164,10 @@ func TestConvolveFFTArenaAllocsZero(t *testing.T) {
 }
 
 // TestSubConvolveFFT checks the backward-pass kernel inherits the fast
-// path (SubConvolve is Convolve against the negated operand) and still
-// matches its direct form.
+// path (SubConvolve is Convolve against the negated operand; both
+// supports here exceed FFTMinSupport) and still matches its direct
+// form.
 func TestSubConvolveFFT(t *testing.T) {
-	forceFFT(t)
 	rng := rand.New(rand.NewSource(11))
 	a := randWideDist(rng, 0.001, 900)
 	b := randWideDist(rng, 0.001, 850)
@@ -197,7 +186,7 @@ func TestSubConvolveFFT(t *testing.T) {
 
 // FuzzConvolveFFT drives randomized operand shapes through both routes
 // and demands the full agreement contract at every width, including
-// widths far below and above the crossover.
+// widths far below and above FFTMinSupport.
 func FuzzConvolveFFT(f *testing.F) {
 	f.Add(int64(1), uint16(1), uint16(1))
 	f.Add(int64(2), uint16(1), uint16(300))

@@ -111,7 +111,6 @@ type Stats struct {
 	RequiredPasses     int // backward required-time passes run
 	Checkpoints        int // checkpoints taken
 	Rollbacks          int // rollbacks applied
-	FullReanalyses     int // full forward passes (legacy-optimizer resync)
 	TotalNodes         int // arrival computations of one full pass
 }
 
@@ -146,9 +145,9 @@ type WhatIfResult struct {
 // Open runs the initial full SSTA pass over d on grid dt and returns a
 // session owning d. The caller must not touch d afterwards except
 // through the session. workers bounds the session's parallel evaluation
-// paths — the opening (and any resync) SSTA pass and WhatIfBatch fan
-// out across up to that many goroutines; non-positive means one worker
-// per logical CPU, 1 forces fully serial evaluation. The worker count
+// paths — the opening SSTA pass and WhatIfBatch fan out across up to
+// that many goroutines; non-positive means one worker per logical CPU,
+// 1 forces fully serial evaluation. The worker count
 // never changes results: every parallel path is bit-identical to its
 // serial reference.
 func Open(ctx context.Context, d *design.Design, dt float64, obj Objective, workers int) (*Session, error) {

@@ -11,7 +11,6 @@ import (
 	"statsize/internal/design"
 	"statsize/internal/dist"
 	"statsize/internal/netlist"
-	"statsize/internal/ssta"
 )
 
 // pct is a local p-quantile objective (core's Percentile aliases the
@@ -248,32 +247,6 @@ func TestRollbackRestoresDeadline(t *testing.T) {
 	// Back at the checkpoint, the impossible deadline applies again.
 	if c, err := s.Criticality(ctx, 0); err != nil || c < 1-1e-9 {
 		t.Fatalf("criticality %v err %v after rollback, want ~1 (deadline not restored)", c, err)
-	}
-}
-
-func TestReanalyzeResync(t *testing.T) {
-	s := open(t)
-	ctx := context.Background()
-	tx, err := s.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tx.Release()
-	// Mutate the design behind the analysis's back (what a legacy
-	// optimizer does), then resync.
-	tx.Design().SetWidth(1, 3)
-	if err := tx.Reanalyze(ctx); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := ssta.Analyze(ctx, tx.Design(), tx.Analysis().DT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dist.ApproxEqual(tx.Analysis().SinkDist(), fresh.SinkDist(), 0) {
-		t.Error("Reanalyze did not resync the analysis")
-	}
-	if tx.Stats().FullReanalyses != 1 {
-		t.Errorf("FullReanalyses = %d", tx.Stats().FullReanalyses)
 	}
 }
 

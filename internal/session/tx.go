@@ -25,8 +25,7 @@ func (t *Tx) Release() { t.s.mu.Unlock() }
 
 // Design returns the session-owned design. It remains owned by the
 // session: mutate widths only through Resize so the analysis stays
-// consistent (the legacy-optimizer adapter is the one sanctioned
-// exception, and it must call Reanalyze afterwards).
+// consistent.
 func (t *Tx) Design() *design.Design { return t.s.d }
 
 // Analysis returns the live incremental analysis.
@@ -248,21 +247,6 @@ func (t *Tx) EnsureRequired(ctx context.Context) error {
 		return err
 	}
 	s.stats.RequiredPasses++
-	return nil
-}
-
-// Reanalyze replaces the incremental analysis with a full SSTA pass at
-// the session grid — the resync path for the legacy optimizer adapter,
-// whose wrapped strategies mutate the design directly. The pass runs
-// level-parallel on the session's worker pool.
-func (t *Tx) Reanalyze(ctx context.Context) error {
-	s := t.s
-	a, err := ssta.AnalyzeParallel(ctx, s.d, s.a.DT, s.workers)
-	if err != nil {
-		return err
-	}
-	s.a = a
-	s.stats.FullReanalyses++
 	return nil
 }
 

@@ -12,8 +12,12 @@ import (
 
 	"statsize/internal/cell"
 	"statsize/internal/circuitgen"
+	"statsize/internal/design"
 	"statsize/internal/dist"
+	"statsize/internal/graph"
 	"statsize/internal/montecarlo"
+	"statsize/internal/netlist"
+	"statsize/internal/ssta"
 )
 
 // corpusN overrides the corpus size: `go test ./internal/validate
@@ -55,26 +59,43 @@ func TestCorpus(t *testing.T) {
 	}
 }
 
-// TestCorpusFFTForced reruns the oracle with every convolution routed
-// through the FFT fast path (crossover forced to 1): the DKW bounds
-// against Monte Carlo must hold identically, proving the FFT route is
-// a drop-in numeric replacement and not just close-on-average. A
-// smaller corpus keeps the double Monte Carlo cost in budget; the
-// ISCAS replicas stay in because their deep topologies chain the most
-// convolutions.
-func TestCorpusFFTForced(t *testing.T) {
-	prev := dist.SetConvolveCrossover(1)
-	defer dist.SetConvolveCrossover(prev)
-
+// TestOracleFFTRoute runs the DKW oracle on a grid wide enough that
+// the grid itself sends work to the FFT convolution route: c17 at 8192
+// bins convolves supports of about 1200 bins. The DKW bounds against
+// Monte Carlo must hold there as they do on the direct kernel, proving
+// the FFT route is a drop-in numeric replacement and not just close on
+// average.
+func TestOracleFFTRoute(t *testing.T) {
 	lib := cell.Default180nm()
-	opts := testOptions(t)
-	opts.Corpus.N = 10
-	sum, err := Run(context.Background(), lib, opts)
+	ctx := context.Background()
+	cfg := DefaultOracleConfig()
+	cfg.Bins = 8192
+	d, err := design.New(netlist.C17(lib), lib)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sum.Ok() {
-		t.Fatalf("validation failures with FFT forced on:\n%s", sum.Report())
+	a, err := ssta.Analyze(ctx, d, d.SuggestDT(cfg.Bins))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := d.E.G
+	widest := 0
+	for e := range g.NumEdges() {
+		eid := graph.EdgeID(e)
+		if delay := a.EdgeDelay(eid); delay != nil {
+			widest = max(widest, min(a.Arrival(g.EdgeAt(eid).From).NumBins(), delay.NumBins()))
+		}
+	}
+	if widest < dist.FFTMinSupport {
+		t.Fatalf("smaller operand of the widest forward convolution spans %d bins, below the %d-bin FFT threshold",
+			widest, dist.FFTMinSupport)
+	}
+	rep, err := RunOracleOn(ctx, d, "c17", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Pass {
+		t.Fatalf("oracle fails on the FFT route: %s", rep)
 	}
 }
 

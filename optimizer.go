@@ -2,7 +2,6 @@ package statsize
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -45,44 +44,6 @@ func (o SessionOptimizerFunc) Name() string { return o.OptName }
 // Optimize runs the wrapped function.
 func (o SessionOptimizerFunc) Optimize(ctx context.Context, s *Session, cfg Config) (*Result, error) {
 	return o.Run(ctx, s, cfg)
-}
-
-// OptimizerFunc adapts a function with the pre-Session call shape — one
-// that sizes a *Design it owns outright — to the session-based Optimizer
-// interface: the wrapped function runs on the session's design under the
-// session lock, and the session's analysis is then resynchronized with a
-// full SSTA pass (counted in SessionStats.FullReanalyses), since a
-// legacy strategy cannot report incremental commits.
-//
-// Deprecated: implement Optimizer directly or use SessionOptimizerFunc;
-// session-driving strategies keep the analysis consistent incrementally
-// instead of paying a full re-analysis at the end.
-type OptimizerFunc struct {
-	OptName string
-	Run     func(ctx context.Context, d *Design, cfg Config) (*Result, error)
-}
-
-// Name returns the registry key.
-func (o OptimizerFunc) Name() string { return o.OptName }
-
-// Optimize runs the wrapped legacy function on the session's design,
-// then resynchronizes the session's analysis.
-func (o OptimizerFunc) Optimize(ctx context.Context, s *Session, cfg Config) (*Result, error) {
-	tx, err := s.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer tx.Release()
-	res, runErr := o.Run(ctx, tx.Design(), cfg)
-	// Resync unconditionally: a failed or canceled legacy run may still
-	// have moved widths, and the session must stay consistent either way.
-	if syncErr := tx.Reanalyze(context.WithoutCancel(ctx)); syncErr != nil {
-		if runErr != nil {
-			return res, errors.Join(runErr, syncErr)
-		}
-		return res, fmt.Errorf("statsize: legacy optimizer %q ran but session resync failed: %w", o.OptName, syncErr)
-	}
-	return res, runErr
 }
 
 var optRegistry = struct {

@@ -44,9 +44,6 @@
 package statsize
 
 import (
-	"context"
-	"io"
-
 	"statsize/internal/cell"
 	"statsize/internal/circuitgen"
 	"statsize/internal/core"
@@ -133,16 +130,6 @@ var (
 // Δw = 0.5).
 func DefaultLibrary() *Library { return cell.Default180nm() }
 
-// Benchmark builds a minimum-sized design for a named benchmark: "c17"
-// is the genuine embedded ISCAS'85 netlist; c432..c7552 are structural
-// replicas matching the paper's Table 1 node/edge counts exactly.
-//
-// Deprecated: use Engine.Benchmark, which additionally caches the
-// elaborated circuit across calls.
-func Benchmark(name string) (*Design, error) {
-	return defaultEngine().Benchmark(name)
-}
-
 // BenchmarkNames lists the replica suite in Table 1 order (excluding the
 // embedded "c17").
 func BenchmarkNames() []string { return circuitgen.Names() }
@@ -154,21 +141,6 @@ func (e *UnknownCircuitError) Error() string {
 	return "statsize: unknown benchmark circuit " + e.Name
 }
 
-// GenerateCircuit builds a design from a custom synthetic circuit spec.
-//
-// Deprecated: use Engine.GenerateCircuit.
-func GenerateCircuit(sp CircuitSpec) (*Design, error) {
-	return defaultEngine().GenerateCircuit(sp)
-}
-
-// LoadBench parses an ISCAS .bench netlist and returns a minimum-sized
-// design over the default library.
-//
-// Deprecated: use Engine.LoadBench.
-func LoadBench(r io.Reader, name string) (*Design, error) {
-	return defaultEngine().LoadBench(r, name)
-}
-
 // NewDesign binds an existing netlist to a library at minimum widths.
 func NewDesign(nl *Netlist, lib *Library) (*Design, error) {
 	return design.New(nl, lib)
@@ -177,59 +149,10 @@ func NewDesign(nl *Netlist, lib *Library) (*Design, error) {
 // AnalyzeSTA runs deterministic static timing analysis.
 func AnalyzeSTA(d *Design) *STAResult { return sta.Analyze(d) }
 
-// AnalyzeSSTA runs statistical static timing analysis with the given
-// grid resolution (bins across the estimated circuit delay; 600 is the
-// experiments' default).
-//
-// Deprecated: use Engine.AnalyzeSSTA, which takes a context and the
-// engine's configured resolution.
-func AnalyzeSSTA(d *Design, bins int) (*Analysis, error) {
-	if bins <= 0 {
-		return nil, &ConfigError{Option: "AnalyzeSSTA", Value: bins, Reason: "bin budget must be positive"}
-	}
-	return ssta.Analyze(context.Background(), d, d.SuggestDT(bins))
-}
-
-// MonteCarlo samples the exact circuit-delay distribution.
-//
-// Deprecated: use Engine.MonteCarlo, which takes a context.
-func MonteCarlo(d *Design, samples int, seed int64) (*MCResult, error) {
-	return montecarlo.Run(context.Background(), d, samples, seed)
-}
-
 // PathHistogram computes the exact path-count-versus-delay histogram
 // (Figure 1's x-axis) with the given bin width in nanoseconds.
 func PathHistogram(d *Design, binWidth float64) *PathHistogramResult {
 	return sta.PathHistogram(d, binWidth)
-}
-
-// OptimizeDeterministic runs the corner-based critical-path coordinate
-// descent baseline of Section 4 on a clone of d; the sized design is
-// Result.Design.
-//
-// Deprecated: use Engine.Optimize with the "deterministic" optimizer.
-func OptimizeDeterministic(d *Design, cfg Config) (*Result, error) {
-	return defaultEngine().Optimize(context.Background(), d, "deterministic", WithConfig(cfg))
-}
-
-// OptimizeBruteForce runs exact statistical sizing with a full SSTA pass
-// per candidate gate per iteration (Section 3.1) on a clone of d; the
-// sized design is Result.Design.
-//
-// Deprecated: use Engine.Optimize with the "brute-force" optimizer.
-func OptimizeBruteForce(d *Design, cfg Config) (*Result, error) {
-	return defaultEngine().Optimize(context.Background(), d, "brute-force", WithConfig(cfg))
-}
-
-// OptimizeAccelerated runs the paper's pruning algorithm (Figures 6, 7
-// and 9) on a clone of d; the sized design is Result.Design. Results are
-// identical to OptimizeBruteForce at a small fraction of the cost (the
-// paper reports up to 56x; EXPERIMENTS.md records the factors measured
-// on this implementation, growing with circuit size).
-//
-// Deprecated: use Engine.Optimize with the "accelerated" optimizer.
-func OptimizeAccelerated(d *Design, cfg Config) (*Result, error) {
-	return defaultEngine().Optimize(context.Background(), d, "accelerated", WithConfig(cfg))
 }
 
 // GaussAnalysis is a moment-propagation SSTA pass (the related-work
@@ -250,23 +173,6 @@ func TopPaths(d *Design, k int) []TimingPath {
 	return sta.Analyze(d).TopPaths(k)
 }
 
-// Criticality estimates per-gate critical-path probabilities by Monte
-// Carlo (indexed by gate ID).
-//
-// Deprecated: use Engine.Criticality, which takes a context.
-func Criticality(d *Design, samples int, seed int64) ([]float64, error) {
-	return montecarlo.Criticality(context.Background(), d, samples, seed)
-}
-
 // CorrModel describes spatially correlated intra-die variation for
-// MonteCarloCorrelated.
+// Engine.MonteCarloCorrelated.
 type CorrModel = montecarlo.CorrModel
-
-// MonteCarloCorrelated samples the circuit delay under spatially
-// correlated variation — the effect the paper's independence-based bound
-// explicitly does not model (Section 2); use it to quantify that gap.
-//
-// Deprecated: use Engine.MonteCarloCorrelated, which takes a context.
-func MonteCarloCorrelated(d *Design, samples int, seed int64, m CorrModel) (*MCResult, error) {
-	return montecarlo.RunCorrelated(context.Background(), d, samples, seed, m)
-}

@@ -1,13 +1,14 @@
 package statsize
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 )
 
 func TestBenchmarkC17(t *testing.T) {
-	d, err := Benchmark("c17")
+	d, err := newEngine(t).Benchmark("c17")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,14 +22,15 @@ func TestBenchmarkSuite(t *testing.T) {
 	if len(names) != 10 {
 		t.Fatalf("suite has %d circuits", len(names))
 	}
-	d, err := Benchmark("c432")
+	eng := newEngine(t)
+	d, err := eng.Benchmark("c432")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d.NL.TimingNodeCount() != 214 {
 		t.Error("c432 node count mismatch")
 	}
-	if _, err := Benchmark("c9999"); err == nil {
+	if _, err := eng.Benchmark("c9999"); err == nil {
 		t.Error("expected unknown-circuit error")
 	} else if !strings.Contains(err.Error(), "c9999") {
 		t.Error("error should name the circuit")
@@ -36,7 +38,9 @@ func TestBenchmarkSuite(t *testing.T) {
 }
 
 func TestEndToEndQuickstart(t *testing.T) {
-	d, err := Benchmark("c432")
+	eng := newEngine(t)
+	ctx := context.Background()
+	d, err := eng.Benchmark("c432")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +48,7 @@ func TestEndToEndQuickstart(t *testing.T) {
 	if det.CircuitDelay() <= 0 {
 		t.Fatal("bad nominal delay")
 	}
-	a, err := AnalyzeSSTA(d, 400)
+	a, err := eng.AnalyzeSSTA(ctx, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +57,7 @@ func TestEndToEndQuickstart(t *testing.T) {
 		t.Error("p99 should exceed nominal delay")
 	}
 	widthBefore := d.TotalWidth()
-	res, err := OptimizeAccelerated(d, Config{MaxIterations: 10})
+	res, err := eng.Optimize(ctx, d, "accelerated", MaxIterations(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +67,12 @@ func TestEndToEndQuickstart(t *testing.T) {
 	// The optimizer works on a clone: the caller's design is untouched
 	// and the sized design is Result.Design.
 	if d.TotalWidth() != widthBefore {
-		t.Error("OptimizeAccelerated mutated the caller's design")
+		t.Error("Optimize mutated the caller's design")
 	}
 	if res.Design == nil || res.Design.TotalWidth() <= widthBefore {
 		t.Fatal("Result.Design does not carry the sized clone")
 	}
-	mc, err := MonteCarlo(res.Design, 2000, 1)
+	mc, err := eng.MonteCarlo(ctx, res.Design, 2000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +83,7 @@ func TestEndToEndQuickstart(t *testing.T) {
 
 func TestLoadBenchFacade(t *testing.T) {
 	src := "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = NAND(a, b)\n"
-	d, err := LoadBench(strings.NewReader(src), "mini")
+	d, err := newEngine(t).LoadBench(strings.NewReader(src), "mini")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +97,7 @@ func TestLoadBenchFacade(t *testing.T) {
 }
 
 func TestGenerateCircuitFacade(t *testing.T) {
-	d, err := GenerateCircuit(CircuitSpec{
+	d, err := newEngine(t).GenerateCircuit(CircuitSpec{
 		Name: "custom", Nodes: 50, Edges: 88, PIs: 7, POs: 4, Depth: 7, Seed: 3,
 	})
 	if err != nil {

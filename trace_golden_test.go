@@ -8,6 +8,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"statsize/internal/dist"
+	"statsize/internal/graph"
+	"statsize/internal/ssta"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/traces golden files from the current implementation")
@@ -57,24 +61,52 @@ func TestGoldenTraces(t *testing.T) {
 }
 
 // TestGoldenTracesWideGrid pins accelerated trajectories on grids wider
-// than the default budget. c17 at 8192 bins convolves supports of about
-// 1200 bins, so it runs the FFT route; c432 at 1600 bins (the explore
-// benchmark's grid) stays on the direct kernel, whose smaller operand
-// never exceeds ~300 bins on the Table 1 circuits.
+// than the default budget: c17 at 8192 bins convolves supports of about
+// 1200 bins and so runs the FFT route, while c432 at 1600 bins (the
+// explore benchmark's grid) stays on the direct kernel. Each case first
+// checks which route its grid reaches.
 func TestGoldenTracesWideGrid(t *testing.T) {
+	eng := newEngine(t)
 	for _, tc := range []struct {
 		circuit string
 		bins    int
-		opts    []Option
+		fft     bool
 	}{
-		{"c17", 8192, []Option{WithConvolveCrossover(768)}},
-		{"c432", 1600, nil},
+		{"c17", 8192, true},
+		{"c432", 1600, false},
 	} {
 		t.Run(fmt.Sprintf("%s/bins%d", tc.circuit, tc.bins), func(t *testing.T) {
-			checkGolden(t, newEngine(t, tc.opts...), tc.circuit, "accelerated", tc.bins,
+			d, err := eng.Benchmark(tc.circuit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := ssta.Analyze(context.Background(), d, d.SuggestDT(tc.bins))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w := widestConvolution(a); (w >= dist.FFTMinSupport) != tc.fft {
+				t.Fatalf("widest forward convolution has a %d-bin smaller operand; FFT route expected %v (threshold %d bins)",
+					w, tc.fft, dist.FFTMinSupport)
+			}
+			checkGolden(t, eng, tc.circuit, "accelerated", tc.bins,
 				fmt.Sprintf("%s_accelerated_bins%d.txt", tc.circuit, tc.bins))
 		})
 	}
+}
+
+// widestConvolution returns the largest smaller-operand support, in
+// bins, over the analysis's forward convolutions (arrival ⊕ edge
+// delay) — the width the FFT dispatch keys on.
+func widestConvolution(a *Analysis) int {
+	g := a.D.E.G
+	widest := 0
+	for e := range g.NumEdges() {
+		eid := graph.EdgeID(e)
+		if delay := a.EdgeDelay(eid); delay != nil {
+			widest = max(widest, min(a.Arrival(g.EdgeAt(eid).From).NumBins(), delay.NumBins()))
+		}
+	}
+	return widest
 }
 
 // checkGolden runs one optimizer for 10 iterations at the given grid and
