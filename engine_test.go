@@ -113,23 +113,21 @@ func TestEngineOptimizeDoesNotMutateCaller(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := d.TotalWidth()
-	for _, opt := range []string{"deterministic", "brute-force", "accelerated"} {
-		res, err := eng.Optimize(context.Background(), d, opt, MaxIterations(3))
-		if err != nil {
-			t.Fatalf("%s: %v", opt, err)
-		}
-		if d.TotalWidth() != before {
-			t.Fatalf("%s: Optimize mutated the caller's design", opt)
-		}
-		if res.Design == nil || res.Design == d {
-			t.Fatalf("%s: Result.Design must be a private clone", opt)
-		}
-		if res.Design.TotalWidth() <= before {
-			t.Errorf("%s: clone was not sized", opt)
-		}
-		if res.FinalWidth != res.Design.TotalWidth() {
-			t.Errorf("%s: Result.FinalWidth disagrees with the sized clone", opt)
-		}
+	res, err := eng.Optimize(context.Background(), d, "accelerated", MaxIterations(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.TotalWidth() != before {
+		t.Error("Optimize mutated the caller's design")
+	}
+	if res.Design == nil || res.Design == d {
+		t.Fatal("Result.Design must be a private clone")
+	}
+	if res.Design.TotalWidth() <= before {
+		t.Error("clone was not sized")
+	}
+	if res.FinalWidth != res.Design.TotalWidth() {
+		t.Error("Result.FinalWidth disagrees with the sized clone")
 	}
 }
 
@@ -455,6 +453,35 @@ func TestRegisteredVariants(t *testing.T) {
 	}
 	if heur.Iterations == 0 {
 		t.Error("heuristic-levels variant made no progress")
+	}
+}
+
+func TestWithConfigOptimizersDoNotMutateCaller(t *testing.T) {
+	// A whole Config handed over with WithConfig drives each of the
+	// paper's three optimizers on a private clone of the caller's design.
+	eng := newEngine(t)
+	d, err := eng.Benchmark("c17")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := d.TotalWidth()
+	for _, opt := range []string{"deterministic", "brute-force", "accelerated"} {
+		res, err := eng.Optimize(context.Background(), d, opt, WithConfig(Config{MaxIterations: 2}))
+		if err != nil {
+			t.Fatalf("%s: %v", opt, err)
+		}
+		if d.TotalWidth() != before {
+			t.Fatalf("%s: Optimize mutated the caller's design", opt)
+		}
+		if res.Design == nil || res.Design == d {
+			t.Fatalf("%s: Result.Design must be a private clone", opt)
+		}
+		if res.Design.TotalWidth() <= before {
+			t.Errorf("%s: clone was not sized", opt)
+		}
+		if res.FinalWidth != res.Design.TotalWidth() {
+			t.Errorf("%s: Result.FinalWidth disagrees with the sized clone", opt)
+		}
 	}
 }
 
