@@ -148,7 +148,7 @@ func BenchmarkSizingIteration(b *testing.B) {
 // RunOptions intentionally do not expose.
 func runAccelerated(b *testing.B, d *Design, cfg Config) {
 	b.Helper()
-	s, err := core.OpenSession(context.Background(), d, cfg)
+	s, err := core.OpenSession(context.Background(), d, cfg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

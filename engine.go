@@ -45,9 +45,9 @@ type Engine struct {
 
 	// counters is the engine-wide atomic session rollup behind Stats:
 	// every session the engine opens (Open, Optimize, OptimizeSuite)
-	// is bound to it and mirrors its activity inline. Atomic, so it
-	// sits above the mutex with the immutable configuration and is
-	// read lock-free.
+	// is bound to it at open and reports its activity inline. Atomic,
+	// so it sits above the mutex with the immutable configuration and
+	// is read lock-free.
 	counters session.Counters
 
 	mu    sync.Mutex
@@ -298,22 +298,7 @@ func (e *Engine) buildConfig(opts []RunOption) Config {
 // grid resolution and objective exactly as Optimize does, so a session
 // opened and optimized with the same options sees the same numbers.
 func (e *Engine) Open(ctx context.Context, d *Design, opts ...RunOption) (*Session, error) {
-	return e.openSession(ctx, d.Clone(), e.buildConfig(opts))
-}
-
-// openSession opens a session and binds it to the engine's stats
-// rollup; every engine path that opens a session goes through here so
-// Stats sees all of them.
-func (e *Engine) openSession(ctx context.Context, d *design.Design, cfg Config) (*Session, error) {
-	s, err := core.OpenSession(ctx, d, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.BindCounters(&e.counters); err != nil {
-		s.Close()
-		return nil, err
-	}
-	return s, nil
+	return core.OpenSession(ctx, d.Clone(), e.buildConfig(opts), &e.counters)
 }
 
 // Optimize sizes a clone of d with the named optimizer (see Optimizers
@@ -332,7 +317,7 @@ func (e *Engine) Optimize(ctx context.Context, d *Design, optimizer string, opts
 		return nil, err
 	}
 	cfg := e.buildConfig(opts)
-	s, err := e.openSession(ctx, d.Clone(), cfg)
+	s, err := core.OpenSession(ctx, d.Clone(), cfg, &e.counters)
 	if err != nil {
 		return nil, err
 	}
@@ -463,12 +448,12 @@ type EngineStats struct {
 // long-running optimizer runs hold their sessions.
 func (e *Engine) Stats() EngineStats {
 	st := EngineStats{
-		SessionsOpened:   e.counters.Opened.Load(),
+		SessionsOpened:   e.counters.Opened(),
 		SessionsLive:     e.counters.Live(),
-		WhatIfsServed:    e.counters.WhatIfs.Load(),
-		ResizesCommitted: e.counters.Resizes.Load(),
-		Checkpoints:      e.counters.Checkpoints.Load(),
-		Rollbacks:        e.counters.Rollbacks.Load(),
+		WhatIfsServed:    e.counters.WhatIfs(),
+		ResizesCommitted: e.counters.Resizes(),
+		Checkpoints:      e.counters.Checkpoints(),
+		Rollbacks:        e.counters.Rollbacks(),
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()

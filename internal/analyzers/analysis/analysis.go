@@ -10,11 +10,10 @@
 // distributions must be persisted before retention, arenas serve one
 // goroutine, session queries hold the lock, long propagation loops
 // observe their context, leases are released exactly once, HTTP
-// bodies are read bounded, SSE streams terminate with done, counters
-// move only through sanctioned paths. See the sibling analyzer
-// packages (scratchescape, arenashare, lockdiscipline, ctxflow,
-// leaseguard, boundeddecode, ssedone, counterpath) and DESIGN.md's
-// "Enforced invariants" section.
+// bodies are read bounded. See the sibling analyzer packages
+// (scratchescape, arenashare, lockdiscipline, ctxflow, leaseguard,
+// boundeddecode) and DESIGN.md's "Enforced invariants" section, which
+// also says where the invariants that need no analyzer live.
 //
 // Intentional exceptions are suppressed in source with
 //

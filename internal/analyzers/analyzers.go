@@ -10,12 +10,10 @@ import (
 	"statsize/internal/analyzers/analysis"
 	"statsize/internal/analyzers/arenashare"
 	"statsize/internal/analyzers/boundeddecode"
-	"statsize/internal/analyzers/counterpath"
 	"statsize/internal/analyzers/ctxflow"
 	"statsize/internal/analyzers/leaseguard"
 	"statsize/internal/analyzers/lockdiscipline"
 	"statsize/internal/analyzers/scratchescape"
-	"statsize/internal/analyzers/ssedone"
 )
 
 // All returns the full statlint suite in reporting order.
@@ -23,11 +21,9 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		arenashare.Analyzer,
 		boundeddecode.Analyzer,
-		counterpath.Analyzer,
 		ctxflow.Analyzer,
 		leaseguard.Analyzer,
 		lockdiscipline.Analyzer,
 		scratchescape.Analyzer,
-		ssedone.Analyzer,
 	}
 }

@@ -18,7 +18,6 @@ const (
 	ParPath     = "statsize/internal/par"
 	SessionPath = "statsize/internal/session"
 	ServerPath  = "statsize/internal/server"
-	RootPath    = "statsize"
 )
 
 // Unparen strips any number of enclosing parentheses.

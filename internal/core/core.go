@@ -215,10 +215,12 @@ func gridFor(d *design.Design, cfg Config) float64 {
 // and objective the config resolves to — the single construction path
 // shared by the Engine facade, the experiment harness and the tests, so
 // an optimizer driven through a session opened here sees exactly the
-// analysis it used to build for itself.
-func OpenSession(ctx context.Context, d *design.Design, cfg Config) (*session.Session, error) {
+// analysis it used to build for itself. rollup is the engine-wide
+// accounting the session reports into; callers outside the Engine pass
+// nil.
+func OpenSession(ctx context.Context, d *design.Design, cfg Config, rollup *session.Counters) (*session.Session, error) {
 	cfg = cfg.withDefaults()
-	return session.Open(ctx, d, gridFor(d, cfg), cfg.Objective, cfg.Parallelism)
+	return session.Open(ctx, d, gridFor(d, cfg), cfg.Objective, cfg.Parallelism, rollup)
 }
 
 // areaCapReached reports whether the configured relative area budget is

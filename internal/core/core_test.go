@@ -60,7 +60,7 @@ func smallDesign(t testing.TB, seed int64) *design.Design {
 func runOn(t testing.TB, d *design.Design, cfg Config,
 	opt func(context.Context, *session.Session, Config) (*Result, error)) (*Result, error) {
 	t.Helper()
-	s, err := OpenSession(context.Background(), d, cfg)
+	s, err := OpenSession(context.Background(), d, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestTraceCallback(t *testing.T) {
 // contract.
 func TestAcceleratedCancelMidRun(t *testing.T) {
 	d := newDesign(t, "c432")
-	s, err := OpenSession(context.Background(), d, Config{MaxIterations: 50})
+	s, err := OpenSession(context.Background(), d, Config{MaxIterations: 50}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,8 +54,12 @@ func Deterministic(ctx context.Context, s *session.Session, cfg Config) (*Result
 		r := sta.Analyze(d)
 		base := r.CircuitDelay()
 
+		// Each trial width is written, analyzed and rolled back. Restore
+		// rewrites the snapshot verbatim, so no load keeps the rounding
+		// residue that undoing the width with SetWidth would leave.
 		bestGate, bestSens := -1, 0.0
 		candidates := 0
+		pre := d.Snapshot()
 		for _, gid := range r.CriticalGates() {
 			w := d.Width(gid)
 			next := w + d.Lib.DeltaW
@@ -63,11 +67,9 @@ func Deterministic(ctx context.Context, s *session.Session, cfg Config) (*Result
 				continue
 			}
 			candidates++
-			var after float64
-			_ = d.WithWidth(gid, next, func() error {
-				after = sta.Analyze(d).CircuitDelay()
-				return nil
-			})
+			d.SetWidth(gid, next)
+			after := sta.Analyze(d).CircuitDelay()
+			d.Restore(pre)
 			sens := (base - after) / d.Lib.DeltaW
 			if sens > bestSens || (sens == bestSens && bestGate >= 0 && int(gid) < bestGate) {
 				bestGate, bestSens = int(gid), sens

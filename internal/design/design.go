@@ -102,38 +102,6 @@ func (d *Design) SetWidth(g netlist.GateID, w float64) float64 {
 // Load returns the capacitive load on net n, in fF.
 func (d *Design) Load(n netlist.NetID) float64 { return d.loads[n] }
 
-// WithWidth runs fn with gate g temporarily resized to w, then restores
-// the exact prior state. Incremental load updates are not exactly
-// reversible in floating point (+delta followed by -delta can round
-// differently), so the affected loads, the width and the running total
-// are snapshotted and written back verbatim.
-//
-// The mutate-and-restore route is deprecated for perturbation
-// evaluation: it writes to the shared widths/loads arrays, which forces
-// every trial evaluation to serialize on the design. Candidate
-// evaluation (ssta.PerturbedDelays, the optimizers' fronts, session
-// what-ifs) uses the mutation-free EdgeDelayDistAtWidths instead, which
-// produces bit-identical distributions and is safe to run concurrently.
-// WithWidth remains for the deterministic corner-based baseline, which
-// owns its design exclusively while it runs.
-func (d *Design) WithWidth(g netlist.GateID, w float64, fn func() error) error {
-	gate := d.NL.Gate(g)
-	oldW := d.widths[g]
-	oldTotal := d.total
-	oldLoads := make([]float64, len(gate.Ins))
-	for i, in := range gate.Ins {
-		oldLoads[i] = d.loads[in]
-	}
-	d.SetWidth(g, w)
-	err := fn()
-	d.widths[g] = oldW
-	d.total = oldTotal
-	for i, in := range gate.Ins {
-		d.loads[in] = oldLoads[i]
-	}
-	return err
-}
-
 // TotalWidth returns the sum of all gate widths — the paper's "total
 // gate size" (the y-axis of Figure 10 and the basis of Table 1's "% inc"
 // column).

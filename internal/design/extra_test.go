@@ -9,61 +9,6 @@ import (
 	"statsize/internal/netlist"
 )
 
-func TestWithWidthRestoresBitExact(t *testing.T) {
-	d := c17Design(t)
-	// Capture the complete state.
-	widths := make([]float64, d.NL.NumGates())
-	loads := make([]float64, d.NL.NumNets())
-	for g := range widths {
-		widths[g] = d.Width(netlist.GateID(g))
-	}
-	for n := range loads {
-		loads[n] = d.Load(netlist.NetID(n))
-	}
-	total := d.TotalWidth()
-	// Hammer WithWidth with many trial widths, including clamped ones.
-	for trial := 0; trial < 50; trial++ {
-		g := netlist.GateID(trial % d.NL.NumGates())
-		w := 0.5 + float64(trial)*0.7
-		err := d.WithWidth(g, w, func() error { return nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for g := range widths {
-		if d.Width(netlist.GateID(g)) != widths[g] {
-			t.Fatalf("width of gate %d drifted", g)
-		}
-	}
-	for n := range loads {
-		if d.Load(netlist.NetID(n)) != loads[n] {
-			t.Fatalf("load of net %d drifted: %v vs %v", n, d.Load(netlist.NetID(n)), loads[n])
-		}
-	}
-	if d.TotalWidth() != total {
-		t.Fatal("total width drifted")
-	}
-}
-
-func TestWithWidthPropagatesError(t *testing.T) {
-	d := c17Design(t)
-	sentinel := &netlist.Netlist{}
-	_ = sentinel
-	errWant := errTest{}
-	err := d.WithWidth(0, 2, func() error { return errWant })
-	if err != errWant {
-		t.Fatalf("got %v, want sentinel", err)
-	}
-	// State restored even on error.
-	if d.Width(0) != d.Lib.WMin {
-		t.Error("width not restored after error")
-	}
-}
-
-type errTest struct{}
-
-func (errTest) Error() string { return "sentinel" }
-
 func TestNewRejectsInvalidLibrary(t *testing.T) {
 	lib := cell.Default180nm()
 	lib.SigmaRatio = 2 // invalid

@@ -196,7 +196,7 @@ func runOnSession(
 	cfg core.Config,
 	opt func(context.Context, *session.Session, core.Config) (*core.Result, error),
 ) (*core.Result, error) {
-	s, err := core.OpenSession(ctx, d, cfg)
+	s, err := core.OpenSession(ctx, d, cfg, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -162,6 +164,81 @@ func TestOptimizeStreamReplaysGoldenTrace(t *testing.T) {
 		}
 		t.Fatalf("streamed trace diverges from golden (golden %d lines, got %d)",
 			len(wantLines), len(gotLines))
+	}
+}
+
+// failingOptimizer names a registered optimizer whose every run fails
+// with errOptimizerFailed before touching the session.
+const failingOptimizer = "test-fails"
+
+var (
+	errOptimizerFailed       = errors.New("optimizer failed on purpose")
+	registerFailingOptimizer sync.Once
+)
+
+// TestOptimizeStreamReportsOptimizerError pins the error exit of a
+// run: an optimizer that returns an error still ends the stream with
+// exactly one terminal done event, which carries the error and is not
+// marked canceled, and the run gives its session lease back.
+func TestOptimizeStreamReportsOptimizerError(t *testing.T) {
+	// The registry is process-wide, so -count=N must register only once.
+	registerFailingOptimizer.Do(func() {
+		err := statsize.RegisterOptimizer(statsize.SessionOptimizerFunc{
+			OptName: failingOptimizer,
+			Run: func(context.Context, *statsize.Session, statsize.Config) (*statsize.Result, error) {
+				return nil, errOptimizerFailed
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	_, ts := newHTTP(t, Config{})
+	sess := openSession(t, ts.URL, &OpenSessionRequest{Design: "c17", Client: "fails", Bins: 120})
+	base := ts.URL + "/v1/sessions/" + sess.SessionID
+
+	// The request deadline bounds the stream: a run that never records
+	// done ends here without one instead of hanging the test.
+	status, events, raw := optimizeStream(t, base+"/optimize",
+		map[string]string{HeaderDeadlineMs: "10000"}, &OptimizeRequest{Optimizer: failingOptimizer})
+	if status != http.StatusOK {
+		t.Fatalf("optimize: %d %s", status, raw)
+	}
+	var dones []sseEvent
+	for _, ev := range events {
+		if ev.name == "done" {
+			dones = append(dones, ev)
+		}
+	}
+	if len(dones) != 1 || events[len(events)-1].name != "done" {
+		t.Fatalf("stream carried %d done events, want exactly one, last:\n%s", len(dones), raw)
+	}
+	var done DoneEvent
+	mustUnmarshal(t, dones[0].data, &done)
+	if done.Canceled || !strings.Contains(done.Error, errOptimizerFailed.Error()) {
+		t.Fatalf("done event %+v, want canceled=false and error %q", done, errOptimizerFailed)
+	}
+
+	if status, body := postJSON(t, base+"/resize", &ResizeRequest{Gate: 0, Width: 2}); status != http.StatusOK {
+		t.Fatalf("resize after the failed run: %d %s", status, body)
+	}
+	// The run releases its lease just after recording done; wait for
+	// the session's lease count to drain.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		status, body := getJSON(t, base)
+		if status != http.StatusOK {
+			t.Fatalf("session info: %d %s", status, body)
+		}
+		var info SessionInfoResponse
+		mustUnmarshal(t, body, &info)
+		if info.InFlight == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("session still holds %d leases after the failed run", info.InFlight)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

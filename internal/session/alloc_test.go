@@ -33,7 +33,7 @@ func TestWhatIfBatchWarmAllocs(t *testing.T) {
 	// workers=1: AllocsPerRun pins GOMAXPROCS to 1, and a parallel batch
 	// would also count goroutine/pool bookkeeping that is per-batch
 	// noise, not steady-state kernel cost.
-	s, err := Open(context.Background(), d, d.SuggestDT(500), pct(0.99), 1)
+	s, err := Open(context.Background(), d, d.SuggestDT(500), pct(0.99), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

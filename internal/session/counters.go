@@ -4,46 +4,79 @@ import "sync/atomic"
 
 // Counters is an engine-wide atomic rollup of session activity. One
 // Counters instance is shared by every session the owning engine opens:
-// sessions update it inline (under their own lock, with atomic adds) as
-// operations commit, so a reader gets a live snapshot without touching
-// any session lock — an in-flight optimizer run holding a session for
-// minutes cannot block a stats query.
+// each session is bound to it at Open and updates it inline (under its
+// own lock, with atomic adds) as operations commit, so a reader gets a
+// live snapshot without touching any session lock — an in-flight
+// optimizer run holding a session for minutes cannot block a stats
+// query.
 //
-// The per-session Stats struct remains the precise accounting for one
-// session's lifetime; Counters is the cross-session aggregate backing
-// Engine.Stats and the daemon's /stats endpoint.
+// The counts are unexported: Session.record is their only writer, and
+// it books each operation into the session's own Stats in the same
+// call, so the per-session accounting and the engine rollup cannot
+// drift apart. Readers use the methods below.
 type Counters struct {
-	Opened      atomic.Int64 // sessions opened
-	Closed      atomic.Int64 // sessions closed
-	WhatIfs     atomic.Int64 // what-if evaluations served (single + batch)
-	Resizes     atomic.Int64 // committed resizes
-	Checkpoints atomic.Int64 // checkpoints taken
-	Rollbacks   atomic.Int64 // rollbacks applied
+	n [opRequired]atomic.Int64 // indexed by op
 }
 
-// Live returns the number of bound sessions opened but not yet closed.
-func (c *Counters) Live() int64 { return c.Opened.Load() - c.Closed.Load() }
+// op is one kind of accounted session operation.
+type op int
 
-// BindCounters attaches an engine-wide rollup to the session and
-// records the open. Bind at most once, immediately after Open and
-// before the session is shared; the session then mirrors its activity
-// into the rollup until Close (which records the matching close). An
-// unbound session accounts only in its private Stats.
-func (s *Session) BindCounters(c *Counters) error {
-	tx, err := s.Acquire()
-	if err != nil {
-		return err
+const (
+	opOpen op = iota
+	opClose
+	opWhatIf // one what-if evaluation (single or batch member)
+	opResize
+	opCheckpoint
+	opRollback
+	opRequired // backward required-time pass; per-session only, not rolled up
+)
+
+// Opened returns the number of sessions ever opened against c.
+func (c *Counters) Opened() int64 { return c.n[opOpen].Load() }
+
+// Live returns the number of sessions opened against c and not yet
+// closed. Closes are read first: every close follows its open, so the
+// difference never goes negative under concurrent traffic.
+func (c *Counters) Live() int64 {
+	closed := c.n[opClose].Load()
+	return c.n[opOpen].Load() - closed
+}
+
+// WhatIfs returns the what-if evaluations served, counting each batch
+// member.
+func (c *Counters) WhatIfs() int64 { return c.n[opWhatIf].Load() }
+
+// Resizes returns the committed resizes.
+func (c *Counters) Resizes() int64 { return c.n[opResize].Load() }
+
+// Checkpoints returns the checkpoints taken.
+func (c *Counters) Checkpoints() int64 { return c.n[opCheckpoint].Load() }
+
+// Rollbacks returns the rollbacks applied.
+func (c *Counters) Rollbacks() int64 { return c.n[opRollback].Load() }
+
+// record books n operations of kind k, which together cost nodes
+// arrival computations, into the session's Stats and, when the session
+// was opened with a rollup, into the engine-wide Counters. It is the
+// only writer of either. Callers hold the session lock; Open calls it
+// before the session is shared.
+func (s *Session) record(k op, n, nodes int) {
+	switch k {
+	case opWhatIf:
+		s.stats.WhatIfs += n
+		s.stats.WhatIfNodesVisited += nodes
+	case opResize:
+		s.stats.Resizes += n
+		s.stats.NodesRecomputed += nodes
+		s.stats.LastResizeNodes = nodes
+	case opCheckpoint:
+		s.stats.Checkpoints += n
+	case opRollback:
+		s.stats.Rollbacks += n
+	case opRequired:
+		s.stats.RequiredPasses += n
 	}
-	defer tx.Release()
-	s.counters = c
-	c.Opened.Add(1)
-	return nil
-}
-
-// count applies fn to the bound rollup, if any. Callers hold the
-// session lock.
-func (s *Session) count(fn func(*Counters)) {
-	if s.counters != nil {
-		fn(s.counters)
+	if s.rollup != nil && k < opRequired {
+		s.rollup.n[k].Add(int64(n))
 	}
 }

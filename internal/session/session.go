@@ -83,11 +83,11 @@ type Session struct {
 	hasDeadline bool
 
 	marks []mark
-	stats Stats
+	stats Stats // written only through record
 
-	// counters, when bound, is the engine-wide atomic rollup this
-	// session mirrors its activity into (see BindCounters).
-	counters *Counters
+	// rollup, when non-nil, is the engine-wide Counters this session
+	// reports into from Open to Close (see record).
+	rollup *Counters
 }
 
 // mark is one checkpoint: paired design and analysis snapshots plus the
@@ -149,8 +149,10 @@ type WhatIfResult struct {
 // that many goroutines; non-positive means one worker per logical CPU,
 // 1 forces fully serial evaluation. The worker count
 // never changes results: every parallel path is bit-identical to its
-// serial reference.
-func Open(ctx context.Context, d *design.Design, dt float64, obj Objective, workers int) (*Session, error) {
+// serial reference. rollup, when non-nil, is the engine-wide Counters
+// the session reports its open, its operations and its Close into;
+// nil leaves the session unbound, accounting only in its own Stats.
+func Open(ctx context.Context, d *design.Design, dt float64, obj Objective, workers int, rollup *Counters) (*Session, error) {
 	if obj == nil {
 		return nil, fmt.Errorf("session: nil objective")
 	}
@@ -159,13 +161,16 @@ func Open(ctx context.Context, d *design.Design, dt float64, obj Objective, work
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{d: d, a: a, obj: obj, workers: workers}
+	s := &Session{
+		d: d, a: a, obj: obj, workers: workers, rollup: rollup,
+		stats: Stats{TotalNodes: d.E.G.NumNodes() - 1}, // every node but the source
+	}
 	s.scratch = make([]*ssta.Scratch, workers)
 	for i := range s.scratch {
 		s.scratch[i] = ssta.NewScratch()
 	}
-	s.stats.TotalNodes = d.E.G.NumNodes() - 1 // every node but the source
 	s.tx.s = s
+	s.record(opOpen, 1, 0)
 	return s, nil
 }
 
@@ -180,7 +185,7 @@ func (s *Session) Close() error {
 	}
 	s.closed = true
 	s.marks = nil
-	s.count(func(c *Counters) { c.Closed.Add(1) })
+	s.record(opClose, 1, 0)
 	return nil
 }
 

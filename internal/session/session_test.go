@@ -27,7 +27,7 @@ func open(t *testing.T) *Session {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(context.Background(), d, d.SuggestDT(500), pct(0.99), 0)
+	s, err := Open(context.Background(), d, d.SuggestDT(500), pct(0.99), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,15 +41,15 @@ func TestOpenValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(context.Background(), d, d.SuggestDT(500), nil, 0); err == nil {
+	if _, err := Open(context.Background(), d, d.SuggestDT(500), nil, 0, nil); err == nil {
 		t.Error("nil objective accepted")
 	}
-	if _, err := Open(context.Background(), d, -1, pct(0.99), 0); err == nil {
+	if _, err := Open(context.Background(), d, -1, pct(0.99), 0, nil); err == nil {
 		t.Error("negative grid accepted")
 	}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Open(canceled, d, d.SuggestDT(500), pct(0.99), 0); !errors.Is(err, context.Canceled) {
+	if _, err := Open(canceled, d, d.SuggestDT(500), pct(0.99), 0, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("open with canceled ctx: %v", err)
 	}
 }
@@ -190,6 +190,71 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 	if st.NodesRecomputed <= 0 || st.WhatIfNodesVisited <= 0 || st.TotalNodes <= 0 {
 		t.Errorf("zero counters in %+v", st)
+	}
+}
+
+// TestRollupMatchesStats pins the single accounting path: a session
+// opened with a rollup books every operation into it and into its own
+// Stats in one call, so the two agree after any mix of operations. A
+// failed open books nothing, and only the first Close leaves the live
+// count.
+func TestRollupMatchesStats(t *testing.T) {
+	lib := cell.Default180nm()
+	d, err := design.New(netlist.C17(lib), lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rollup Counters
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Open(canceled, d, d.SuggestDT(500), pct(0.99), 0, &rollup); err == nil {
+		t.Fatal("open with a canceled context succeeded")
+	}
+	if rollup.Opened() != 0 {
+		t.Fatalf("failed open counted: opened %d", rollup.Opened())
+	}
+
+	ctx := context.Background()
+	s, err := Open(ctx, d, d.SuggestDT(500), pct(0.99), 0, &rollup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rollup.Opened() != 1 || rollup.Live() != 1 {
+		t.Fatalf("after open: opened %d live %d, want 1 1", rollup.Opened(), rollup.Live())
+	}
+	if _, err := s.WhatIf(ctx, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WhatIfBatch(ctx, []Candidate{{0, 2}, {1, 2}, {2, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Resize(ctx, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := [4]int64{rollup.WhatIfs(), rollup.Resizes(), rollup.Checkpoints(), rollup.Rollbacks()}
+	want := [4]int64{int64(st.WhatIfs), int64(st.Resizes), int64(st.Checkpoints), int64(st.Rollbacks)}
+	if got != want || want != [4]int64{4, 1, 1, 1} {
+		t.Fatalf("rollup %v, session stats %v, want both [4 1 1 1]", got, want)
+	}
+
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("second Close: %v, want ErrClosed", err)
+	}
+	if rollup.Opened() != 1 || rollup.Live() != 0 {
+		t.Fatalf("after close: opened %d live %d, want 1 0", rollup.Opened(), rollup.Live())
 	}
 }
 

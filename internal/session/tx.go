@@ -60,10 +60,7 @@ func (t *Tx) Resize(ctx context.Context, g netlist.GateID, w float64) (ResizeSta
 		s.a.Restore(aSt)
 		return ResizeStats{}, err
 	}
-	s.stats.Resizes++
-	s.stats.NodesRecomputed += n
-	s.stats.LastResizeNodes = n
-	s.count(func(c *Counters) { c.Resizes.Add(1) })
+	s.record(opResize, 1, n)
 	return ResizeStats{
 		Gate:            g,
 		OldWidth:        oldW,
@@ -87,9 +84,7 @@ func (t *Tx) WhatIf(ctx context.Context, g netlist.GateID, w float64) (WhatIfRes
 	if err != nil {
 		return WhatIfResult{}, err
 	}
-	s.stats.WhatIfs++
-	s.stats.WhatIfNodesVisited += res.NodesVisited
-	s.count(func(c *Counters) { c.WhatIfs.Add(1) })
+	s.record(opWhatIf, 1, res.NodesVisited)
 	return res, nil
 }
 
@@ -185,12 +180,12 @@ func (t *Tx) WhatIfBatch(ctx context.Context, candidates []Candidate) ([]WhatIfR
 		return nil, err
 	}
 	results := make([]WhatIfResult, len(candidates))
+	visited := 0
 	for i, p := range props {
 		results[i] = t.finishWhatIf(base, candidates[i].Gate, p.wEff, p.sink, p.visited)
-		s.stats.WhatIfNodesVisited += p.visited
+		visited += p.visited
 	}
-	s.stats.WhatIfs += len(results)
-	s.count(func(c *Counters) { c.WhatIfs.Add(int64(len(results))) })
+	s.record(opWhatIf, len(results), visited)
 	return results, nil
 }
 
@@ -204,8 +199,7 @@ func (t *Tx) Checkpoint() int {
 		deadline:    s.deadline,
 		hasDeadline: s.hasDeadline,
 	})
-	s.stats.Checkpoints++
-	s.count(func(c *Counters) { c.Checkpoints.Add(1) })
+	s.record(opCheckpoint, 1, 0)
 	return len(s.marks)
 }
 
@@ -225,8 +219,7 @@ func (t *Tx) Rollback() error {
 	s.a.Restore(m.a)
 	s.deadline = m.deadline
 	s.hasDeadline = m.hasDeadline
-	s.stats.Rollbacks++
-	s.count(func(c *Counters) { c.Rollbacks.Add(1) })
+	s.record(opRollback, 1, 0)
 	return nil
 }
 
@@ -246,7 +239,7 @@ func (t *Tx) EnsureRequired(ctx context.Context) error {
 	if err := s.a.ComputeRequired(ctx, dist.Point(s.a.DT, deadline)); err != nil {
 		return err
 	}
-	s.stats.RequiredPasses++
+	s.record(opRequired, 1, 0)
 	return nil
 }
 

@@ -350,8 +350,8 @@ func (a *Analysis) ResizeCommit(ctx context.Context, x netlist.GateID) (int, err
 // nets (Figure 7, step 1). The evaluation is mutation-free: the
 // hypothetical width is applied functionally through
 // design.EdgeDelayDistAtWidths, the design is never touched, and the
-// distributions are bit-identical to what the historical
-// mutate-evaluate-restore route (design.WithWidth) produced. Because
+// distributions are bit-identical to what writing the width, reading
+// the delays and restoring a design snapshot produces. Because
 // nothing is written, any number of goroutines may evaluate different
 // candidates concurrently against one quiescent analysis.
 func (a *Analysis) PerturbedDelays(x netlist.GateID, w float64) (map[graph.EdgeID]*dist.Dist, error) {

@@ -327,9 +327,9 @@ func TestAnalyzeParallelDeterminism(t *testing.T) {
 
 // TestPerturbedDelaysMutationFree: evaluating a candidate's perturbed
 // delays must leave the design bit-identical (no width, load or total
-// drift) and must match the historical mutate-evaluate-restore route
-// (design.WithWidth + cached-delay refresh) distribution for
-// distribution.
+// drift) and must match the mutate-evaluate-restore reference (write
+// the width with SetWidth, read the delays, Restore a snapshot)
+// distribution for distribution.
 func TestPerturbedDelaysMutationFree(t *testing.T) {
 	d := newDesign(t, "c432")
 	a := analyze(t, d, 400)
@@ -365,23 +365,18 @@ func TestPerturbedDelaysMutationFree(t *testing.T) {
 			}
 		}
 
-		// Reference: the deprecated mutate-and-restore route.
+		// Reference: mutate, evaluate, restore.
 		want := make(map[graph.EdgeID]*dist.Dist)
-		err = d.WithWidth(gid, w, func() error {
-			for _, ag := range AffectedGates(d, gid) {
-				for _, eid := range d.E.GateEdges[ag] {
-					dd, err := d.EdgeDelayDist(a.DT, eid)
-					if err != nil {
-						return err
-					}
-					want[eid] = dd
+		pre := d.Snapshot()
+		d.SetWidth(gid, w)
+		for _, ag := range AffectedGates(d, gid) {
+			for _, eid := range d.E.GateEdges[ag] {
+				if want[eid], err = d.EdgeDelayDist(a.DT, eid); err != nil {
+					t.Fatal(err)
 				}
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
+		d.Restore(pre)
 		if len(got) != len(want) {
 			t.Fatalf("gate %d: %d perturbed edges, reference has %d", g, len(got), len(want))
 		}

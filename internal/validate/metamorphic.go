@@ -131,7 +131,7 @@ func propResizeFresh(ctx context.Context, lib *cell.Library, sp circuitgen.Spec)
 		return err
 	}
 	dt := d.SuggestDT(metaBins)
-	s, err := session.Open(ctx, d, dt, core.Percentile(0.99), 2)
+	s, err := session.Open(ctx, d, dt, core.Percentile(0.99), 2, nil)
 	if err != nil {
 		return fmt.Errorf("open session: %w", err)
 	}
@@ -164,7 +164,7 @@ func propRollbackRestores(ctx context.Context, lib *cell.Library, sp circuitgen.
 	if err != nil {
 		return err
 	}
-	s, err := session.Open(ctx, d, d.SuggestDT(metaBins), core.Percentile(0.99), 2)
+	s, err := session.Open(ctx, d, d.SuggestDT(metaBins), core.Percentile(0.99), 2, nil)
 	if err != nil {
 		return fmt.Errorf("open session: %w", err)
 	}
@@ -220,7 +220,7 @@ func propWhatIfCommit(ctx context.Context, lib *cell.Library, sp circuitgen.Spec
 	if err != nil {
 		return err
 	}
-	s, err := session.Open(ctx, d, d.SuggestDT(metaBins), core.Percentile(0.99), 2)
+	s, err := session.Open(ctx, d, d.SuggestDT(metaBins), core.Percentile(0.99), 2, nil)
 	if err != nil {
 		return fmt.Errorf("open session: %w", err)
 	}
