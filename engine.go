@@ -333,10 +333,11 @@ func (e *Engine) Optimize(ctx context.Context, d *Design, optimizer string, opts
 // session's live design — snapshot it (Session.Snapshot) if the session
 // keeps mutating afterwards.
 //
-// The run uses the analysis grid the session was opened at: grid
-// options (WithConfig's Bins or DT) are construction-time parameters
-// and are ignored here — pass them to Engine.Open instead. All other
-// run options (iterations, area cap, objective, ...) apply normally.
+// The run uses the analysis grid and the worker count the session was
+// opened with: grid options (WithConfig's Bins or DT) and WithConfig's
+// Parallelism are construction-time parameters and are ignored here —
+// pass them to Engine.Open instead. All other run options (iterations,
+// area cap, objective, ...) apply normally.
 func (e *Engine) OptimizeSession(ctx context.Context, s *Session, optimizer string, opts ...RunOption) (*Result, error) {
 	o, err := lookupOptimizer(optimizer)
 	if err != nil {

@@ -3,7 +3,8 @@ package core
 import (
 	"container/heap"
 	"context"
-	"sort"
+	"math"
+	"slices"
 
 	"statsize/internal/dist"
 	"statsize/internal/graph"
@@ -34,27 +35,28 @@ func Accelerated(ctx context.Context, s *session.Session, cfg Config) (*Result, 
 }
 
 // front is the A'set bookkeeping of one candidate gate (Figure 7/9): the
-// perturbed delay overlays, the live perturbed arrivals with their
-// remaining-fanout counts, the nodes scheduled for future levels, and
-// the current bound.
+// perturbed delay overlays, the live perturbed nodes, the nodes pending
+// computation at later levels, and the current bound.
 type front struct {
 	gate   netlist.GateID
 	delays map[graph.EdgeID]*dist.Dist
 
-	perturbed map[graph.NodeID]*dist.Dist
-	delta     map[graph.NodeID]float64
-	foLeft    map[graph.NodeID]int
-	scheduled map[int][]graph.NodeID
-	inSched   map[graph.NodeID]bool
-	nextLevel int
-	levels    int // levels advanced so far (for the heuristic cutoff)
+	live    map[graph.NodeID]liveNode
+	pending map[graph.NodeID]struct{}
+	levels  int // levels advanced so far (for the heuristic cutoff)
 
 	smx      float64
 	sinkDist *dist.Dist // set once the sink is computed
-	dead     bool       // nothing scheduled and nothing live
+	visits   int
+}
 
-	heapIdx int
-	visits  int
+// liveNode is one perturbed arrival on a front: the persisted
+// distribution, its perturbation bound Δ, and the number of fanouts
+// that have yet to consume it.
+type liveNode struct {
+	pert   *dist.Dist
+	delta  float64
+	foLeft int
 }
 
 // newFront builds and initializes a candidate's front, propagating
@@ -69,61 +71,64 @@ func newFront(a *ssta.Analysis, cfg Config, x netlist.GateID, ar *dist.Arena) (*
 		return nil, err
 	}
 	f := &front{
-		gate:      x,
-		delays:    delays,
-		perturbed: make(map[graph.NodeID]*dist.Dist),
-		delta:     make(map[graph.NodeID]float64),
-		foLeft:    make(map[graph.NodeID]int),
-		scheduled: make(map[int][]graph.NodeID),
-		inSched:   make(map[graph.NodeID]bool),
-		nextLevel: int(^uint(0) >> 1),
+		gate:    x,
+		delays:  delays,
+		live:    make(map[graph.NodeID]liveNode),
+		pending: make(map[graph.NodeID]struct{}),
 	}
 	g := d.E.G
 	for _, gid := range ssta.AffectedGates(d, x) {
-		n := d.E.NodeOf[d.NL.Gate(gid).Out]
-		f.schedule(g, n)
+		f.pending[d.E.NodeOf[d.NL.Gate(gid).Out]] = struct{}{}
 	}
 	// Initialize propagates up to and including the candidate's output
 	// level so every front starts with a meaningful bound (Figure 7,
 	// steps 4–6).
 	ownLevel := g.Level(d.E.NodeOf[d.NL.Gate(x).Out])
-	for !f.dead && f.nextLevel <= ownLevel {
+	for !f.dead() {
+		if level, _ := f.nextLevel(g); level > ownLevel {
+			break
+		}
 		f.propagateOneLevel(a, cfg, ar)
 	}
 	return f, nil
 }
 
-// schedule queues a node for computation at its level.
-func (f *front) schedule(g *graph.Graph, n graph.NodeID) {
-	if f.inSched[n] {
-		return
+// dead reports whether the front has nothing left to compute.
+func (f *front) dead() bool { return len(f.pending) == 0 }
+
+// nextLevel returns the lowest level holding pending nodes, and those
+// nodes in no particular order.
+func (f *front) nextLevel(g *graph.Graph) (int, []graph.NodeID) {
+	level := math.MaxInt
+	var nodes []graph.NodeID
+	for n := range f.pending {
+		switch l := g.Level(n); {
+		case l < level:
+			level, nodes = l, append(nodes[:0], n)
+		case l == level:
+			nodes = append(nodes, n)
+		}
 	}
-	f.inSched[n] = true
-	l := g.Level(n)
-	f.scheduled[l] = append(f.scheduled[l], n)
-	if l < f.nextLevel {
-		f.nextLevel = l
-	}
+	return level, nodes
 }
 
 // propagateOneLevel computes the perturbed arrivals of every node
-// scheduled at the front's current level (Figure 9), updates the
-// perturbation bounds and remaining-fanout counts, schedules fanouts,
-// and recomputes Smx. Kernel intermediates cycle through ar per node;
-// whatever the front retains (perturbed arrivals, the sink) is
-// persisted out of scratch first.
+// pending at the front's lowest level, in node-ID order (Figure 9),
+// updates the perturbation bounds and remaining-fanout counts, queues
+// fanouts, and recomputes Smx. Kernel intermediates cycle through ar
+// per node; whatever the front retains (perturbed arrivals, the sink)
+// is persisted out of scratch first.
 func (f *front) propagateOneLevel(a *ssta.Analysis, cfg Config, ar *dist.Arena) {
 	g := a.D.E.G
 	sink := g.Sink()
-	nodes := f.scheduled[f.nextLevel]
-	delete(f.scheduled, f.nextLevel)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	_, nodes := f.nextLevel(g)
+	slices.Sort(nodes)
 
-	arrOverlay := func(n graph.NodeID) *dist.Dist { return f.perturbed[n] }
+	arrOverlay := func(n graph.NodeID) *dist.Dist { return f.live[n].pert }
 	delayOverlay := func(e graph.EdgeID) *dist.Dist { return f.delays[e] }
 
 	for _, n := range nodes {
-		delete(f.inSched, n)
+		delete(f.pending, n)
 		ar.Reset()
 		pert := a.ArrivalWithOverlayInto(n, arrOverlay, delayOverlay, ar)
 		f.visits++
@@ -141,46 +146,38 @@ func (f *front) propagateOneLevel(a *ssta.Analysis, cfg Config, ar *dist.Arena) 
 			alive = false
 		}
 		if alive {
-			f.perturbed[n] = pert.Persist()
-			f.delta[n] = dist.PerturbationBound(base, pert)
-			f.foLeft[n] = len(g.Out(n))
+			f.live[n] = liveNode{
+				pert:   pert.Persist(),
+				delta:  dist.PerturbationBound(base, pert),
+				foLeft: len(g.Out(n)),
+			}
 			for _, eid := range g.Out(n) {
-				f.schedule(g, g.EdgeAt(eid).To)
+				f.pending[g.EdgeAt(eid).To] = struct{}{}
 			}
 		}
 		// Consume one fanout slot of every perturbed fanin (Figure 9,
 		// steps 13–18); fully consumed nodes leave the front.
 		for _, eid := range g.In(n) {
 			from := g.EdgeAt(eid).From
-			if _, ok := f.perturbed[from]; !ok {
+			l, ok := f.live[from]
+			if !ok {
 				continue
 			}
-			f.foLeft[from]--
-			if f.foLeft[from] == 0 {
-				delete(f.perturbed, from)
-				delete(f.delta, from)
-				delete(f.foLeft, from)
+			if l.foLeft--; l.foLeft == 0 {
+				delete(f.live, from)
+			} else {
+				f.live[from] = l
 			}
 		}
 	}
 	f.levels++
 
-	// Advance to the next scheduled level.
-	f.nextLevel = int(^uint(0) >> 1)
-	for l := range f.scheduled {
-		if l < f.nextLevel {
-			f.nextLevel = l
-		}
-	}
-	if len(f.scheduled) == 0 {
-		f.dead = true
-	}
 	// Smx = max Δi over the live front (Theorem 4): an upper bound on
 	// the eventual sink perturbation.
 	f.smx = 0
-	for _, dl := range f.delta {
-		if dl > f.smx {
-			f.smx = dl
+	for _, l := range f.live {
+		if l.delta > f.smx {
+			f.smx = l.delta
 		}
 	}
 }
@@ -195,16 +192,8 @@ func (h frontHeap) Less(i, j int) bool {
 	}
 	return h[i].gate < h[j].gate
 }
-func (h frontHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
-}
-func (h *frontHeap) Push(x any) {
-	f := x.(*front)
-	f.heapIdx = len(*h)
-	*h = append(*h, f)
-}
+func (h frontHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *frontHeap) Push(x any)   { *h = append(*h, x.(*front)) }
 func (h *frontHeap) Pop() any {
 	old := *h
 	f := old[len(old)-1]
@@ -218,26 +207,22 @@ func (h *frontHeap) Pop() any {
 // propagated to the sink before anything else, so Max_S starts high and
 // prunes from the first heap pop; this only reorders evaluation and
 // cannot change the result.
-func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, base float64, hint netlist.GateID, ws []*sweepScratch) (innerResult, error) {
+func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, base float64, hint netlist.GateID, ws []*ssta.Scratch) (innerResult, error) {
 	d := a.D
 	deltaW := d.Lib.DeltaW
 	var ir innerResult
 
 	// Front initialization is independent per candidate — each front owns
 	// its overlay maps and only reads the base analysis (PerturbedDelays
-	// is mutation-free) — so the fronts build concurrently. The merge
-	// below runs in candidate order, never completion order: the heap
-	// receives the same fronts in the same sequence as the historical
-	// serial loop, so trajectories stay bit-identical at any parallelism.
+	// is mutation-free) — so the fronts build concurrently, each in its
+	// worker's scratch arena. The merge below runs in candidate order,
+	// never completion order: the heap receives the same fronts in the
+	// same sequence as the historical serial loop, so trajectories stay
+	// bit-identical at any parallelism.
 	cands := candidateGates(d)
 	fronts := make([]*front, len(cands))
-	// The run-lifetime worker scratches carry the kernel arenas: one
-	// per worker for the parallel build, plus the spare the serial heap
-	// loop reuses afterwards; fronts only retain persisted heap
-	// distributions, never arena views.
-	loopArena := ws[len(ws)-1].ar
-	err := par.RunIndexed(ctx, cfg.Parallelism, len(cands), func(w, i int) error {
-		f, err := newFront(a, cfg, cands[i], ws[w].ar)
+	err := par.RunIndexed(ctx, len(ws), len(cands), func(w, i int) error {
+		f, err := newFront(a, cfg, cands[i], ws[w].Arena())
 		if err != nil {
 			return err
 		}
@@ -249,6 +234,9 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 		// a bare cancellation, matching the serial loop's reporting.
 		return ir, err
 	}
+	// Fronts retain only persisted heap distributions, never arena
+	// views, so the serial heap loop reuses worker 0's arena.
+	loopArena := ws[0].Arena()
 	h := make(frontHeap, 0, len(cands))
 	var hintFront *front
 	for i, f := range fronts {
@@ -277,7 +265,7 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 	}
 
 	if hintFront != nil {
-		for !hintFront.dead {
+		for !hintFront.dead() {
 			// The hint front runs to the sink outside the heap's pop loop
 			// and its pruning checks, so cancellation must be observed
 			// here: one level of one front is the latency bound.
@@ -308,7 +296,7 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 			ir.pruned += 1 + h.Len()
 			break
 		}
-		if f.dead {
+		if f.dead() {
 			finish(f)
 			continue
 		}
@@ -322,7 +310,7 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 		f.propagateOneLevel(a, cfg, loopArena)
 		ir.nodesVisited += f.visits
 		f.visits = 0
-		if f.dead {
+		if f.dead() {
 			finish(f)
 			continue
 		}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"statsize/internal/dist"
-	"statsize/internal/graph"
 	"statsize/internal/netlist"
 	"statsize/internal/par"
 	"statsize/internal/session"
@@ -35,8 +34,10 @@ func BruteForce(ctx context.Context, s *session.Session, cfg Config) (*Result, e
 //
 // The session is acquired exclusively for the whole run, so concurrent
 // session calls block until it finishes. The run uses the analysis grid
-// the session was opened at; cfg.Bins and cfg.DT are construction-time
-// parameters (see OpenSession) and are ignored here.
+// and the worker set the session was opened with: cfg.Bins, cfg.DT and
+// cfg.Parallelism are construction-time parameters (see OpenSession) and
+// are ignored here. Every candidate sweep of the run computes through
+// the session's per-worker scratch (Tx.Scratch), one warm working set.
 //
 // The context is checked between iterations and between candidate
 // evaluations inside `inner`. On cancellation the Result built so far —
@@ -48,14 +49,10 @@ func statisticalDescent(
 	s *session.Session,
 	cfg Config,
 	method string,
-	inner func(ctx context.Context, a *ssta.Analysis, cfg Config, base float64, hint netlist.GateID, ws []*sweepScratch) (innerResult, error),
+	inner func(ctx context.Context, a *ssta.Analysis, cfg Config, base float64, hint netlist.GateID, ws []*ssta.Scratch) (innerResult, error),
 ) (*Result, error) {
 	cfg = cfg.withDefaults()
 	start := time.Now()
-	// Per-worker sweep scratch lives for the whole run: every iteration's
-	// candidate sweep reuses the same warm arenas, overlay slices and
-	// delay maps.
-	ws := newSweepScratches(cfg)
 	tx, err := s.Acquire()
 	if err != nil {
 		return nil, err
@@ -63,6 +60,7 @@ func statisticalDescent(
 	defer tx.Release()
 	a := tx.Analysis()
 	d := tx.Design()
+	ws := tx.Scratch()
 	res := &Result{
 		Method:           method,
 		InitialWidth:     d.TotalWidth(),
@@ -141,43 +139,6 @@ func statisticalDescent(
 	return res, nil
 }
 
-// sweepScratch is the per-worker reusable state of the optimizer inner
-// loops, hoisted across coordinate-descent iterations so the hundreds
-// of sweeps in one run share one warm working set instead of rebuilding
-// (and garbage-collecting) it every iteration: a kernel arena, the
-// overlay arrival slice of the brute-force sweep, and a perturbed-delay
-// map recycled between candidates.
-type sweepScratch struct {
-	ar     *dist.Arena
-	arr    []*dist.Dist
-	delays map[graph.EdgeID]*dist.Dist
-}
-
-// newSweepScratches builds one scratch per evaluation worker plus one
-// extra for the serial phase that follows the parallel fan-out (the
-// accelerated heap loop).
-func newSweepScratches(cfg Config) []*sweepScratch {
-	out := make([]*sweepScratch, par.Workers(cfg.Parallelism)+1)
-	for i := range out {
-		out[i] = &sweepScratch{
-			ar:     dist.NewArena(),
-			delays: make(map[graph.EdgeID]*dist.Dist),
-		}
-	}
-	return out
-}
-
-// overlayArrivals returns the scratch's arrival slice sized for n
-// nodes, cleared for a fresh sweep.
-func (sc *sweepScratch) overlayArrivals(n int) []*dist.Dist {
-	if len(sc.arr) < n {
-		sc.arr = make([]*dist.Dist, n)
-	}
-	arr := sc.arr[:n]
-	clear(arr)
-	return arr
-}
-
 // pick is one gate selected for sizing with its exact sensitivity.
 type pick struct {
 	gate netlist.GateID
@@ -194,16 +155,16 @@ type innerResult struct {
 }
 
 // bruteForceIteration computes every candidate's exact sensitivity by a
-// full overlay SSTA pass and returns the top MultiSize gates. Brute
-// force evaluates everything anyway, so the hint is unused. The sweeps
-// are independent — each candidate's overlay pass owns its arrival
-// slice and only reads the base analysis — so they fan out across the
-// configured worker pool; the top-k selection then merges in candidate
-// order, never completion order, so the picks (including tie-breaks)
-// are bit-identical to the serial sweep. Cancellation is checked per
-// candidate — each one costs a full SSTA propagation, the natural
-// granularity.
-func bruteForceIteration(ctx context.Context, a *ssta.Analysis, cfg Config, base float64, _ netlist.GateID, ws []*sweepScratch) (innerResult, error) {
+// full overlay SSTA pass (Analysis.WhatIfFull) and returns the top
+// MultiSize gates. Brute force evaluates everything anyway, so the hint
+// is unused. The sweeps are independent — each candidate's pass owns
+// its worker's scratch and only reads the base analysis — so they fan
+// out across the session's workers; the top-k selection then merges in
+// candidate order, never completion order, so the picks (including
+// tie-breaks) are bit-identical to the serial sweep. Cancellation is
+// checked per candidate — each one costs a full SSTA propagation, the
+// natural granularity.
+func bruteForceIteration(ctx context.Context, a *ssta.Analysis, cfg Config, base float64, _ netlist.GateID, ws []*ssta.Scratch) (innerResult, error) {
 	d := a.D
 	var ir innerResult
 	cands := candidateGates(d)
@@ -212,16 +173,13 @@ func bruteForceIteration(ctx context.Context, a *ssta.Analysis, cfg Config, base
 		visited int
 	}
 	sweeps := make([]sweep, len(cands))
-	// Each candidate's full overlay pass computes in its worker's
-	// scratch (arena + recycled overlay slice + delay map); only the
-	// persisted sink distribution escapes.
-	err := par.RunIndexed(ctx, cfg.Parallelism, len(cands), func(w, i int) error {
-		sinkDist, visited, err := bruteSinkDist(a, cands[i], ws[w])
-		if err != nil {
-			return err
-		}
-		sweeps[i] = sweep{sink: sinkDist, visited: visited}
-		return nil
+	// Each candidate's full pass computes in its worker's scratch; only
+	// the persisted sink distribution escapes.
+	err := par.RunIndexed(ctx, len(ws), len(cands), func(w, i int) error {
+		x := cands[i]
+		var err error
+		sweeps[i].sink, sweeps[i].visited, err = a.WhatIfFull(x, d.Width(x)+d.Lib.DeltaW, ws[w])
+		return err
 	})
 	if err != nil {
 		// par.Run already prefers the lowest-index evaluation error over
@@ -241,37 +199,6 @@ func bruteForceIteration(ctx context.Context, a *ssta.Analysis, cfg Config, base
 		ir.bestSens = ir.picks[0].sens
 	}
 	return ir, nil
-}
-
-// bruteSinkDist propagates gate gid's perturbation through the entire
-// timing graph — a full SSTA run per candidate, per Section 3.1. The
-// whole pass computes in the scratch arena without intermediate resets
-// (every node's perturbed arrival is an operand of its fanouts, so all
-// of them must stay live until the sink); the scratch — arena, overlay
-// arrival slice, delay map — is rewound once per candidate and only
-// the persisted sink escapes.
-func bruteSinkDist(a *ssta.Analysis, gid netlist.GateID, sc *sweepScratch) (*dist.Dist, int, error) {
-	d := a.D
-	g := d.E.G
-	clear(sc.delays)
-	if err := a.PerturbedDelaysInto(gid, d.Width(gid)+d.Lib.DeltaW, sc.delays); err != nil {
-		return nil, 0, err
-	}
-	sc.ar.Reset()
-	arr := sc.overlayArrivals(g.NumNodes())
-	arrOverlay := func(n graph.NodeID) *dist.Dist { return arr[n] }
-	delayOverlay := func(e graph.EdgeID) *dist.Dist { return sc.delays[e] }
-	visited := 0
-	for _, n := range g.Topo() {
-		if n == g.Source() {
-			arr[n] = a.Arrival(n)
-			continue
-		}
-		//lint:allow statlint/scratchescape the overlay slice is scratch-scoped: rewound with sc.ar each candidate, only the persisted sink below escapes
-		arr[n] = a.ArrivalWithOverlayInto(n, arrOverlay, delayOverlay, sc.ar)
-		visited++
-	}
-	return arr[g.Sink()].Persist(), visited, nil
 }
 
 // topK keeps the k best picks by (sensitivity desc, gate ID asc) — the

@@ -30,7 +30,6 @@ import (
 	"statsize/internal/design"
 	"statsize/internal/dist"
 	"statsize/internal/netlist"
-	"statsize/internal/par"
 	"statsize/internal/session"
 )
 
@@ -90,11 +89,14 @@ type Config struct {
 	// Parallelism bounds the worker pools of the parallel evaluation
 	// paths: the session-opening SSTA pass, what-if batches, and the
 	// per-candidate sweeps inside the brute-force and accelerated inner
-	// loops. Candidate evaluation is mutation-free, results merge in
-	// candidate order, and distributions are exact lattice operations,
-	// so the worker count never changes any result — trajectories are
-	// bit-identical at every setting. Non-positive means one worker per
-	// logical CPU; 1 forces fully serial evaluation.
+	// loops. Like Bins and DT it is fixed when the session opens
+	// (OpenSession): a run on an already-open session sweeps with that
+	// session's workers. Candidate evaluation is mutation-free, results
+	// merge in candidate order, and distributions are exact lattice
+	// operations, so the worker count never changes any result —
+	// trajectories are bit-identical at every setting. Non-positive
+	// means one worker per logical CPU; 1 forces fully serial
+	// evaluation.
 	Parallelism int
 	// HeuristicLevels, when positive, stops each perturbation front
 	// after this many levels and uses its bound Smx as an approximate
@@ -133,7 +135,6 @@ func (c Config) withDefaults() Config {
 	if c.MultiSize <= 0 {
 		c.MultiSize = 1
 	}
-	c.Parallelism = par.Workers(c.Parallelism)
 	return c
 }
 
@@ -211,13 +212,13 @@ func gridFor(d *design.Design, cfg Config) float64 {
 	return d.SuggestDT(cfg.Bins)
 }
 
-// OpenSession opens an incremental timing session over d at the grid
-// and objective the config resolves to — the single construction path
-// shared by the Engine facade, the experiment harness and the tests, so
-// an optimizer driven through a session opened here sees exactly the
-// analysis it used to build for itself. rollup is the engine-wide
-// accounting the session reports into; callers outside the Engine pass
-// nil.
+// OpenSession opens an incremental timing session over d at the grid,
+// objective and worker count the config resolves to — the single
+// construction path shared by the Engine facade, the experiment harness
+// and the tests, so an optimizer driven through a session opened here
+// sees exactly the analysis it used to build for itself. rollup is the
+// engine-wide accounting the session reports into; callers outside the
+// Engine pass nil.
 func OpenSession(ctx context.Context, d *design.Design, cfg Config, rollup *session.Counters) (*session.Session, error) {
 	cfg = cfg.withDefaults()
 	return session.Open(ctx, d, gridFor(d, cfg), cfg.Objective, cfg.Parallelism, rollup)

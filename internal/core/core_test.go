@@ -209,7 +209,7 @@ func TestFrontBoundDominatesSensitivity(t *testing.T) {
 		}
 		bound := f.smx / d.Lib.DeltaW
 		prevBound := math.Inf(1)
-		for !f.dead {
+		for !f.dead() {
 			f.propagateOneLevel(a, cfg, dist.NewArena())
 			b := f.smx / d.Lib.DeltaW
 			if b > prevBound+pruneSlack {

@@ -151,15 +151,11 @@ func TestFrontDrainsCompletely(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for !f.dead {
+		for !f.dead() {
 			f.propagateOneLevel(a, cfg, dist.NewArena())
 		}
-		if len(f.perturbed) != 0 || len(f.delta) != 0 || len(f.foLeft) != 0 {
-			t.Fatalf("gate %d: front leaked %d/%d/%d entries",
-				gid, len(f.perturbed), len(f.delta), len(f.foLeft))
-		}
-		if len(f.scheduled) != 0 || len(f.inSched) != 0 {
-			t.Fatalf("gate %d: scheduling state leaked", gid)
+		if len(f.live) != 0 {
+			t.Fatalf("gate %d: front leaked %d live nodes", gid, len(f.live))
 		}
 	}
 }

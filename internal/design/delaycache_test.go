@@ -123,8 +123,8 @@ func TestDelayCacheConcurrent(t *testing.T) {
 				if d.E.EdgeGate[e] == netlist.NoGate {
 					continue
 				}
-				over := map[netlist.GateID]float64{netlist.GateID(i % d.NL.NumGates()): 1 + 0.5*float64(i%4)}
-				if _, err := d.EdgeDelayDistAtWidths(dt, e, over); err != nil {
+				x := netlist.GateID(i % d.NL.NumGates())
+				if _, err := d.EdgeDelayDistAt(dt, e, x, 1+0.5*float64(i%4)); err != nil {
 					t.Error(err)
 					return
 				}

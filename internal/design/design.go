@@ -159,59 +159,36 @@ func (d *Design) DelayCacheStats() (hits, misses, flushes uint64, entries int) {
 // for production paths, where the cache is always a win.
 func (d *Design) DropDelayCache() { d.delays = nil }
 
-// WidthAt returns gate g's width under a hypothetical assignment:
-// the override when present (clamped to the library's sizing range,
-// exactly as SetWidth would clamp it), the committed width otherwise.
-func (d *Design) WidthAt(g netlist.GateID, overrides map[netlist.GateID]float64) float64 {
-	if w, ok := overrides[g]; ok {
-		return d.Lib.ClampWidth(w)
-	}
-	return d.widths[g]
-}
-
-// LoadAt returns net n's capacitive load under a hypothetical width
-// assignment, without touching the design. It reproduces the exact
-// floating-point operations the incremental load maintenance performs —
-// the cached base load plus one input-capacitance delta per overridden
-// reader pin, accumulated in reader-pin order (the canonical order).
-// For a single-gate override — the shape every perturbation-evaluation
-// path uses — the result is bit-identical to what Load(n) would report
-// after SetWidth applied the same override, because every delta is the
-// same value and addition order cannot matter. With several overridden
-// gates reading one net, the reader-pin order is authoritative; a
-// sequence of SetWidth calls in a different order can differ in the
-// last ulp.
-func (d *Design) LoadAt(n netlist.NetID, overrides map[netlist.GateID]float64) float64 {
-	load := d.loads[n]
-	for _, r := range d.NL.Readers(n) {
-		w, ok := overrides[r.Gate]
-		if !ok {
-			continue
-		}
-		kind := d.NL.Gate(r.Gate).Kind
-		load += d.Lib.InputCap(kind, d.Lib.ClampWidth(w)) - d.Lib.InputCap(kind, d.widths[r.Gate])
-	}
-	return load
-}
-
-// EdgeDelayDistAtWidths returns the discretized pin-to-pin delay
-// distribution of a timing edge under a hypothetical width assignment,
-// or nil for zero-delay source/sink arcs. Unlike EdgeDelayDist after a
-// SetWidth, nothing is mutated: the driving gate's width and the output
-// net's load are evaluated against the overrides functionally. This is
-// the purity contract the parallel evaluation paths are built on — any
-// number of goroutines may call it concurrently with different override
-// sets over one design, and for a single-gate override (the shape every
-// perturbation-evaluation path uses) the distribution is bit-identical
-// to the mutate-evaluate-restore route; see LoadAt for the multi-gate
-// accumulation-order caveat.
-func (d *Design) EdgeDelayDistAtWidths(dt float64, e graph.EdgeID, overrides map[netlist.GateID]float64) (*dist.Dist, error) {
+// EdgeDelayDistAt returns the discretized pin-to-pin delay distribution
+// of a timing edge with gate x hypothetically at width w (clamped to
+// the library range, exactly as SetWidth would clamp it), or nil for
+// zero-delay source/sink arcs. Nothing is mutated: the driving gate's
+// width and the output net's load are evaluated functionally, so any
+// number of goroutines may call it concurrently over one design. The
+// load is the cached load plus one input-capacitance delta per pin of x
+// reading the net — the floating-point operations SetWidth performs —
+// so the distribution is bit-identical to writing the width, calling
+// EdgeDelayDist and restoring a snapshot. At x's committed width every
+// delta is c − c = 0 and the result equals EdgeDelayDist.
+func (d *Design) EdgeDelayDistAt(dt float64, e graph.EdgeID, x netlist.GateID, w float64) (*dist.Dist, error) {
 	g := d.E.EdgeGate[e]
 	if g == netlist.NoGate {
 		return nil, nil
 	}
+	w = d.Lib.ClampWidth(w)
 	gate := d.NL.Gate(g)
-	return d.delayDist(dt, gate.Kind, d.E.EdgePin[e], d.WidthAt(g, overrides), d.LoadAt(gate.Out, overrides))
+	width := d.widths[g]
+	if g == x {
+		width = w
+	}
+	load := d.loads[gate.Out]
+	for _, r := range d.NL.Readers(gate.Out) {
+		if r.Gate == x {
+			kind := d.NL.Gate(x).Kind
+			load += d.Lib.InputCap(kind, w) - d.Lib.InputCap(kind, d.widths[x])
+		}
+	}
+	return d.delayDist(dt, gate.Kind, d.E.EdgePin[e], width, load)
 }
 
 // State is a snapshot of the mutable sizing state (widths, loads, total)

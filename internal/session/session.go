@@ -64,17 +64,18 @@ type Session struct {
 	mu sync.Mutex
 	tx Tx
 
-	d       *design.Design
-	a       *ssta.Analysis
-	obj     Objective
-	workers int // worker bound for parallel evaluation (>= 1)
-	closed  bool
+	d      *design.Design
+	a      *ssta.Analysis
+	obj    Objective
+	closed bool
 
-	// scratch holds one reusable what-if evaluation state per worker:
-	// kernel arena plus overlay maps, recycled across WhatIf calls and
-	// batches so a warm sweep's steady-state allocations are only what
-	// escapes (the persisted sink distributions). Guarded by mu like
-	// everything else; worker w of a batch touches only scratch[w].
+	// scratch is the session's one evaluation working set, one Scratch
+	// (kernel arena plus dense overlays) per worker. What-ifs, batches,
+	// resize commits, required-time passes and optimizer sweeps all
+	// compute through it, so a warm session allocates only what escapes
+	// (persisted sinks and committed arrivals). Guarded by mu like
+	// everything else; worker w of a parallel sweep touches only
+	// scratch[w], and the serial paths use scratch[0].
 	scratch []*ssta.Scratch
 
 	// deadline overrides the slack reference; when unset the current
@@ -145,11 +146,12 @@ type WhatIfResult struct {
 // Open runs the initial full SSTA pass over d on grid dt and returns a
 // session owning d. The caller must not touch d afterwards except
 // through the session. workers bounds the session's parallel evaluation
-// paths — the opening SSTA pass and WhatIfBatch fan out across up to
-// that many goroutines; non-positive means one worker per logical CPU,
-// 1 forces fully serial evaluation. The worker count
-// never changes results: every parallel path is bit-identical to its
-// serial reference. rollup, when non-nil, is the engine-wide Counters
+// paths and is fixed here: the opening SSTA pass, WhatIfBatch and the
+// optimizer sweeps run over the session fan out across up to that many
+// goroutines, one Scratch each; non-positive means one worker per
+// logical CPU, 1 forces fully serial evaluation. The worker count never
+// changes results: every parallel path is bit-identical to its serial
+// reference. rollup, when non-nil, is the engine-wide Counters
 // the session reports its open, its operations and its Close into;
 // nil leaves the session unbound, accounting only in its own Stats.
 func Open(ctx context.Context, d *design.Design, dt float64, obj Objective, workers int, rollup *Counters) (*Session, error) {
@@ -162,7 +164,7 @@ func Open(ctx context.Context, d *design.Design, dt float64, obj Objective, work
 		return nil, err
 	}
 	s := &Session{
-		d: d, a: a, obj: obj, workers: workers, rollup: rollup,
+		d: d, a: a, obj: obj, rollup: rollup,
 		stats: Stats{TotalNodes: d.E.G.NumNodes() - 1}, // every node but the source
 	}
 	s.scratch = make([]*ssta.Scratch, workers)

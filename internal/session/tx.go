@@ -31,16 +31,22 @@ func (t *Tx) Design() *design.Design { return t.s.d }
 // Analysis returns the live incremental analysis.
 func (t *Tx) Analysis() *ssta.Analysis { return t.s.a }
 
+// Scratch returns the session's evaluation working set, one Scratch per
+// worker: the optimizers sweep their candidates over it, so one set of
+// warm arenas and overlays serves every pass of the session. Worker w
+// of a parallel sweep uses only element w.
+func (t *Tx) Scratch() []*ssta.Scratch { return t.s.scratch }
+
 // Objective evaluates the session objective on the current sink
 // distribution.
 func (t *Tx) Objective() float64 { return t.s.obj.Eval(t.s.a.SinkDist()) }
 
 // Resize commits gate g at width w: the design width changes (clamped
-// to the library range), the affected delay caches refresh, and the
-// arrival perturbation propagates incrementally — recomputing only the
-// nodes it actually reaches. On error, including cancellation mid
-// commit, the session is restored to its pre-call state, so a resize is
-// all-or-nothing.
+// to the library range) and the perturbation propagates incrementally —
+// recomputing only the nodes it actually reaches — before the analysis
+// takes the new delays and arrivals. On error, including cancellation
+// mid commit, the design width is restored and the analysis was never
+// touched, so a resize is all-or-nothing.
 func (t *Tx) Resize(ctx context.Context, g netlist.GateID, w float64) (ResizeStats, error) {
 	s := t.s
 	if err := s.checkGate(g); err != nil {
@@ -50,14 +56,13 @@ func (t *Tx) Resize(ctx context.Context, g netlist.GateID, w float64) (ResizeSta
 		return ResizeStats{}, fmt.Errorf("session: resize canceled: %w", err)
 	}
 	oldW := s.d.Width(g)
-	// Pre-image for all-or-nothing semantics: O(nodes) pointer copies,
-	// cheap next to the recompute itself.
-	dSt, aSt := s.d.Snapshot(), s.a.Snapshot()
+	// Design pre-image for all-or-nothing semantics; ResizeCommit itself
+	// writes the analysis only after its propagation completes.
+	dSt := s.d.Snapshot()
 	applied := s.d.SetWidth(g, w)
-	n, err := s.a.ResizeCommit(ctx, g)
+	n, err := s.a.ResizeCommit(ctx, g, s.scratch[0])
 	if err != nil {
 		s.d.Restore(dSt)
-		s.a.Restore(aSt)
 		return ResizeStats{}, err
 	}
 	s.record(opResize, 1, n)
@@ -110,7 +115,7 @@ func (t *Tx) evalWhatIf(ctx context.Context, base float64, g netlist.GateID, w f
 func (t *Tx) whatIfSink(ctx context.Context, g netlist.GateID, w float64, sc *ssta.Scratch) (float64, *dist.Dist, int, error) {
 	s := t.s
 	wEff := s.d.Lib.ClampWidth(w)
-	sink, visited, err := s.a.WhatIfScratch(ctx, g, wEff, sc)
+	sink, visited, err := s.a.WhatIf(ctx, g, wEff, sc)
 	if err != nil {
 		return 0, nil, visited, err
 	}
@@ -163,7 +168,7 @@ func (t *Tx) WhatIfBatch(ctx context.Context, candidates []Candidate) ([]WhatIfR
 		visited int
 	}
 	props := make([]propagated, len(candidates))
-	err := par.RunIndexed(ctx, s.workers, len(candidates), func(w, i int) error {
+	err := par.RunIndexed(ctx, len(s.scratch), len(candidates), func(w, i int) error {
 		wEff, sink, visited, err := t.whatIfSink(ctx, candidates[i].Gate, candidates[i].Width, s.scratch[w])
 		if err != nil {
 			return err
@@ -236,7 +241,7 @@ func (t *Tx) EnsureRequired(ctx context.Context) error {
 	if !s.hasDeadline {
 		deadline = t.Objective()
 	}
-	if err := s.a.ComputeRequired(ctx, dist.Point(s.a.DT, deadline)); err != nil {
+	if err := s.a.ComputeRequired(ctx, dist.Point(s.a.DT, deadline), s.scratch[0]); err != nil {
 		return err
 	}
 	s.record(opRequired, 1, 0)

@@ -2,6 +2,7 @@ package ssta
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestComputeRequired(t *testing.T) {
 	}
 
 	deadline := a.Percentile(0.99)
-	if err := a.ComputeRequired(ctx, dist.Point(a.DT, deadline)); err != nil {
+	if err := a.ComputeRequired(ctx, dist.Point(a.DT, deadline), nil); err != nil {
 		t.Fatal(err)
 	}
 	if !a.HasRequired() {
@@ -90,7 +91,7 @@ func TestComputeRequired(t *testing.T) {
 
 	// Arrival mutation invalidates the cache.
 	a.D.SetWidth(0, a.D.Width(0)+0.5)
-	if _, err := a.ResizeCommit(ctx, 0); err != nil {
+	if _, err := a.ResizeCommit(ctx, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if a.HasRequired() {
@@ -111,7 +112,7 @@ func TestWhatIfMatchesCommit(t *testing.T) {
 		}
 		// What-if must not mutate anything.
 		before := a.SinkDist()
-		pert, visited, err := a.WhatIf(ctx, gid, w)
+		pert, visited, err := a.WhatIf(ctx, gid, w, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,19 +124,64 @@ func TestWhatIfMatchesCommit(t *testing.T) {
 		}
 
 		// Committing the same resize on a clone must produce the exact
-		// sink distribution WhatIf predicted.
+		// sink distribution WhatIf predicted, recomputing the same cone.
 		dc := d.Clone()
 		ac, err := Analyze(ctx, dc, a.DT)
 		if err != nil {
 			t.Fatal(err)
 		}
 		dc.SetWidth(gid, w)
-		if _, err := ac.ResizeCommit(ctx, gid); err != nil {
+		recomputed, err := ac.ResizeCommit(ctx, gid, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if !dist.ApproxEqual(pert, ac.SinkDist(), 0) {
 			t.Fatalf("gate %d: WhatIf sink differs from committed sink", gi)
 		}
+		if recomputed != visited {
+			t.Fatalf("gate %d: commit recomputed %d nodes, what-if visited %d", gi, recomputed, visited)
+		}
+	}
+}
+
+// TestResizeCommitCanceledLeavesAnalysis pins the commit contract: a
+// resize commit whose propagation is canceled leaves the analysis
+// exactly as it was — every arrival and edge-delay pointer, and the
+// cached required times.
+func TestResizeCommitCanceledLeavesAnalysis(t *testing.T) {
+	a := c17Analysis(t)
+	d := a.D
+	g := d.E.G
+	if err := a.ComputeRequired(context.Background(), dist.Point(a.DT, a.Percentile(0.99)), nil); err != nil {
+		t.Fatal(err)
+	}
+	arrivals := make([]*dist.Dist, g.NumNodes())
+	for n := range arrivals {
+		arrivals[n] = a.Arrival(graph.NodeID(n))
+	}
+	edges := make([]*dist.Dist, g.NumEdges())
+	for e := range edges {
+		edges[e] = a.EdgeDelay(graph.EdgeID(e))
+	}
+
+	d.SetWidth(2, d.Width(2)+1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := a.ResizeCommit(ctx, 2, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled commit returned %v, want context.Canceled", err)
+	}
+	for n, want := range arrivals {
+		if a.Arrival(graph.NodeID(n)) != want {
+			t.Fatalf("canceled commit replaced the arrival of node %d", n)
+		}
+	}
+	for e, want := range edges {
+		if a.EdgeDelay(graph.EdgeID(e)) != want {
+			t.Fatalf("canceled commit replaced the delay of edge %d", e)
+		}
+	}
+	if !a.HasRequired() {
+		t.Fatal("canceled commit dropped the required-time cache")
 	}
 }
 
@@ -144,7 +190,7 @@ func TestSnapshotRestore(t *testing.T) {
 	ctx := context.Background()
 	d := a.D
 
-	if err := a.ComputeRequired(ctx, dist.Point(a.DT, a.Percentile(0.99))); err != nil {
+	if err := a.ComputeRequired(ctx, dist.Point(a.DT, a.Percentile(0.99)), nil); err != nil {
 		t.Fatal(err)
 	}
 	st := a.Snapshot()
@@ -153,7 +199,7 @@ func TestSnapshotRestore(t *testing.T) {
 	req0 := a.Required(d.E.G.Sink())
 
 	d.SetWidth(2, d.Width(2)+1)
-	if _, err := a.ResizeCommit(ctx, 2); err != nil {
+	if _, err := a.ResizeCommit(ctx, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if dist.ApproxEqual(sink0, a.SinkDist(), 0) {

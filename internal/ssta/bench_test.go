@@ -56,11 +56,12 @@ func BenchmarkResizeCommitVsFull(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		sc := NewScratch()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			g := netlist.GateID(i % d.NL.NumGates())
 			d.SetWidth(g, d.Width(g)+d.Lib.DeltaW)
-			if _, err := a.ResizeCommit(context.Background(), g); err != nil {
+			if _, err := a.ResizeCommit(context.Background(), g, sc); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"statsize/internal/design"
 	"statsize/internal/dist"
@@ -27,9 +28,9 @@ import (
 	"statsize/internal/par"
 )
 
-// cancelCheckStride is how many units of work (node propagations in the
-// serial incremental paths — ResizeCommit, WhatIf, ComputeRequired)
-// pass between context checks: frequent enough for sub-millisecond
+// cancelCheckStride is how many units of work (node recomputations in
+// the serial incremental paths — propagate and ComputeRequired) pass
+// between context checks: frequent enough for sub-millisecond
 // cancellation latency, rare enough to stay invisible in profiles. The
 // parallel full pass checks through par.Run instead. Package montecarlo
 // keeps its own equivalent constant.
@@ -54,13 +55,6 @@ type Analysis struct {
 	// ComputeRequired and invalidated by every arrival mutation.
 	required []*dist.Dist
 	deadline *dist.Dist
-
-	// scratch is the kernel arena of the serial mutating passes
-	// (ResizeCommit, ComputeRequired). Those passes already require
-	// exclusive access to the analysis, so one arena suffices; the
-	// read-only concurrent paths (WhatIf) carry their own Scratch.
-	// Not part of Snapshot/Restore state.
-	scratch *dist.Arena
 }
 
 // Analyze runs a full statistical timing analysis on grid dt with one
@@ -92,7 +86,6 @@ func AnalyzeParallel(ctx context.Context, d *design.Design, dt float64, workers 
 		DT:      dt,
 		arrival: make([]*dist.Dist, g.NumNodes()),
 		edge:    make([]*dist.Dist, g.NumEdges()),
-		scratch: dist.NewArena(),
 	}
 	// One pool serves the edge builds and every level of the forward
 	// pass: levels are numerous and individually small, so worker
@@ -231,20 +224,11 @@ func (a *Analysis) computeArrival(
 	return acc
 }
 
-// ArrivalWithOverlay exposes computeArrival for the optimizer's
-// perturbation fronts, on the allocating path.
-func (a *Analysis) ArrivalWithOverlay(
-	n graph.NodeID,
-	arrOverlay func(graph.NodeID) *dist.Dist,
-	delayOverlay func(graph.EdgeID) *dist.Dist,
-) *dist.Dist {
-	return a.computeArrival(n, arrOverlay, delayOverlay, nil)
-}
-
-// ArrivalWithOverlayInto is ArrivalWithOverlay computing through the
-// caller's arena: the returned distribution is scratch (Persist before
-// retaining it) unless it is one of the base/overlay operands returned
-// by a dominance shortcut.
+// ArrivalWithOverlayInto exposes computeArrival for the optimizer's
+// perturbation fronts, computing through the caller's arena: the
+// returned distribution is scratch (Persist before retaining it) unless
+// it is one of the base/overlay operands returned by a dominance
+// shortcut. A nil arena allocates.
 func (a *Analysis) ArrivalWithOverlayInto(
 	n graph.NodeID,
 	arrOverlay func(graph.NodeID) *dist.Dist,
@@ -270,19 +254,6 @@ func (a *Analysis) SinkDist() *dist.Dist { return a.arrival[a.D.E.G.Sink()] }
 // — the paper's optimization objective at p = 0.99.
 func (a *Analysis) Percentile(p float64) float64 { return a.SinkDist().Percentile(p) }
 
-// RefreshGate recomputes the cached delay distributions of every pin
-// edge of the given gate (after its width or output load changed).
-func (a *Analysis) RefreshGate(gid netlist.GateID) error {
-	for _, eid := range a.D.E.GateEdges[gid] {
-		dd, err := a.D.EdgeDelayDist(a.DT, eid)
-		if err != nil {
-			return err
-		}
-		a.edge[eid] = dd
-	}
-	return nil
-}
-
 // AffectedGates returns the set of gates whose pin-to-pin delays change
 // when gate x is resized: x itself (its drive changed) and the driver of
 // each of x's input nets (their output loads changed). This is exactly
@@ -290,189 +261,208 @@ func (a *Analysis) RefreshGate(gid netlist.GateID) error {
 // (Figure 7, step 1).
 func AffectedGates(d *design.Design, x netlist.GateID) []netlist.GateID {
 	out := []netlist.GateID{x}
-	seen := map[netlist.GateID]bool{x: true}
 	for _, in := range d.NL.Gate(x).Ins {
-		if drv := d.NL.Driver(in); drv != netlist.NoGate && !seen[drv] {
-			seen[drv] = true
+		if drv := d.NL.Driver(in); drv != netlist.NoGate && !slices.Contains(out, drv) {
 			out = append(out, drv)
 		}
 	}
 	return out
 }
 
-// ResizeCommit makes the analysis consistent after gate x has been
-// resized in the design: refreshes the affected delay caches and
-// recomputes arrivals downstream, pruning nodes whose arrival is
-// unchanged. Returns the number of nodes recomputed (a measure of the
-// incremental saving versus a full pass). The context is checked
-// periodically; on cancellation the analysis is left partially updated —
-// callers that need all-or-nothing semantics restore from a Snapshot.
-func (a *Analysis) ResizeCommit(ctx context.Context, x netlist.GateID) (int, error) {
-	g := a.D.E.G
-	affected := AffectedGates(a.D, x)
-	for _, gid := range affected {
-		if err := a.RefreshGate(gid); err != nil {
-			return 0, err
-		}
-	}
-	a.InvalidateRequired()
-	// Seed the worklist with the output nodes of all affected gates.
-	dirty := make(map[graph.NodeID]bool)
-	for _, gid := range affected {
-		dirty[a.D.E.NodeOf[a.D.NL.Gate(gid).Out]] = true
-	}
-	recomputed := 0
-	for _, n := range g.Topo() {
-		if !dirty[n] {
-			continue
-		}
-		if recomputed%cancelCheckStride == 0 && ctx.Err() != nil {
-			return recomputed, fmt.Errorf("ssta: resize commit canceled: %w", ctx.Err())
-		}
-		// Per-node arena cycle: intermediates die here, the surviving
-		// arrival is compacted onto the heap before being retained.
-		a.scratch.Reset()
-		next := a.computeArrival(n, nil, nil, a.scratch)
-		recomputed++
-		if dist.ApproxEqual(next, a.arrival[n], 0) {
-			continue // perturbation died out on this branch
-		}
-		a.arrival[n] = next.Persist()
-		for _, eid := range g.Out(n) {
-			dirty[g.EdgeAt(eid).To] = true
-		}
-	}
-	return recomputed, nil
-}
-
 // PerturbedDelays returns the delay distributions that change when gate
 // x is resized to w — the pin edges of x and of the drivers of x's input
-// nets (Figure 7, step 1). The evaluation is mutation-free: the
-// hypothetical width is applied functionally through
-// design.EdgeDelayDistAtWidths, the design is never touched, and the
-// distributions are bit-identical to what writing the width, reading
-// the delays and restoring a design snapshot produces. Because
-// nothing is written, any number of goroutines may evaluate different
-// candidates concurrently against one quiescent analysis.
+// nets (Figure 7, step 1). The evaluation is mutation-free
+// (design.EdgeDelayDistAt), so any number of goroutines may evaluate
+// different candidates concurrently against one quiescent analysis, and
+// the distributions are bit-identical to what writing the width,
+// reading the delays and restoring a design snapshot produces.
 func (a *Analysis) PerturbedDelays(x netlist.GateID, w float64) (map[graph.EdgeID]*dist.Dist, error) {
 	out := make(map[graph.EdgeID]*dist.Dist)
-	if err := a.PerturbedDelaysInto(x, w, out); err != nil {
+	err := a.perturbedDelays(x, w, func(e graph.EdgeID, dd *dist.Dist) { out[e] = dd })
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// PerturbedDelaysInto fills a caller-owned (typically scratch-reused)
-// map instead of allocating one; the caller clears it between
-// candidates. The distributions themselves come from the design's
-// delay memo cache, so a sweep revisiting the same discrete widths
-// performs no distribution construction at all.
-func (a *Analysis) PerturbedDelaysInto(x netlist.GateID, w float64, out map[graph.EdgeID]*dist.Dist) error {
+// perturbedDelays evaluates PerturbedDelays' distributions, handing each
+// to set. The distributions come from the design's delay memo cache, so
+// a sweep revisiting the same discrete widths constructs none.
+func (a *Analysis) perturbedDelays(x netlist.GateID, w float64, set func(graph.EdgeID, *dist.Dist)) error {
 	d := a.D
-	overrides := map[netlist.GateID]float64{x: w}
 	for _, gid := range AffectedGates(d, x) {
 		for _, eid := range d.E.GateEdges[gid] {
-			dd, err := d.EdgeDelayDistAtWidths(a.DT, eid, overrides)
+			dd, err := d.EdgeDelayDistAt(a.DT, eid, x, w)
 			if err != nil {
 				return err
 			}
-			out[eid] = dd
+			set(eid, dd)
 		}
 	}
 	return nil
 }
 
-// Scratch bundles the reusable state of repeated read-only perturbation
-// evaluations (WhatIf): a kernel arena plus the overlay maps, all
-// recycled between calls so a warm candidate sweep allocates only what
-// escapes (the persisted sink distribution). One Scratch serves one
-// goroutine at a time; parallel sweeps hold one per worker.
+// Scratch is the reusable working set of one candidate evaluation: a
+// kernel arena plus two dense overlays on the base analysis, perturbed
+// arrivals by NodeID and perturbed delays by EdgeID, where nil means
+// "use the base". Every evaluation pass computes through one, so a warm
+// sweep allocates only what escapes. One Scratch serves one goroutine
+// at a time; parallel sweeps hold one per worker.
 type Scratch struct {
-	ar      *dist.Arena
-	delays  map[graph.EdgeID]*dist.Dist
-	overlay map[graph.NodeID]*dist.Dist
-	dirty   map[graph.NodeID]bool
+	ar    *dist.Arena
+	arr   []*dist.Dist
+	delay []*dist.Dist
 }
 
-// NewScratch returns an empty Scratch; capacity accumulates with use.
-func NewScratch() *Scratch {
-	return &Scratch{
-		ar:      dist.NewArena(),
-		delays:  make(map[graph.EdgeID]*dist.Dist),
-		overlay: make(map[graph.NodeID]*dist.Dist),
-		dirty:   make(map[graph.NodeID]bool),
+// NewScratch returns an empty Scratch; its overlays are sized to the
+// graph on first use and its arena grows with use.
+func NewScratch() *Scratch { return &Scratch{ar: dist.NewArena()} }
+
+// Arena returns the scratch's kernel arena, for callers that propagate
+// through overlays of their own (the optimizer's perturbation fronts).
+func (sc *Scratch) Arena() *dist.Arena { return sc.ar }
+
+// orTransient returns sc, or a fresh Scratch when the caller passed nil.
+func orTransient(sc *Scratch) *Scratch {
+	if sc == nil {
+		return NewScratch()
 	}
+	return sc
 }
 
-// reset rewinds the arena and empties the maps while keeping their
-// buckets — the zero-allocation warm path.
-func (sc *Scratch) reset() {
+// perturb rewinds sc and loads gate x's perturbation at width w into
+// it: the perturbed pin-edge delays in the delay overlay, every arrival
+// at its base.
+func (a *Analysis) perturb(sc *Scratch, x netlist.GateID, w float64) error {
+	g := a.D.E.G
 	sc.ar.Reset()
-	clear(sc.delays)
-	clear(sc.overlay)
-	clear(sc.dirty)
+	if len(sc.arr) != g.NumNodes() || len(sc.delay) != g.NumEdges() {
+		sc.arr = make([]*dist.Dist, g.NumNodes())
+		sc.delay = make([]*dist.Dist, g.NumEdges())
+	} else {
+		clear(sc.arr)
+		clear(sc.delay)
+	}
+	return a.perturbedDelays(x, w, func(e graph.EdgeID, dd *dist.Dist) { sc.delay[e] = dd })
+}
+
+// propagate carries the perturbation loaded in sc through the graph —
+// the one propagation loop behind WhatIf and ResizeCommit. Walking the
+// topological order, it recomputes every node with a perturbed fanin
+// (an in-edge in the delay overlay, or a fanin node in the arrival
+// overlay) and keeps the result in the arrival overlay only when it
+// differs from the base: a node whose perturbed arrival matches bit for
+// bit ends the perturbation on that branch (exact elision), so the cost
+// is the true perturbation cone. Overlay arrivals stay arena scratch
+// until the caller persists what it keeps. Returns the number of nodes
+// recomputed.
+func (a *Analysis) propagate(ctx context.Context, sc *Scratch) (int, error) {
+	g := a.D.E.G
+	arrOverlay := func(n graph.NodeID) *dist.Dist { return sc.arr[n] }
+	delayOverlay := func(e graph.EdgeID) *dist.Dist { return sc.delay[e] }
+	perturbedIn := func(e graph.EdgeID) bool { return sc.delay[e] != nil || sc.arr[g.EdgeAt(e).From] != nil }
+	visited := 0
+	for _, n := range g.Topo() {
+		if !slices.ContainsFunc(g.In(n), perturbedIn) {
+			continue
+		}
+		if visited%cancelCheckStride == 0 && ctx.Err() != nil {
+			return visited, ctx.Err()
+		}
+		pert := a.computeArrival(n, arrOverlay, delayOverlay, sc.ar)
+		visited++
+		if !dist.ApproxEqual(pert, a.arrival[n], 0) {
+			//lint:allow statlint/scratchescape the overlay is scratch-scoped: rewound with sc.ar by the next perturb, and callers persist whatever they keep
+			sc.arr[n] = pert
+		}
+	}
+	return visited, nil
 }
 
 // WhatIf propagates the perturbation of resizing gate x to width w
 // through the timing graph without committing anything: neither the
 // design nor the analysis is mutated. It returns the perturbed sink
-// distribution and the number of nodes whose arrival was recomputed.
-// Nodes whose perturbed arrival matches the base bit for bit stop the
-// propagation on that branch (the same exact elision ResizeCommit and
-// the accelerated optimizer use), so the cost is the size of the true
-// perturbation cone, not the whole graph.
-//
-// WhatIf only reads the analysis (all overlay state is call-local), so
-// concurrent WhatIf calls on one quiescent Analysis are safe — the
-// property Session.WhatIfBatch fans candidate evaluations out on.
-func (a *Analysis) WhatIf(ctx context.Context, x netlist.GateID, w float64) (*dist.Dist, int, error) {
-	return a.WhatIfScratch(ctx, x, w, nil)
-}
-
-// WhatIfScratch is WhatIf evaluating through a reusable Scratch: the
-// perturbation overlays live in the scratch arena for the duration of
-// the call (no reset until the next call on the same Scratch), and only
-// the returned sink distribution is compacted onto the heap. A nil
-// scratch allocates a transient one — semantically identical, just not
-// amortized. The returned distribution is always safe to retain.
-func (a *Analysis) WhatIfScratch(ctx context.Context, x netlist.GateID, w float64, sc *Scratch) (*dist.Dist, int, error) {
-	if sc == nil {
-		sc = NewScratch()
-	}
-	sc.reset()
-	g := a.D.E.G
-	if err := a.PerturbedDelaysInto(x, w, sc.delays); err != nil {
+// distribution, persisted and safe to retain, and the number of nodes
+// whose arrival was recomputed — the true perturbation cone (see
+// propagate). The overlays live in sc until its next use; nil means a
+// transient Scratch, identical but not amortized. WhatIf only reads the
+// analysis, so concurrent calls with distinct Scratches on one
+// quiescent Analysis are safe — the property Session.WhatIfBatch fans
+// candidate evaluations out on.
+func (a *Analysis) WhatIf(ctx context.Context, x netlist.GateID, w float64, sc *Scratch) (*dist.Dist, int, error) {
+	sc = orTransient(sc)
+	if err := a.perturb(sc, x, w); err != nil {
 		return nil, 0, err
 	}
-	overlay, dirty := sc.overlay, sc.dirty
-	for _, gid := range AffectedGates(a.D, x) {
-		dirty[a.D.E.NodeOf[a.D.NL.Gate(gid).Out]] = true
+	visited, err := a.propagate(ctx, sc)
+	if err != nil {
+		return nil, visited, fmt.Errorf("ssta: what-if canceled: %w", err)
 	}
-	arrOverlay := func(n graph.NodeID) *dist.Dist { return overlay[n] }
-	delayOverlay := func(e graph.EdgeID) *dist.Dist { return sc.delays[e] }
-	visited := 0
-	for _, n := range g.Topo() {
-		if !dirty[n] {
-			continue
-		}
-		if visited%cancelCheckStride == 0 && ctx.Err() != nil {
-			return nil, visited, fmt.Errorf("ssta: what-if canceled: %w", ctx.Err())
-		}
-		pert := a.computeArrival(n, arrOverlay, delayOverlay, sc.ar)
-		visited++
-		if dist.ApproxEqual(pert, a.arrival[n], 0) {
-			continue // perturbation died out on this branch
-		}
-		//lint:allow statlint/scratchescape the overlay map is scratch-scoped: reset together with sc.ar, only the persisted sink below escapes
-		overlay[n] = pert
-		for _, eid := range g.Out(n) {
-			dirty[g.EdgeAt(eid).To] = true
-		}
-	}
-	if o := overlay[g.Sink()]; o != nil {
+	sink := a.D.E.G.Sink()
+	if o := sc.arr[sink]; o != nil {
 		return o.Persist(), visited, nil
 	}
-	return a.arrival[g.Sink()], visited, nil
+	return a.arrival[sink], visited, nil
+}
+
+// WhatIfFull is WhatIf without pruning — the full SSTA propagation per
+// candidate of the brute-force optimizer (Section 3.1). It loads the
+// same perturbation into sc (nil means a transient Scratch) but
+// recomputes every node except the source, without elision, so its
+// visit count is the full-pass reference Table 2 measures the
+// accelerated optimizer against. Every perturbed arrival stays live in
+// the arena until the sink; only the persisted sink escapes. It takes
+// no context: a sweep checks cancellation between candidates.
+func (a *Analysis) WhatIfFull(x netlist.GateID, w float64, sc *Scratch) (*dist.Dist, int, error) {
+	sc = orTransient(sc)
+	if err := a.perturb(sc, x, w); err != nil {
+		return nil, 0, err
+	}
+	g := a.D.E.G
+	arrOverlay := func(n graph.NodeID) *dist.Dist { return sc.arr[n] }
+	delayOverlay := func(e graph.EdgeID) *dist.Dist { return sc.delay[e] }
+	visited := 0
+	for _, n := range g.Topo() {
+		if n == g.Source() {
+			continue
+		}
+		//lint:allow statlint/scratchescape the overlay is scratch-scoped: rewound with sc.ar by the next perturb, and only the persisted sink below escapes
+		sc.arr[n] = a.computeArrival(n, arrOverlay, delayOverlay, sc.ar)
+		visited++
+	}
+	return sc.arr[g.Sink()].Persist(), visited, nil
+}
+
+// ResizeCommit makes the analysis consistent after gate x has been
+// resized in the design. It propagates x's perturbation at the
+// committed width through sc (nil means a transient Scratch) exactly as
+// WhatIf does, and only once the propagation completes writes the new
+// pin-edge delays and the persisted overlay arrivals into the analysis
+// and drops the cached required times. At the committed width the
+// perturbed delays equal EdgeDelayDist's, so the result is bit-identical
+// to a full pass. Returns the number of nodes recomputed; on any error,
+// cancellation included, the analysis is unchanged.
+func (a *Analysis) ResizeCommit(ctx context.Context, x netlist.GateID, sc *Scratch) (int, error) {
+	sc = orTransient(sc)
+	if err := a.perturb(sc, x, a.D.Width(x)); err != nil {
+		return 0, err
+	}
+	recomputed, err := a.propagate(ctx, sc)
+	if err != nil {
+		return recomputed, fmt.Errorf("ssta: resize commit canceled: %w", err)
+	}
+	for e, dd := range sc.delay {
+		if dd != nil {
+			a.edge[e] = dd
+		}
+	}
+	for n, arr := range sc.arr {
+		if arr != nil {
+			a.arrival[n] = arr.Persist()
+		}
+	}
+	a.InvalidateRequired()
+	return recomputed, nil
 }
 
 // ComputeRequired runs the backward required-time pass: the deadline
@@ -483,8 +473,10 @@ func (a *Analysis) WhatIfScratch(ctx context.Context, x netlist.GateID, w float6
 // hand, statistical slack and gate criticality become O(1) queries.
 //
 // Required times are cached until the next arrival mutation
-// (ResizeCommit) invalidates them.
-func (a *Analysis) ComputeRequired(ctx context.Context, deadline *dist.Dist) error {
+// (ResizeCommit) invalidates them. The kernels compute in sc's arena
+// (nil means a transient Scratch).
+func (a *Analysis) ComputeRequired(ctx context.Context, deadline *dist.Dist, sc *Scratch) error {
+	sc = orTransient(sc)
 	g := a.D.E.G
 	req := make([]*dist.Dist, g.NumNodes())
 	topo := g.Topo()
@@ -504,17 +496,17 @@ func (a *Analysis) ComputeRequired(ctx context.Context, deadline *dist.Dist) err
 		// SubConvolve negation/convolution temporaries and losing
 		// MinIndep accumulators stay in scratch, the surviving required
 		// time is compacted before retention.
-		a.scratch.Reset()
+		sc.ar.Reset()
 		var acc *dist.Dist
 		for _, eid := range g.Out(n) {
 			t := req[g.EdgeAt(eid).To]
 			if dd := a.edge[eid]; dd != nil {
-				t = dist.SubConvolveInto(a.scratch, t, dd)
+				t = dist.SubConvolveInto(sc.ar, t, dd)
 			}
 			if acc == nil {
 				acc = t
 			} else {
-				acc = dist.MinIndepInto(a.scratch, acc, t)
+				acc = dist.MinIndepInto(sc.ar, acc, t)
 			}
 		}
 		if acc != nil {

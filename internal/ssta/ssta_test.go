@@ -161,7 +161,7 @@ func TestResizeCommitMatchesFullReanalysis(t *testing.T) {
 	// Resize a handful of gates spread across the circuit.
 	for _, gid := range []netlist.GateID{0, 5, 17, 42, 99} {
 		d.SetWidth(gid, d.Width(gid)+d.Lib.DeltaW)
-		n, err := a.ResizeCommit(context.Background(), gid)
+		n, err := a.ResizeCommit(context.Background(), gid, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestOverlayFallsBackToBase(t *testing.T) {
 		if n == g.Source() {
 			continue
 		}
-		re := a.ArrivalWithOverlay(n, arrNil, delayNil)
+		re := a.ArrivalWithOverlayInto(n, arrNil, delayNil, nil)
 		if !dist.ApproxEqual(re, a.Arrival(n), 0) {
 			t.Fatalf("overlay recompute differs from base at node %d", n)
 		}
@@ -223,12 +223,12 @@ func TestOverlaySubstitutesPerturbedDelay(t *testing.T) {
 	node := d.E.NodeOf[n22]
 	eid := g.In(node)[0]
 	faster := a.EdgeDelay(eid).ShiftBins(-5)
-	perturbed := a.ArrivalWithOverlay(node, nil, func(e graph.EdgeID) *dist.Dist {
+	perturbed := a.ArrivalWithOverlayInto(node, nil, func(e graph.EdgeID) *dist.Dist {
 		if e == eid {
 			return faster
 		}
 		return nil
-	})
+	}, nil)
 	gap := dist.MaxPercentileGap(a.Arrival(node), perturbed)
 	if gap < 0 || gap > 5*a.DT+1e-9 {
 		t.Errorf("perturbed arrival gap %v outside [0, 5 bins]", gap)

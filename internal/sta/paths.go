@@ -62,12 +62,11 @@ func (r *Result) TopPaths(k int) []Path {
 // partial is a prefix path stored as a parent chain to avoid slice
 // copies during search.
 type partial struct {
-	node    graph.NodeID
-	delay   float64
-	bound   float64
-	edge    graph.EdgeID
-	prev    *partial
-	heapIdx int
+	node  graph.NodeID
+	delay float64
+	bound float64
+	edge  graph.EdgeID
+	prev  *partial
 }
 
 func (p *partial) edges() []graph.EdgeID {
@@ -85,6 +84,6 @@ type partialHeap []*partial
 
 func (h partialHeap) Len() int           { return len(h) }
 func (h partialHeap) Less(i, j int) bool { return h[i].bound > h[j].bound }
-func (h partialHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].heapIdx = i; h[j].heapIdx = j }
-func (h *partialHeap) Push(x any)        { p := x.(*partial); p.heapIdx = len(*h); *h = append(*h, p) }
+func (h partialHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *partialHeap) Push(x any)        { *h = append(*h, x.(*partial)) }
 func (h *partialHeap) Pop() any          { old := *h; p := old[len(old)-1]; *h = old[:len(old)-1]; return p }

@@ -283,11 +283,11 @@ func propWidenNeverSlower(ctx context.Context, lib *cell.Library, sp circuitgen.
 			if d.E.EdgeGate[eid] != g {
 				continue // a fanin driver's edge: its load grows with w, legitimately slower
 			}
-			narrow, err := d.EdgeDelayDistAtWidths(dt, eid, map[netlist.GateID]float64{g: w1})
+			narrow, err := d.EdgeDelayDistAt(dt, eid, g, w1)
 			if err != nil {
 				return err
 			}
-			wide, err := d.EdgeDelayDistAtWidths(dt, eid, map[netlist.GateID]float64{g: w2})
+			wide, err := d.EdgeDelayDistAt(dt, eid, g, w2)
 			if err != nil {
 				return err
 			}

@@ -181,9 +181,9 @@ func TestSessionWhatIfMatchesBruteForce(t *testing.T) {
 				arr[n] = a.Arrival(n)
 				continue
 			}
-			arr[n] = a.ArrivalWithOverlay(n,
+			arr[n] = a.ArrivalWithOverlayInto(n,
 				func(m graph.NodeID) *dist.Dist { return arr[m] },
-				func(e graph.EdgeID) *dist.Dist { return delays[e] })
+				func(e graph.EdgeID) *dist.Dist { return delays[e] }, nil)
 		}
 		wantSens := (base - arr[gr.Sink()].Percentile(0.99)) / deltaW
 
