@@ -1,7 +1,7 @@
 // Package arenashare implements the statlint check for the
 // single-goroutine ownership rule of DESIGN.md's "Memory model": a
-// *dist.Arena, *dist.Keeper or *ssta.Scratch serves exactly one
-// goroutine — nothing in them is synchronized — so parallel paths must
+// *dist.Arena, *dist.Keeper, *dist.Recycler or *ssta.Scratch serves
+// exactly one goroutine — nothing in them is synchronized — so parallel paths must
 // hold one per worker, indexed by the worker ordinal par.RunIndexed
 // reports.
 //
@@ -34,7 +34,7 @@ import (
 // Analyzer is the arenashare pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "arenashare",
-	Doc:  "per-goroutine scratch state (dist.Arena, dist.Keeper, ssta.Scratch) must not be captured by goroutines or par.Run workers",
+	Doc:  "per-goroutine scratch state (dist.Arena, dist.Keeper, dist.Recycler, ssta.Scratch) must not be captured by goroutines or par.Run workers",
 	Run:  run,
 }
 
@@ -86,6 +86,8 @@ func sharedTypeName(t types.Type) string {
 		return "*dist.Arena"
 	case typeutil.IsPtrTo(t, typeutil.DistPath, "Keeper"):
 		return "*dist.Keeper"
+	case typeutil.IsPtrTo(t, typeutil.DistPath, "Recycler"):
+		return "*dist.Recycler"
 	case typeutil.IsPtrTo(t, typeutil.SSTAPath, "Scratch"):
 		return "*ssta.Scratch"
 	}

@@ -35,60 +35,61 @@ func Accelerated(ctx context.Context, s *session.Session, cfg Config) (*Result, 
 }
 
 // front is the A'set bookkeeping of one candidate gate (Figure 7/9): the
-// perturbed delay overlays, the live perturbed nodes, the nodes pending
+// perturbed delays, the live perturbed nodes, the nodes pending
 // computation at later levels, and the current bound.
+//
+// A front computes through the scratch of the worker that built it, for
+// its whole life: its arena for kernel intermediates, its dense
+// overlays for each level step, and its recycler for the live arrivals
+// and the sink. Fronts are built in parallel, one worker's scratch each,
+// but stepped only by the serial heap loop after the build barrier, so
+// no scratch ever serves two goroutines at once.
 type front struct {
 	gate   netlist.GateID
-	delays map[graph.EdgeID]*dist.Dist
+	sc     *ssta.Scratch
+	delays []ssta.EdgeDelay
 
-	live    map[graph.NodeID]liveNode
-	pending map[graph.NodeID]struct{}
-	levels  int // levels advanced so far (for the heuristic cutoff)
+	live    []liveNode
+	pending []graph.NodeID // sorted by (level, ID), without duplicates
+	levels  int            // levels advanced so far (for the heuristic cutoff)
 
 	smx      float64
-	sinkDist *dist.Dist // set once the sink is computed
+	sinkDist *dist.Dist // set once the sink is computed; recycled storage
 	visits   int
 }
 
-// liveNode is one perturbed arrival on a front: the persisted
-// distribution, its perturbation bound Δ, and the number of fanouts
-// that have yet to consume it.
+// liveNode is one perturbed arrival on a front: the distribution, held
+// in the front's recycler (or, when it is a base arrival, by pointer),
+// its perturbation bound Δ, and the level of its last fanout — the
+// level step that consumes it (Figure 9, steps 13–18). A node without
+// fanouts is never consumed.
 type liveNode struct {
-	pert   *dist.Dist
-	delta  float64
-	foLeft int
+	node  graph.NodeID
+	pert  *dist.Dist
+	delta float64
+	until int
 }
 
 // newFront builds and initializes a candidate's front, propagating
-// through the candidate gate's own level exactly as Initialize does.
-// ar is the kernel scratch arena of the calling worker; the front
-// itself retains only persisted (heap) distributions, so fronts built
-// on different arenas mix freely in one heap afterwards.
-func newFront(a *ssta.Analysis, cfg Config, x netlist.GateID, ar *dist.Arena) (*front, error) {
+// through the candidate gate's own level exactly as Initialize does. sc
+// is the calling worker's scratch, which the front keeps (see front).
+func newFront(a *ssta.Analysis, cfg Config, x netlist.GateID, sc *ssta.Scratch) (*front, error) {
 	d := a.D
 	delays, err := a.PerturbedDelays(x, d.Width(x)+d.Lib.DeltaW)
 	if err != nil {
 		return nil, err
 	}
-	f := &front{
-		gate:    x,
-		delays:  delays,
-		live:    make(map[graph.NodeID]liveNode),
-		pending: make(map[graph.NodeID]struct{}),
-	}
+	f := &front{gate: x, sc: sc, delays: delays}
 	g := d.E.G
 	for _, gid := range ssta.AffectedGates(d, x) {
-		f.pending[d.E.NodeOf[d.NL.Gate(gid).Out]] = struct{}{}
+		f.queue(g, d.E.NodeOf[d.NL.Gate(gid).Out])
 	}
 	// Initialize propagates up to and including the candidate's output
 	// level so every front starts with a meaningful bound (Figure 7,
 	// steps 4–6).
 	ownLevel := g.Level(d.E.NodeOf[d.NL.Gate(x).Out])
-	for !f.dead() {
-		if level, _ := f.nextLevel(g); level > ownLevel {
-			break
-		}
-		f.propagateOneLevel(a, cfg, ar)
+	for !f.dead() && f.nextLevel(g) <= ownLevel {
+		f.propagateOneLevel(a, cfg)
 	}
 	return f, nil
 }
@@ -96,41 +97,61 @@ func newFront(a *ssta.Analysis, cfg Config, x netlist.GateID, ar *dist.Arena) (*
 // dead reports whether the front has nothing left to compute.
 func (f *front) dead() bool { return len(f.pending) == 0 }
 
-// nextLevel returns the lowest level holding pending nodes, and those
-// nodes in no particular order.
-func (f *front) nextLevel(g *graph.Graph) (int, []graph.NodeID) {
-	level := math.MaxInt
-	var nodes []graph.NodeID
-	for n := range f.pending {
-		switch l := g.Level(n); {
-		case l < level:
-			level, nodes = l, append(nodes[:0], n)
-		case l == level:
-			nodes = append(nodes, n)
+// nextLevel returns the lowest level holding pending nodes.
+func (f *front) nextLevel(g *graph.Graph) int { return g.Level(f.pending[0]) }
+
+// queue adds n to the pending nodes unless it is already there.
+func (f *front) queue(g *graph.Graph, n graph.NodeID) {
+	l := g.Level(n)
+	lo, hi := 0, len(f.pending)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if p := f.pending[m]; g.Level(p) < l || (g.Level(p) == l && p < n) {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	return level, nodes
+	if lo < len(f.pending) && f.pending[lo] == n {
+		return
+	}
+	f.pending = slices.Insert(f.pending, lo, n)
 }
 
 // propagateOneLevel computes the perturbed arrivals of every node
 // pending at the front's lowest level, in node-ID order (Figure 9),
-// updates the perturbation bounds and remaining-fanout counts, queues
-// fanouts, and recomputes Smx. Kernel intermediates cycle through ar
-// per node; whatever the front retains (perturbed arrivals, the sink)
-// is persisted out of scratch first.
-func (f *front) propagateOneLevel(a *ssta.Analysis, cfg Config, ar *dist.Arena) {
+// updates the perturbation bounds, queues fanouts, retires the live
+// nodes whose last fanout this level consumed, and recomputes Smx.
+//
+// The step loads the live arrivals and perturbed delays into the
+// scratch overlays and clears exactly those entries before returning,
+// so the overlays are all-nil between steps. Kernel intermediates cycle
+// through the arena per node; what the front retains (live arrivals,
+// the sink) is kept in the recycler, and a retired node's storage goes
+// straight back to it.
+func (f *front) propagateOneLevel(a *ssta.Analysis, cfg Config) {
 	g := a.D.E.G
 	sink := g.Sink()
-	_, nodes := f.nextLevel(g)
-	slices.Sort(nodes)
+	ar, rec := f.sc.Arena(), f.sc.Recycler()
+	arrOv, delayOv := a.Overlays(f.sc)
+	for _, l := range f.live {
+		arrOv[l.node] = l.pert
+	}
+	for _, ed := range f.delays {
+		delayOv[ed.Edge] = ed.Delay
+	}
 
-	arrOverlay := func(n graph.NodeID) *dist.Dist { return f.live[n].pert }
-	delayOverlay := func(e graph.EdgeID) *dist.Dist { return f.delays[e] }
-
-	for _, n := range nodes {
-		delete(f.pending, n)
+	// The level's nodes head pending, in ID order. Fanouts queued below
+	// sit at higher levels, so they insert behind this prefix and never
+	// disturb it.
+	level := f.nextLevel(g)
+	k := 1
+	for k < len(f.pending) && g.Level(f.pending[k]) == level {
+		k++
+	}
+	for _, n := range f.pending[:k] {
 		ar.Reset()
-		pert := a.ArrivalWithOverlayInto(n, arrOverlay, delayOverlay, ar)
+		pert := a.ArrivalWithOverlayInto(n, f.sc)
 		f.visits++
 		base := a.Arrival(n)
 		alive := true
@@ -142,44 +163,65 @@ func (f *front) propagateOneLevel(a *ssta.Analysis, cfg Config, ar *dist.Arena) 
 			alive = false
 		}
 		if n == sink {
-			f.sinkDist = pert.Persist()
+			f.sinkDist = rec.Keep(pert)
 			alive = false
 		}
 		if alive {
-			f.live[n] = liveNode{
-				pert:   pert.Persist(),
-				delta:  dist.PerturbationBound(base, pert),
-				foLeft: len(g.Out(n)),
-			}
+			until := -1
 			for _, eid := range g.Out(n) {
-				f.pending[g.EdgeAt(eid).To] = struct{}{}
+				to := g.EdgeAt(eid).To
+				f.queue(g, to)
+				until = max(until, g.Level(to))
 			}
-		}
-		// Consume one fanout slot of every perturbed fanin (Figure 9,
-		// steps 13–18); fully consumed nodes leave the front.
-		for _, eid := range g.In(n) {
-			from := g.EdgeAt(eid).From
-			l, ok := f.live[from]
-			if !ok {
-				continue
+			if until < 0 {
+				until = math.MaxInt
 			}
-			if l.foLeft--; l.foLeft == 0 {
-				delete(f.live, from)
-			} else {
-				f.live[from] = l
-			}
+			f.live = append(f.live, liveNode{
+				node:  n,
+				pert:  rec.Keep(pert),
+				delta: dist.PerturbationBound(base, pert),
+				until: until,
+			})
 		}
 	}
+	f.pending = slices.Delete(f.pending, 0, k)
 	f.levels++
 
-	// Smx = max Δi over the live front (Theorem 4): an upper bound on
-	// the eventual sink perturbation.
-	f.smx = 0
-	for _, l := range f.live {
-		if l.delta > f.smx {
-			f.smx = l.delta
-		}
+	for _, ed := range f.delays {
+		delayOv[ed.Edge] = nil
 	}
+	// Every fanout of a node whose last fanout sits at this level has
+	// now consumed it (Figure 9, steps 13–18): it leaves the front.
+	// Smx = max Δi over the remaining live front (Theorem 4) is an upper
+	// bound on the eventual sink perturbation.
+	f.smx = 0
+	kept := f.live[:0]
+	for _, l := range f.live {
+		arrOv[l.node] = nil
+		if l.until <= level {
+			rec.Drop(l.pert)
+			continue
+		}
+		f.smx = max(f.smx, l.delta)
+		kept = append(kept, l)
+	}
+	clear(f.live[len(kept):])
+	f.live = kept
+}
+
+// release hands the front's storage back to its recycler — the sink and
+// every live arrival — once the front is finished or pruned. It is
+// idempotent.
+func (f *front) release() {
+	rec := f.sc.Recycler()
+	if f.sinkDist != nil {
+		rec.Drop(f.sinkDist)
+		f.sinkDist = nil
+	}
+	for _, l := range f.live {
+		rec.Drop(l.pert)
+	}
+	f.live = nil
 }
 
 // frontHeap is a max-heap over Smx (ties: lower gate ID first).
@@ -212,17 +254,35 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 	deltaW := d.Lib.DeltaW
 	var ir innerResult
 
-	// Front initialization is independent per candidate — each front owns
-	// its overlay maps and only reads the base analysis (PerturbedDelays
-	// is mutation-free) — so the fronts build concurrently, each in its
-	// worker's scratch arena. The merge below runs in candidate order,
-	// never completion order: the heap receives the same fronts in the
-	// same sequence as the historical serial loop, so trajectories stay
-	// bit-identical at any parallelism.
+	// Fronts load and clear their own overlay entries per level step, so
+	// every worker's overlays must start all-nil; commits and what-ifs
+	// leave entries behind.
+	for _, sc := range ws {
+		arr, delay := a.Overlays(sc)
+		clear(arr)
+		clear(delay)
+	}
+	// Front initialization is independent per candidate — each front
+	// only reads the base analysis (PerturbedDelays is mutation-free) —
+	// so the fronts build concurrently, each in its worker's scratch.
+	// The merge below runs in candidate order, never completion order:
+	// the heap receives the same fronts in the same sequence as the
+	// historical serial loop, so trajectories stay bit-identical at any
+	// parallelism.
 	cands := candidateGates(d)
 	fronts := make([]*front, len(cands))
+	// Finished fronts release their storage as they retire; this hands
+	// back the rest — pruned fronts, and every front on an error path —
+	// so no recycler holds anything once the iteration returns.
+	defer func() {
+		for _, f := range fronts {
+			if f != nil {
+				f.release()
+			}
+		}
+	}()
 	err := par.RunIndexed(ctx, len(ws), len(cands), func(w, i int) error {
-		f, err := newFront(a, cfg, cands[i], ws[w].Arena())
+		f, err := newFront(a, cfg, cands[i], ws[w])
 		if err != nil {
 			return err
 		}
@@ -234,9 +294,6 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 		// a bare cancellation, matching the serial loop's reporting.
 		return ir, err
 	}
-	// Fronts retain only persisted heap distributions, never arena
-	// views, so the serial heap loop reuses worker 0's arena.
-	loopArena := ws[0].Arena()
 	h := make(frontHeap, 0, len(cands))
 	var hintFront *front
 	for i, f := range fronts {
@@ -262,6 +319,7 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 			ir.pruned++
 		}
 		top.offer(pick{gate: f.gate, sens: sens})
+		f.release()
 	}
 
 	if hintFront != nil {
@@ -272,7 +330,7 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 			if err := ctx.Err(); err != nil {
 				return ir, err
 			}
-			hintFront.propagateOneLevel(a, cfg, loopArena)
+			hintFront.propagateOneLevel(a, cfg)
 			ir.nodesVisited += hintFront.visits
 			hintFront.visits = 0
 		}
@@ -305,9 +363,10 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 			// estimate without reaching the sink.
 			top.offer(pick{gate: f.gate, sens: f.smx / deltaW})
 			ir.pruned++
+			f.release()
 			continue
 		}
-		f.propagateOneLevel(a, cfg, loopArena)
+		f.propagateOneLevel(a, cfg)
 		ir.nodesVisited += f.visits
 		f.visits = 0
 		if f.dead() {

@@ -61,6 +61,13 @@ func statisticalDescent(
 	a := tx.Analysis()
 	d := tx.Design()
 	ws := tx.Scratch()
+	// Recycled front storage lives for one run: the free lists go when
+	// it returns, so an idle session retains none of it.
+	defer func() {
+		for _, sc := range ws {
+			sc.Recycler().Release()
+		}
+	}()
 	res := &Result{
 		Method:           method,
 		InitialWidth:     d.TotalWidth(),

@@ -9,7 +9,6 @@ import (
 	"statsize/internal/cell"
 	"statsize/internal/circuitgen"
 	"statsize/internal/design"
-	"statsize/internal/dist"
 	"statsize/internal/netlist"
 	"statsize/internal/session"
 	"statsize/internal/ssta"
@@ -203,14 +202,14 @@ func TestFrontBoundDominatesSensitivity(t *testing.T) {
 	}
 	base := cfg.Objective.Eval(a.SinkDist())
 	for _, gid := range candidateGates(d) {
-		f, err := newFront(a, cfg, gid, dist.NewArena())
+		f, err := newFront(a, cfg, gid, ssta.NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}
 		bound := f.smx / d.Lib.DeltaW
 		prevBound := math.Inf(1)
 		for !f.dead() {
-			f.propagateOneLevel(a, cfg, dist.NewArena())
+			f.propagateOneLevel(a, cfg)
 			b := f.smx / d.Lib.DeltaW
 			if b > prevBound+pruneSlack {
 				t.Fatalf("gate %d: front bound grew from %v to %v", gid, prevBound, b)

@@ -7,7 +7,6 @@ import (
 
 	"statsize/internal/cell"
 	"statsize/internal/design"
-	"statsize/internal/dist"
 	"statsize/internal/netlist"
 	"statsize/internal/ssta"
 )
@@ -147,12 +146,12 @@ func TestFrontDrainsCompletely(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, gid := range candidateGates(d)[:10] {
-		f, err := newFront(a, cfg, gid, dist.NewArena())
+		f, err := newFront(a, cfg, gid, ssta.NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}
 		for !f.dead() {
-			f.propagateOneLevel(a, cfg, dist.NewArena())
+			f.propagateOneLevel(a, cfg)
 		}
 		if len(f.live) != 0 {
 			t.Fatalf("gate %d: front leaked %d live nodes", gid, len(f.live))

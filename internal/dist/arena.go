@@ -56,13 +56,21 @@ func (ar *Arena) Reset() {
 
 // floats carves a zeroed n-float slice out of the arena.
 func (ar *Arena) floats(n int) []float64 {
+	s := ar.carve(n)
+	clear(s)
+	return s
+}
+
+// carve hands out an n-float slice of the arena whose contents are
+// left over from before the last Reset — for kernels that write every
+// element before reading any.
+func (ar *Arena) carve(n int) []float64 {
 	for {
 		if ar.slab < len(ar.slabs) {
 			slab := ar.slabs[ar.slab]
 			if ar.off+n <= len(slab) {
 				s := slab[ar.off : ar.off+n : ar.off+n]
 				ar.off += n
-				clear(s)
 				return s
 			}
 			// The remainder of this slab is too small; leave it and move
@@ -93,8 +101,17 @@ func (ar *Arena) newDist(dt float64, i0 int, p []float64) *Dist {
 	ar.nh++
 	h := &ar.hchunks[ci][ii]
 	h.dt, h.i0, h.p, h.scratch = dt, i0, p, true
-	h.cum.Store(nil)
+	h.clearCum()
 	return h
+}
+
+// clearCum drops a reused header's cached cumulative sums. Most reused
+// headers never had a quantile query, and a plain atomic load is far
+// cheaper than the unconditional atomic store.
+func (d *Dist) clearCum() {
+	if d.cum.Load() != nil {
+		d.cum.Store(nil)
+	}
 }
 
 // keeperSlab is the float capacity of one Keeper slab and
@@ -170,6 +187,15 @@ func scratchFloats(ar *Arena, n int) []float64 {
 		return make([]float64, n)
 	}
 	return ar.floats(n)
+}
+
+// overwrittenFloats is scratchFloats for kernels that write every
+// element (max, min, neg): arena memory skips the clear.
+func overwrittenFloats(ar *Arena, n int) []float64 {
+	if ar == nil {
+		return make([]float64, n)
+	}
+	return ar.carve(n)
 }
 
 // FootprintBytes reports the total memory the arena retains across

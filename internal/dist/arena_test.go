@@ -49,13 +49,15 @@ func bitIdentical(t *testing.T, label string, want, got *Dist) {
 // TestIntoKernelsBitIdentical sweeps randomized operand pairs through
 // every Into kernel and demands bit-identical output versus the
 // allocating wrappers — the contract that lets the SSTA hot paths adopt
-// arenas without moving a single golden trace.
+// arenas without moving a single golden trace — and versus the
+// reference loops the blocked kernels replaced.
 func TestIntoKernelsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ar := NewArena()
 	for trial := 0; trial < 300; trial++ {
 		a := randDist(rng, 0.01, 60)
 		b := randDist(rng, 0.01, 60)
+		checkKernelsBitExact(t, fmt.Sprintf("trial %d", trial), ar, a, b)
 		ar.Reset()
 		bitIdentical(t, "Convolve", Convolve(a, b), ConvolveInto(ar, a, b))
 		bitIdentical(t, "MaxIndep", MaxIndep(a, b), MaxIndepInto(ar, a, b))
@@ -182,6 +184,29 @@ func TestIntoKernelAllocsZero(t *testing.T) {
 	cycle() // warm the slabs and header chunks
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 		t.Errorf("warm into-kernel cycle allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestAllocatingKernelAllocs pins the allocation count of the
+// nil-arena kernels (the allocating wrappers every non-hot path uses):
+// one mass vector and one header per result, and SubConvolve's
+// negation on top. Skipping the arena's clear or blocking the loops
+// must not add any.
+func TestAllocatingKernelAllocs(t *testing.T) {
+	a, b := mustGauss(t, 0.001, 0.5, 0.05), mustGauss(t, 0.001, 0.6, 0.04)
+	for _, k := range []struct {
+		name string
+		run  func()
+		want float64
+	}{
+		{"Convolve", func() { Convolve(a, b) }, 2},
+		{"MaxIndep", func() { MaxIndep(a, b) }, 2},
+		{"MinIndep", func() { MinIndep(a, b) }, 2},
+		{"SubConvolve", func() { SubConvolve(a, b) }, 4},
+	} {
+		if got := testing.AllocsPerRun(100, k.run); got != k.want {
+			t.Errorf("%s allocates %.1f times per call, want %.0f", k.name, got, k.want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -18,8 +19,9 @@ func kernelOperands(b *testing.B, bins int) (*Dist, *Dist) {
 }
 
 // BenchmarkDistKernels measures the numeric core at representative bin
-// counts, in both the allocating and the arena (Into) forms — the
-// machine-readable perf trajectory cmd/benchreport records per PR.
+// counts, in both the allocating and the arena (Into) forms, and at the
+// edge-delay × arrival shapes the optimizer runs — the machine-readable
+// perf trajectory cmd/benchreport records per PR.
 // Run with -benchmem: the Into forms must show 0 allocs/op warm.
 //
 // Convolve rows dispatch on FFTMinSupport (wide shapes take the FFT);
@@ -72,6 +74,57 @@ func BenchmarkDistKernels(b *testing.B) {
 			})
 		}
 	}
+	// The operand shapes the accelerated optimizer's fronts feed the
+	// kernels: an edge delay of 5–9 bins convolved with an arrival of
+	// 77–120 bins, the max and min of two overlapping fanin terms of
+	// that width, and the perturbation bound of an arrival against a
+	// copy shifted one bin earlier.
+	const dt = 0.01
+	for _, s := range []struct{ delay, arr int }{{5, 77}, {7, 100}, {9, 120}} {
+		delay := bell(dt, 3, s.delay)
+		arr := bell(dt, 40, s.arr)
+		other := bell(dt, 40+s.delay, s.arr-s.delay)
+		pert := bell(dt, 39, s.arr)
+		ar := NewArena()
+		kernels := []struct {
+			name string
+			run  func()
+		}{
+			{"Convolve", func() { ConvolveInto(ar, delay, arr) }},
+			{"MaxIndep", func() { MaxIndepInto(ar, arr, other) }},
+			{"MinIndep", func() { MinIndepInto(ar, arr, other) }},
+			{"MaxPercentileGap", func() { MaxPercentileGap(arr, pert) }},
+		}
+		for _, k := range kernels {
+			b.Run(fmt.Sprintf("%s/delay%dxarr%d/into", k.name, s.delay, s.arr), func(b *testing.B) {
+				b.ReportAllocs()
+				ar.Reset()
+				k.run() // warm the arena before timing
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ar.Reset()
+					k.run()
+				}
+			})
+		}
+	}
+}
+
+// bell returns an n-bin discretized bell curve starting at grid index
+// i0: the kernels' operand shape with an exact support width.
+func bell(dt float64, i0, n int) *Dist {
+	p := make([]float64, n)
+	mid, sigma := float64(n-1)/2, float64(n)/6
+	total := 0.0
+	for k := range p {
+		z := (float64(k) - mid) / sigma
+		p[k] = math.Exp(-z * z / 2)
+		total += p[k]
+	}
+	for k := range p {
+		p[k] /= total
+	}
+	return &Dist{dt: dt, i0: i0, p: p}
 }
 
 // BenchmarkPercentile measures the cached quantile query against a

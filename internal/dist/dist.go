@@ -23,8 +23,11 @@
 // zero steady-state allocations, but valid only until the arena's next
 // Reset. Call Persist on a scratch view to obtain an immutable compact
 // copy before retaining it. A nil arena makes every Into kernel behave
-// exactly like its allocating wrapper. See DESIGN.md ("Memory model")
-// for the ownership rules the SSTA hot paths follow.
+// exactly like its allocating wrapper. A holder that keeps scratch
+// results for a while and drops them one by one (the optimizer's
+// perturbation fronts) copies them into a Recycler instead, which hands
+// the memory of dropped values to later ones. See DESIGN.md ("Memory
+// model") for the ownership rules the SSTA hot paths follow.
 package dist
 
 import (
@@ -39,16 +42,20 @@ import (
 // (up to float rounding) and has nonzero first and last entries.
 //
 // A Dist is immutable after construction unless it is an arena-backed
-// scratch view (see Arena); scratch views die at the arena's next
-// Reset and must be Persist-ed before being retained or shared.
+// scratch view (see Arena) or a recycled value (see Recycler); scratch
+// views die at the arena's next Reset, recycled values when their
+// holder drops them, and both must be Persist-ed before being retained
+// or shared.
 type Dist struct {
 	dt float64
 	i0 int
 	p  []float64
 
-	// scratch marks arena-backed views; Persist uses it to decide
-	// whether a compact copy is needed.
+	// scratch marks arena-backed views and recycled values; Persist
+	// uses it to decide whether a compact copy is needed.
 	scratch bool
+	// recycled marks values a Recycler kept, which it may take back.
+	recycled bool
 
 	// cum lazily caches the cumulative sums of p for Percentile/CDF:
 	// cum[k] = p[0]+…+p[k], computed on first query and binary-searched
@@ -258,9 +265,10 @@ func (d *Dist) ShiftBins(n int) *Dist {
 }
 
 // Persist returns d when it is an ordinary immutable value, or a
-// compact heap copy when d is an arena-backed scratch view — the one
-// operation that may move a kernel result out of scratch memory into a
-// retained structure (an arrival slot, an overlay map, a snapshot).
+// compact heap copy when d is an arena-backed scratch view or a
+// recycled value — the one operation that may move a kernel result out
+// of scratch memory into a retained structure (an arrival slot, an
+// overlay slot, a snapshot).
 func (d *Dist) Persist() *Dist {
 	if !d.scratch {
 		return d
@@ -271,7 +279,8 @@ func (d *Dist) Persist() *Dist {
 }
 
 // IsScratch reports whether d is an arena-backed view (valid only until
-// its arena's next Reset).
+// its arena's next Reset) or a recycled value (valid only until its
+// holder drops it).
 func (d *Dist) IsScratch() bool { return d.scratch }
 
 // Convolve returns the distribution of the sum of two independent
@@ -299,21 +308,68 @@ func ConvolveInto(ar *Arena, a, b *Dist) *Dist {
 // in index order. The FFT route's results are validated against this
 // kernel, so it must stay reachable without going through the
 // dispatching ConvolveInto.
+//
+// The shorter operand x indexes the rows, and rows run in blocks of
+// four, each block adding its four products to one output in a single
+// pass; the last 1–3 rows run one at a time. Bit identity with the
+// one-row loop (kept as refConvolve in the tests) follows from the
+// order argument: output k's partial sum starts at +0 and is extended
+// by x[i]·y[k-i] for i ascending — block by block, and inside a block
+// row by row — which is exactly the sequence of roundings the one-row
+// loop performs. Zero rows are not skipped: their products are +0, and
+// adding +0 to a sum that is +0 or positive returns it unchanged.
 func convolveDirectInto(ar *Arena, a, b *Dist) *Dist {
 	out := scratchFloats(ar, len(a.p)+len(b.p)-1)
-	// Convolve with the shorter operand outer so the inner loop runs
-	// long and contiguous.
-	x, y := a, b
-	if len(x.p) > len(y.p) {
+	x, y := a.p, b.p
+	if len(x) > len(y) {
 		x, y = y, x
 	}
-	for i, pi := range x.p {
-		if pi == 0 {
-			continue
+	m := len(y)
+	i := 0
+	// Full blocks need m >= 4, which len(x) >= 4 implies.
+	for ; i+4 <= len(x); i += 4 {
+		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
+		o := out[i : i+m+3]
+		// Head: outputs i..i+2 see only the first rows of the block.
+		o[0] += x0 * y[0]
+		s := o[1]
+		s += x0 * y[1]
+		s += x1 * y[0]
+		o[1] = s
+		s = o[2]
+		s += x0 * y[2]
+		s += x1 * y[1]
+		s += x2 * y[0]
+		o[2] = s
+		// Steady state: outputs i+3..i+m-1 see all four rows.
+		mid := o[3:m]
+		n := len(mid)
+		y0, y1, y2, y3 := y[3:3+n], y[2:2+n], y[1:1+n], y[:n]
+		for t := range mid {
+			s := mid[t]
+			s += x0 * y0[t]
+			s += x1 * y1[t]
+			s += x2 * y2[t]
+			s += x3 * y3[t]
+			mid[t] = s
 		}
-		row := out[i : i+len(y.p)]
-		for j, pj := range y.p {
-			row[j] += pi * pj
+		// Tail: outputs i+m..i+m+2 see only the last rows of the block.
+		s = o[m]
+		s += x1 * y[m-1]
+		s += x2 * y[m-2]
+		s += x3 * y[m-3]
+		o[m] = s
+		s = o[m+1]
+		s += x2 * y[m-1]
+		s += x3 * y[m-2]
+		o[m+1] = s
+		o[m+2] += x3 * y[m-1]
+	}
+	for ; i < len(x); i++ {
+		xi := x[i]
+		row := out[i : i+m]
+		for j, yj := range y {
+			row[j] += xi * yj
 		}
 	}
 	return trimInto(ar, a.dt, a.i0+b.i0, out)
@@ -328,6 +384,14 @@ func MaxIndep(a, b *Dist) *Dist { return MaxIndepInto(nil, a, b) }
 // allocates). When one operand dominates outright the operand itself is
 // returned — possibly a scratch view, possibly a shared immutable value;
 // callers that retain the result go through Persist either way.
+//
+// The merge runs in two segments — both operands in support, then the
+// longer one alone — and tests snap-to-1 only at each operand's last
+// bin, the one index where the one-index loop (refMaxIndep in the
+// tests) can fire it. Bit identity follows from the order argument:
+// each running CDF is extended by the same masses in the same index
+// order, and every output bin is the same product minus the same
+// previous product.
 func MaxIndepInto(ar *Arena, a, b *Dist) *Dist {
 	// A strictly-later operand dominates outright: when one support ends
 	// at or before the other begins, the maximum IS the later operand —
@@ -340,57 +404,87 @@ func MaxIndepInto(ar *Arena, a, b *Dist) *Dist {
 	if b.i0+len(b.p)-1 <= a.i0 {
 		return a
 	}
-	lo := a.i0
-	if b.i0 > lo {
-		lo = b.i0
-	}
+	lo := max(a.i0, b.i0)
 	aHi, bHi := a.i0+len(a.p)-1, b.i0+len(b.p)-1
-	hi := aHi
-	if bHi > hi {
-		hi = bHi
-	}
-	out := scratchFloats(ar, hi-lo+1)
+	mid, hi := min(aHi, bHi), max(aHi, bHi)
+	out := overwrittenFloats(ar, hi-lo+1)
 	// Prefix sums: accumulate each operand's CDF below lo in index
 	// order — the same additions, in the same order, that the merge
-	// loop below continues, so the running sums are bit-identical to a
-	// single scan from each operand's first bin. (The dominance
-	// shortcuts above guarantee neither prefix consumes a whole
-	// operand, so no snap-to-1 check is needed here.)
+	// continues, so the running sums are bit-identical to a single scan
+	// from each operand's first bin. (The dominance shortcuts above
+	// guarantee neither prefix consumes a whole operand, so no
+	// snap-to-1 check is needed here.)
 	cumA, cumB := 0.0, 0.0
-	for k := 0; k < lo-a.i0; k++ {
-		cumA += a.p[k]
+	for _, v := range a.p[:lo-a.i0] {
+		cumA += v
 	}
-	for k := 0; k < lo-b.i0; k++ {
-		cumB += b.p[k]
+	for _, v := range b.p[:lo-b.i0] {
+		cumB += v
 	}
+	// Segment 1, lo..mid: both operands in support. Only mid can be an
+	// operand's last bin, so the snap-to-1 test runs there alone.
+	pa, pb := a.p[lo-a.i0:mid-a.i0+1], b.p[lo-b.i0:mid-b.i0+1]
+	o := out[:len(pa)]
+	last := len(o) - 1
+	pb = pb[:len(pa)]
 	prev := 0.0 // product of CDFs at the previous index; P(max < lo) = 0
-	for i := lo; i <= hi; i++ {
-		if k := i - a.i0; k >= 0 && k < len(a.p) {
-			cumA += a.p[k]
-			// Snap a fully-consumed operand's CDF to exactly 1 (bin sums
-			// land at 1±ulps): a dominated operand then contributes the
-			// identity, so the max of X and a strictly-later Y reproduces
-			// Y bit for bit — the exact cancellation the optimizer's
-			// dead-front elision detects.
-			if k == len(a.p)-1 && math.Abs(cumA-1) < probEps {
-				cumA = 1
-			}
-		}
-		if k := i - b.i0; k >= 0 && k < len(b.p) {
-			cumB += b.p[k]
-			if k == len(b.p)-1 && math.Abs(cumB-1) < probEps {
-				cumB = 1
-			}
-		}
+	for k := 0; k < last; k++ {
+		cumA += pa[k]
+		cumB += pb[k]
 		prod := cumA * cumB
-		m := prod - prev
-		if m < 0 {
-			m = 0
-		}
-		out[i-lo] = m
+		o[k] = binMass(prod, prev)
 		prev = prod
 	}
+	cumA += pa[last]
+	// Snap a fully-consumed operand's CDF to exactly 1 (bin sums land at
+	// 1±ulps): a dominated operand then contributes the identity, so the
+	// max of X and a strictly-later Y reproduces Y bit for bit — the
+	// exact cancellation the optimizer's dead-front elision detects.
+	if aHi == mid && math.Abs(cumA-1) < probEps {
+		cumA = 1
+	}
+	cumB += pb[last]
+	if bHi == mid && math.Abs(cumB-1) < probEps {
+		cumB = 1
+	}
+	prod := cumA * cumB
+	o[last] = binMass(prod, prev)
+	prev = prod
+	if mid == hi {
+		return trimInto(ar, a.dt, lo, out)
+	}
+	// Segment 2, mid+1..hi: the longer operand alone against the other's
+	// final CDF. IEEE multiplication commutes, so cum·fixed is the same
+	// product cumA·cumB the one-index loop forms.
+	rest, cum, fixed := a.p[mid+1-a.i0:], cumA, cumB
+	if bHi > aHi {
+		rest, cum, fixed = b.p[mid+1-b.i0:], cumB, cumA
+	}
+	o = out[len(o):]
+	last = len(o) - 1
+	rest = rest[:len(o)]
+	for k := 0; k < last; k++ {
+		cum += rest[k]
+		prod := cum * fixed
+		o[k] = binMass(prod, prev)
+		prev = prod
+	}
+	cum += rest[last]
+	if math.Abs(cum-1) < probEps {
+		cum = 1
+	}
+	o[last] = binMass(cum*fixed, prev)
 	return trimInto(ar, a.dt, lo, out)
+}
+
+// binMass is one merge bin's mass: the running CDF minus its value at
+// the previous index, floored at 0 against rounding.
+func binMass(cur, prev float64) float64 {
+	m := cur - prev
+	if m < 0 {
+		m = 0
+	}
+	return m
 }
 
 // Neg returns the distribution of the negated variable: mass at grid
@@ -409,7 +503,7 @@ func NegInto(ar *Arena, d *Dist) *Dist {
 	if len(d.p) == 0 {
 		panic("dist: Neg of an empty distribution (zero-length support violates the nonzero-mass invariant)")
 	}
-	p := scratchFloats(ar, len(d.p))
+	p := overwrittenFloats(ar, len(d.p))
 	for i, v := range d.p {
 		p[len(p)-1-i] = v
 	}
@@ -441,6 +535,13 @@ func MinIndep(a, b *Dist) *Dist { return MinIndepInto(nil, a, b) }
 // MinIndepInto is MinIndep writing into arena scratch (nil arena
 // allocates); the dominance shortcuts return the operand itself, as in
 // MaxIndepInto.
+//
+// The merge runs in two segments — the earlier operand alone, then both
+// in support — and tests snap-to-1 only at the last shared index, the
+// one place the one-index loop (refMinIndep in the tests) can fire it.
+// Bit identity follows from the order argument of MaxIndepInto: each
+// running CDF takes the same additions in the same order, and while the
+// later operand is out of support its factor is the same exact 1 - 0.
 func MinIndepInto(ar *Arena, a, b *Dist) *Dist {
 	// A strictly-earlier operand dominates outright: when one support
 	// ends at or before the other begins, the minimum IS the earlier
@@ -452,43 +553,59 @@ func MinIndepInto(ar *Arena, a, b *Dist) *Dist {
 	if b.i0+len(b.p)-1 <= a.i0 {
 		return b
 	}
-	lo := a.i0
-	if b.i0 < lo {
-		lo = b.i0
-	}
+	lo, mid := min(a.i0, b.i0), max(a.i0, b.i0)
 	aHi, bHi := a.i0+len(a.p)-1, b.i0+len(b.p)-1
-	hi := aHi
-	if bHi < hi {
-		hi = bHi
-	}
-	out := scratchFloats(ar, hi-lo+1)
-	// lo is the smaller i0, so both CDFs below lo are exactly zero — the
-	// prefix sums MaxIndepInto accumulates are trivial here.
-	cumA, cumB := 0.0, 0.0
+	hi := min(aHi, bHi)
+	out := overwrittenFloats(ar, hi-lo+1)
 	// P(min <= t) = 1 - (1-Fa)(1-Fb); accumulate mass per bin as the
 	// CDF difference, with the same snap-to-1 protection as MaxIndep.
+	// lo is the smaller i0, so both CDFs below lo are exactly zero.
+	cumA, cumB := 0.0, 0.0
 	prev := 1 - (1-cumA)*(1-cumB)
-	for i := lo; i <= hi; i++ {
-		if k := i - a.i0; k >= 0 && k < len(a.p) {
-			cumA += a.p[k]
-			if k == len(a.p)-1 && math.Abs(cumA-1) < probEps {
-				cumA = 1
-			}
+	// Segment 1, lo..mid-1: the earlier operand alone; the other's
+	// survival factor is its exact 1 - 0. No last bin lies here (the
+	// dominance shortcuts above rule it out).
+	o := out[:mid-lo]
+	if len(o) > 0 {
+		early, fixed := a.p, 1-cumB
+		if b.i0 < a.i0 {
+			early, fixed = b.p, 1-cumA
 		}
-		if k := i - b.i0; k >= 0 && k < len(b.p) {
-			cumB += b.p[k]
-			if k == len(b.p)-1 && math.Abs(cumB-1) < probEps {
-				cumB = 1
-			}
+		cum := 0.0
+		for k, v := range early[:len(o)] {
+			cum += v
+			cur := 1 - (1-cum)*fixed
+			o[k] = binMass(cur, prev)
+			prev = cur
 		}
+		if b.i0 < a.i0 {
+			cumB = cum
+		} else {
+			cumA = cum
+		}
+	}
+	// Segment 2, mid..hi: both operands in support. Only hi can be an
+	// operand's last bin, so the snap-to-1 test runs there alone.
+	o = out[len(o):]
+	last := len(o) - 1
+	pa, pb := a.p[mid-a.i0:hi-a.i0+1], b.p[mid-b.i0:hi-b.i0+1]
+	pa, pb = pa[:len(o)], pb[:len(o)]
+	for k := 0; k < last; k++ {
+		cumA += pa[k]
+		cumB += pb[k]
 		cur := 1 - (1-cumA)*(1-cumB)
-		m := cur - prev
-		if m < 0 {
-			m = 0
-		}
-		out[i-lo] = m
+		o[k] = binMass(cur, prev)
 		prev = cur
 	}
+	cumA += pa[last]
+	if aHi == hi && math.Abs(cumA-1) < probEps {
+		cumA = 1
+	}
+	cumB += pb[last]
+	if bHi == hi && math.Abs(cumB-1) < probEps {
+		cumB = 1
+	}
+	o[last] = binMass(1-(1-cumA)*(1-cumB), prev)
 	return trimInto(ar, a.dt, lo, out)
 }
 
@@ -532,10 +649,16 @@ func ApproxEqual(a, b *Dist, tol float64) bool {
 // Probability levels within probEps are treated as reached — the ε
 // slack the optimizer's pruneSlack constant accounts for.
 func MaxPercentileGap(a, b *Dist) float64 {
-	gap := 0.0
+	// The gap is tracked in bins and scaled by dt once: for dt > 0
+	// rounding is monotone, so the scaled maximum equals the maximum of
+	// the scaled gaps bit for bit (refMaxPercentileGap in the tests
+	// scales every candidate).
+	gap := 0
 	cumB := 0.0
 	cumA := 0.0
 	ja := 0 // bins of a consumed so far
+	// (a.i0+ja-1) - (b.i0+k), the index gap at level k, is ja-k+off.
+	off := a.i0 - 1 - b.i0
 	for k, pk := range b.p {
 		cumB += pk
 		if pk <= 0 {
@@ -550,12 +673,11 @@ func MaxPercentileGap(a, b *Dist) float64 {
 		if ja == 0 {
 			continue
 		}
-		g := float64((a.i0+ja-1)-(b.i0+k)) * a.dt
-		if g > gap {
+		if g := ja - k + off; g > gap {
 			gap = g
 		}
 	}
-	return gap
+	return float64(gap) * a.dt
 }
 
 // PerturbationBound returns Δ for a perturbed arrival CDF against its

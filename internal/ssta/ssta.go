@@ -179,35 +179,30 @@ func (a *Analysis) arrivalOrErr(n graph.NodeID, ar *dist.Arena) (*dist.Dist, err
 }
 
 // computeArrival evaluates one node's arrival CDF from its fanins. The
-// overlay callbacks, when non-nil, substitute perturbed arrivals and
-// perturbed edge delays; returning nil from an overlay falls back to the
-// base analysis. This is the single implementation of the SSTA max/conv
-// step shared by the full pass, incremental recompute, and the
+// dense overlays, when non-nil, substitute perturbed arrivals (by
+// NodeID) and perturbed edge delays (by EdgeID); a nil entry falls back
+// to the base analysis. This is the single implementation of the SSTA
+// max/conv step shared by the full pass, incremental recompute, and the
 // optimizer's perturbation-front propagation.
 //
 // With a non-nil arena the result (and every intermediate) is arena
 // scratch — the caller decides when to Reset and must Persist anything
 // it retains. A nil arena reproduces the historical allocating
 // behavior. Either way the values are bit-identical.
-func (a *Analysis) computeArrival(
-	n graph.NodeID,
-	arrOverlay func(graph.NodeID) *dist.Dist,
-	delayOverlay func(graph.EdgeID) *dist.Dist,
-	ar *dist.Arena,
-) *dist.Dist {
+func (a *Analysis) computeArrival(n graph.NodeID, arrOverlay, delayOverlay []*dist.Dist, ar *dist.Arena) *dist.Dist {
 	g := a.D.E.G
 	var acc *dist.Dist
 	for _, eid := range g.In(n) {
 		e := g.EdgeAt(eid)
 		from := a.arrival[e.From]
 		if arrOverlay != nil {
-			if o := arrOverlay(e.From); o != nil {
+			if o := arrOverlay[e.From]; o != nil {
 				from = o
 			}
 		}
 		delay := a.edge[eid]
 		if delayOverlay != nil {
-			if o := delayOverlay(eid); o != nil {
+			if o := delayOverlay[eid]; o != nil {
 				delay = o
 			}
 		}
@@ -224,19 +219,15 @@ func (a *Analysis) computeArrival(
 	return acc
 }
 
-// ArrivalWithOverlayInto exposes computeArrival for the optimizer's
-// perturbation fronts, computing through the caller's arena: the
-// returned distribution is scratch (Persist before retaining it) unless
-// it is one of the base/overlay operands returned by a dominance
-// shortcut. A nil arena allocates.
-func (a *Analysis) ArrivalWithOverlayInto(
-	n graph.NodeID,
-	arrOverlay func(graph.NodeID) *dist.Dist,
-	delayOverlay func(graph.EdgeID) *dist.Dist,
-	ar *dist.Arena,
-) *dist.Dist {
-	//lint:allow statlint/scratchescape returning scratch is this method's documented contract: the *Into suffix hands ownership to the arena-passing caller
-	return a.computeArrival(n, arrOverlay, delayOverlay, ar)
+// ArrivalWithOverlayInto evaluates node n's arrival against sc's dense
+// overlays (see Overlays), computing in sc's arena: the result is
+// scratch, valid until that arena's next Reset, unless it is one of the
+// base or overlay operands a dominance shortcut returns. This is how the
+// optimizer's perturbation fronts step: they load their live arrivals
+// and perturbed delays into the overlays, evaluate, and clear them.
+func (a *Analysis) ArrivalWithOverlayInto(n graph.NodeID, sc *Scratch) *dist.Dist {
+	//lint:allow statlint/scratchescape returning scratch is this method's documented contract: the *Into suffix hands ownership to the caller, whose Scratch owns the arena
+	return a.computeArrival(n, sc.arr, sc.delay, sc.ar)
 }
 
 // Arrival returns the arrival distribution at a node.
@@ -269,16 +260,23 @@ func AffectedGates(d *design.Design, x netlist.GateID) []netlist.GateID {
 	return out
 }
 
+// EdgeDelay is one perturbed pin-edge delay distribution.
+type EdgeDelay struct {
+	Edge  graph.EdgeID
+	Delay *dist.Dist
+}
+
 // PerturbedDelays returns the delay distributions that change when gate
 // x is resized to w — the pin edges of x and of the drivers of x's input
-// nets (Figure 7, step 1). The evaluation is mutation-free
-// (design.EdgeDelayDistAt), so any number of goroutines may evaluate
-// different candidates concurrently against one quiescent analysis, and
-// the distributions are bit-identical to what writing the width,
-// reading the delays and restoring a design snapshot produces.
-func (a *Analysis) PerturbedDelays(x netlist.GateID, w float64) (map[graph.EdgeID]*dist.Dist, error) {
-	out := make(map[graph.EdgeID]*dist.Dist)
-	err := a.perturbedDelays(x, w, func(e graph.EdgeID, dd *dist.Dist) { out[e] = dd })
+// nets (Figure 7, step 1), each edge once, in AffectedGates order. The
+// evaluation is mutation-free (design.EdgeDelayDistAt), so any number of
+// goroutines may evaluate different candidates concurrently against one
+// quiescent analysis, and the distributions are bit-identical to what
+// writing the width, reading the delays and restoring a design snapshot
+// produces.
+func (a *Analysis) PerturbedDelays(x netlist.GateID, w float64) ([]EdgeDelay, error) {
+	var out []EdgeDelay
+	err := a.perturbedDelays(x, w, func(e graph.EdgeID, dd *dist.Dist) { out = append(out, EdgeDelay{e, dd}) })
 	if err != nil {
 		return nil, err
 	}
@@ -305,22 +303,44 @@ func (a *Analysis) perturbedDelays(x netlist.GateID, w float64, set func(graph.E
 // Scratch is the reusable working set of one candidate evaluation: a
 // kernel arena plus two dense overlays on the base analysis, perturbed
 // arrivals by NodeID and perturbed delays by EdgeID, where nil means
-// "use the base". Every evaluation pass computes through one, so a warm
-// sweep allocates only what escapes. One Scratch serves one goroutine
-// at a time; parallel sweeps hold one per worker.
+// "use the base", and a recycler for the optimizer's perturbation
+// fronts. Every evaluation pass computes through one, so a warm sweep
+// allocates only what escapes. One Scratch serves one goroutine at a
+// time; parallel sweeps hold one per worker.
 type Scratch struct {
 	ar    *dist.Arena
 	arr   []*dist.Dist
 	delay []*dist.Dist
+	rec   dist.Recycler
 }
 
 // NewScratch returns an empty Scratch; its overlays are sized to the
 // graph on first use and its arena grows with use.
 func NewScratch() *Scratch { return &Scratch{ar: dist.NewArena()} }
 
-// Arena returns the scratch's kernel arena, for callers that propagate
-// through overlays of their own (the optimizer's perturbation fronts).
+// Arena returns the scratch's kernel arena, for callers that evaluate
+// through it (the optimizer's perturbation fronts).
 func (sc *Scratch) Arena() *dist.Arena { return sc.ar }
+
+// Recycler returns the scratch's front storage: the recycler the
+// optimizer's perturbation fronts built on this worker keep their live
+// arrivals in.
+func (sc *Scratch) Recycler() *dist.Recycler { return &sc.rec }
+
+// Overlays returns sc's dense overlays sized to a's graph — perturbed
+// arrivals by NodeID and perturbed delays by EdgeID — for a caller
+// that loads entries, evaluates them with ArrivalWithOverlayInto and
+// clears exactly those entries again. Entries left by an earlier
+// evaluation stay until the caller clears them; a newly sized pair is
+// all-nil.
+func (a *Analysis) Overlays(sc *Scratch) (arr, delay []*dist.Dist) {
+	g := a.D.E.G
+	if len(sc.arr) != g.NumNodes() || len(sc.delay) != g.NumEdges() {
+		sc.arr = make([]*dist.Dist, g.NumNodes())
+		sc.delay = make([]*dist.Dist, g.NumEdges())
+	}
+	return sc.arr, sc.delay
+}
 
 // orTransient returns sc, or a fresh Scratch when the caller passed nil.
 func orTransient(sc *Scratch) *Scratch {
@@ -334,15 +354,10 @@ func orTransient(sc *Scratch) *Scratch {
 // it: the perturbed pin-edge delays in the delay overlay, every arrival
 // at its base.
 func (a *Analysis) perturb(sc *Scratch, x netlist.GateID, w float64) error {
-	g := a.D.E.G
 	sc.ar.Reset()
-	if len(sc.arr) != g.NumNodes() || len(sc.delay) != g.NumEdges() {
-		sc.arr = make([]*dist.Dist, g.NumNodes())
-		sc.delay = make([]*dist.Dist, g.NumEdges())
-	} else {
-		clear(sc.arr)
-		clear(sc.delay)
-	}
+	arr, delay := a.Overlays(sc)
+	clear(arr)
+	clear(delay)
 	return a.perturbedDelays(x, w, func(e graph.EdgeID, dd *dist.Dist) { sc.delay[e] = dd })
 }
 
@@ -358,8 +373,6 @@ func (a *Analysis) perturb(sc *Scratch, x netlist.GateID, w float64) error {
 // recomputed.
 func (a *Analysis) propagate(ctx context.Context, sc *Scratch) (int, error) {
 	g := a.D.E.G
-	arrOverlay := func(n graph.NodeID) *dist.Dist { return sc.arr[n] }
-	delayOverlay := func(e graph.EdgeID) *dist.Dist { return sc.delay[e] }
 	perturbedIn := func(e graph.EdgeID) bool { return sc.delay[e] != nil || sc.arr[g.EdgeAt(e).From] != nil }
 	visited := 0
 	for _, n := range g.Topo() {
@@ -369,7 +382,7 @@ func (a *Analysis) propagate(ctx context.Context, sc *Scratch) (int, error) {
 		if visited%cancelCheckStride == 0 && ctx.Err() != nil {
 			return visited, ctx.Err()
 		}
-		pert := a.computeArrival(n, arrOverlay, delayOverlay, sc.ar)
+		pert := a.computeArrival(n, sc.arr, sc.delay, sc.ar)
 		visited++
 		if !dist.ApproxEqual(pert, a.arrival[n], 0) {
 			//lint:allow statlint/scratchescape the overlay is scratch-scoped: rewound with sc.ar by the next perturb, and callers persist whatever they keep
@@ -419,15 +432,13 @@ func (a *Analysis) WhatIfFull(x netlist.GateID, w float64, sc *Scratch) (*dist.D
 		return nil, 0, err
 	}
 	g := a.D.E.G
-	arrOverlay := func(n graph.NodeID) *dist.Dist { return sc.arr[n] }
-	delayOverlay := func(e graph.EdgeID) *dist.Dist { return sc.delay[e] }
 	visited := 0
 	for _, n := range g.Topo() {
 		if n == g.Source() {
 			continue
 		}
 		//lint:allow statlint/scratchescape the overlay is scratch-scoped: rewound with sc.ar by the next perturb, and only the persisted sink below escapes
-		sc.arr[n] = a.computeArrival(n, arrOverlay, delayOverlay, sc.ar)
+		sc.arr[n] = a.computeArrival(n, sc.arr, sc.delay, sc.ar)
 		visited++
 	}
 	return sc.arr[g.Sink()].Persist(), visited, nil

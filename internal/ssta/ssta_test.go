@@ -196,19 +196,22 @@ func distEqual(a, b interface {
 }
 
 func TestOverlayFallsBackToBase(t *testing.T) {
-	// Nil-returning overlays must reproduce the base analysis exactly.
+	// All-nil overlays, and a scratch never sized, must reproduce the
+	// base analysis exactly.
 	d := newDesign(t, "c17")
 	a := analyze(t, d, 800)
 	g := d.E.G
-	arrNil := func(graph.NodeID) *dist.Dist { return nil }
-	delayNil := func(graph.EdgeID) *dist.Dist { return nil }
+	unsized, sized := NewScratch(), NewScratch()
+	a.Overlays(sized)
 	for _, n := range g.Topo() {
 		if n == g.Source() {
 			continue
 		}
-		re := a.ArrivalWithOverlayInto(n, arrNil, delayNil, nil)
-		if !dist.ApproxEqual(re, a.Arrival(n), 0) {
-			t.Fatalf("overlay recompute differs from base at node %d", n)
+		for _, sc := range []*Scratch{unsized, sized} {
+			re := a.ArrivalWithOverlayInto(n, sc)
+			if !dist.ApproxEqual(re, a.Arrival(n), 0) {
+				t.Fatalf("overlay recompute differs from base at node %d", n)
+			}
 		}
 	}
 }
@@ -223,12 +226,10 @@ func TestOverlaySubstitutesPerturbedDelay(t *testing.T) {
 	node := d.E.NodeOf[n22]
 	eid := g.In(node)[0]
 	faster := a.EdgeDelay(eid).ShiftBins(-5)
-	perturbed := a.ArrivalWithOverlayInto(node, nil, func(e graph.EdgeID) *dist.Dist {
-		if e == eid {
-			return faster
-		}
-		return nil
-	}, nil)
+	sc := NewScratch()
+	_, delay := a.Overlays(sc)
+	delay[eid] = faster
+	perturbed := a.ArrivalWithOverlayInto(node, sc)
 	gap := dist.MaxPercentileGap(a.Arrival(node), perturbed)
 	if gap < 0 || gap > 5*a.DT+1e-9 {
 		t.Errorf("perturbed arrival gap %v outside [0, 5 bins]", gap)
@@ -377,11 +378,15 @@ func TestPerturbedDelaysMutationFree(t *testing.T) {
 			}
 		}
 		d.Restore(pre)
-		if len(got) != len(want) {
-			t.Fatalf("gate %d: %d perturbed edges, reference has %d", g, len(got), len(want))
+		gotByEdge := make(map[graph.EdgeID]*dist.Dist)
+		for _, ed := range got {
+			gotByEdge[ed.Edge] = ed.Delay
+		}
+		if len(got) != len(want) || len(gotByEdge) != len(want) {
+			t.Fatalf("gate %d: %d perturbed edges (%d distinct), reference has %d", g, len(got), len(gotByEdge), len(want))
 		}
 		for eid, wd := range want {
-			gd, ok := got[eid]
+			gd, ok := gotByEdge[eid]
 			if !ok || !dist.ApproxEqual(gd, wd, 0) {
 				t.Fatalf("gate %d edge %d: mutation-free delay diverged from mutate-and-restore reference", g, eid)
 			}

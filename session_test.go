@@ -175,15 +175,17 @@ func TestSessionWhatIfMatchesBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		gr := d.E.G
-		arr := make([]*dist.Dist, gr.NumNodes())
+		sc := ssta.NewScratch()
+		arr, dly := a.Overlays(sc)
+		for _, ed := range delays {
+			dly[ed.Edge] = ed.Delay
+		}
 		for _, n := range gr.Topo() {
 			if n == gr.Source() {
 				arr[n] = a.Arrival(n)
 				continue
 			}
-			arr[n] = a.ArrivalWithOverlayInto(n,
-				func(m graph.NodeID) *dist.Dist { return arr[m] },
-				func(e graph.EdgeID) *dist.Dist { return delays[e] }, nil)
+			arr[n] = a.ArrivalWithOverlayInto(n, sc)
 		}
 		wantSens := (base - arr[gr.Sink()].Percentile(0.99)) / deltaW
 
