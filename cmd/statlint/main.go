@@ -1,8 +1,8 @@
 // Command statlint is the repository's invariant gate: it runs the
 // custom analyzer suite in internal/analyzers — scratchescape,
-// arenashare, lockdiscipline, ctxflow, leaseguard, boundeddecode —
-// over the given packages, plus the standard go vet passes, and exits
-// non-zero on any finding.
+// arenashare, lockdiscipline, ctxflow, boundeddecode — over the given
+// packages, plus the standard go vet passes, and exits non-zero on any
+// finding.
 //
 // Usage:
 //

@@ -9,11 +9,11 @@
 // concurrency invariants DESIGN.md states in prose: scratch
 // distributions must be persisted before retention, arenas serve one
 // goroutine, session queries hold the lock, long propagation loops
-// observe their context, leases are released exactly once, HTTP
-// bodies are read bounded. See the sibling analyzer packages
-// (scratchescape, arenashare, lockdiscipline, ctxflow, leaseguard,
+// observe their context, HTTP bodies are read bounded. See the sibling
+// analyzer packages (scratchescape, arenashare, lockdiscipline, ctxflow,
 // boundeddecode) and DESIGN.md's "Enforced invariants" section, which
-// also says where the invariants that need no analyzer live.
+// also says where the invariants that need no analyzer live (lease
+// release among them: Session.Do and Manager.Do carry it).
 //
 // Intentional exceptions are suppressed in source with
 //

@@ -11,7 +11,6 @@ import (
 	"statsize/internal/analyzers/arenashare"
 	"statsize/internal/analyzers/boundeddecode"
 	"statsize/internal/analyzers/ctxflow"
-	"statsize/internal/analyzers/leaseguard"
 	"statsize/internal/analyzers/lockdiscipline"
 	"statsize/internal/analyzers/scratchescape"
 )
@@ -22,7 +21,6 @@ func All() []*analysis.Analyzer {
 		arenashare.Analyzer,
 		boundeddecode.Analyzer,
 		ctxflow.Analyzer,
-		leaseguard.Analyzer,
 		lockdiscipline.Analyzer,
 		scratchescape.Analyzer,
 	}

@@ -50,10 +50,8 @@ func TestFindingsExitOne(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out, errb)
 	}
-	for _, want := range []string{"[leaseguard]", "[boundeddecode]"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("stdout missing %q:\n%s", want, out)
-		}
+	if n := strings.Count(out, "[boundeddecode]"); n != 2 {
+		t.Errorf("stdout has %d boundeddecode findings, want 2:\n%s", n, out)
 	}
 }
 
@@ -74,11 +72,10 @@ func TestFixProducesCleanTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := string(data)
-	if !strings.Contains(src, "defer lease.Release()") {
-		t.Errorf("fixed source missing lease release:\n%s", src)
-	}
-	if !strings.Contains(src, "io.LimitReader(r.Body, 1<<20)") {
-		t.Errorf("fixed source missing bounded reader:\n%s", src)
+	for _, want := range []string{"io.LimitReader(resp.Body, 1<<20)", "io.LimitReader(r.Body, 1<<20)"} {
+		if !strings.Contains(src, want) {
+			t.Errorf("fixed source missing bounded reader %q:\n%s", want, src)
+		}
 	}
 
 	// Idempotence: a second -fix run finds nothing to apply and stays
@@ -113,9 +110,10 @@ func TestJSONReportSchema(t *testing.T) {
 	if len(rep.Findings) < 2 {
 		t.Fatalf("findings = %d, want >= 2:\n%s", len(rep.Findings), data)
 	}
-	byAnalyzer := map[string]bool{}
 	for _, f := range rep.Findings {
-		byAnalyzer[f.Analyzer] = true
+		if f.Analyzer != "boundeddecode" {
+			t.Errorf("finding from %q, want boundeddecode", f.Analyzer)
+		}
 		if f.File == "" || !strings.HasSuffix(f.File, ".go") {
 			t.Errorf("finding has bad file %q", f.File)
 		}
@@ -128,9 +126,6 @@ func TestJSONReportSchema(t *testing.T) {
 		if !f.Fixable {
 			t.Errorf("fixme finding %s should be fixable", f.Analyzer)
 		}
-	}
-	if !byAnalyzer["leaseguard"] || !byAnalyzer["boundeddecode"] {
-		t.Errorf("findings missing expected analyzers: %v", byAnalyzer)
 	}
 	if len(rep.Fixed) != 0 {
 		t.Errorf("non-fix run should record no fixed findings, got %d", len(rep.Fixed))

@@ -1,22 +1,17 @@
-// Package fixme seeds fixable findings for the -fix driver tests: a
-// leaked lease and an unbounded HTTP body read, each carrying a
-// suggested fix that statlint -fix must apply to leave a clean tree.
+// Package fixme seeds fixable findings for the -fix driver tests: two
+// unbounded HTTP body reads, each carrying a suggested fix that
+// statlint -fix must apply to leave a clean tree.
 package fixme
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
-
-	"statsize/internal/server"
 )
 
-// LeakyCount acquires a lease and never releases it on any path.
-func LeakyCount(m *server.Manager, id string) (int, error) {
-	lease, err := m.Acquire(id)
-	if err != nil {
-		return 0, err
-	}
-	return lease.NumGates(), nil
+// DecodeReply decodes a response body with no cap.
+func DecodeReply(resp *http.Response, v any) error {
+	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // SlurpBody buffers a request body with no cap.

@@ -16,8 +16,8 @@
 // Holding is recognized flow-insensitively: a method holds when it
 // locks the mutex directly (recv.mu.Lock / recv.mu.RLock, or the
 // embedded forms) or calls a method of the same type that does (the
-// Acquire pattern, which returns with the lock held). Two findings
-// follow:
+// Do pattern, which holds the lock around its callback, so a wrapper's
+// callback body counts as holding). Two findings follow:
 //
 //   - guard: an exported method reads or writes a guarded field of
 //     the receiver without holding. Unexported methods are exempt —
@@ -330,7 +330,7 @@ func holdsOwnerLock(pass *analysis.Pass, body *ast.BlockStmt, g foreignGuard, lo
 
 // threshold is the acquisition count at which re-acquisition becomes a
 // self-deadlock: any lock-taking call on top of a direct lock, or a
-// second Acquire-style call.
+// second Do-style call.
 func threshold(m *method) int {
 	if m.directLock {
 		return 1
@@ -471,7 +471,7 @@ func rootIsRecv(pass *analysis.Pass, sel *ast.SelectorExpr, recv *types.Var) boo
 }
 
 // directLockers returns the names of methods that lock the mutex
-// directly — the acquisition primitives (Acquire, Close, ...).
+// directly — the acquisition primitives (Do, Close, ...).
 func directLockers(ms []*method) map[string]bool {
 	out := make(map[string]bool, len(ms))
 	for _, m := range ms {

@@ -12,12 +12,10 @@ import (
 
 // Import paths of the packages whose types the invariants name.
 const (
-	DistPath    = "statsize/internal/dist"
-	SSTAPath    = "statsize/internal/ssta"
-	GraphPath   = "statsize/internal/graph"
-	ParPath     = "statsize/internal/par"
-	SessionPath = "statsize/internal/session"
-	ServerPath  = "statsize/internal/server"
+	DistPath  = "statsize/internal/dist"
+	SSTAPath  = "statsize/internal/ssta"
+	GraphPath = "statsize/internal/graph"
+	ParPath   = "statsize/internal/par"
 )
 
 // Unparen strips any number of enclosing parentheses.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"statsize/internal/netlist"
+	"statsize/internal/session"
 	"statsize/internal/ssta"
 )
 
@@ -90,28 +91,29 @@ func TestWarmIterationAllocsC1908(t *testing.T) {
 	if _, err := Accelerated(context.Background(), s, cfg); err != nil {
 		t.Fatal(err)
 	}
-	tx, err := s.Acquire()
+	err = s.Do(func(tx *session.Tx) error {
+		a, ws := tx.Analysis(), tx.Scratch()
+		base := cfg.Objective.Eval(a.SinkDist())
+		iterate := func() {
+			if _, err := acceleratedIteration(context.Background(), a, cfg, base, netlist.NoGate, ws); err != nil {
+				t.Fatal(err)
+			}
+		}
+		iterate() // warm the arenas, the recyclers and the delay memo
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		iterate()
+		runtime.ReadMemStats(&after)
+		const limit = 4 << 20
+		if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+			t.Errorf("warm accelerated iteration allocated %d bytes (%d objects), want < %d",
+				got, after.Mallocs-before.Mallocs, limit)
+		} else {
+			t.Logf("warm accelerated iteration: %d bytes in %d objects", got, after.Mallocs-before.Mallocs)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	defer tx.Release()
-	a, ws := tx.Analysis(), tx.Scratch()
-	base := cfg.Objective.Eval(a.SinkDist())
-	iterate := func() {
-		if _, err := acceleratedIteration(context.Background(), a, cfg, base, netlist.NoGate, ws); err != nil {
-			t.Fatal(err)
-		}
-	}
-	iterate() // warm the arenas, the recyclers and the delay memo
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	iterate()
-	runtime.ReadMemStats(&after)
-	const limit = 4 << 20
-	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
-		t.Errorf("warm accelerated iteration allocated %d bytes (%d objects), want < %d",
-			got, after.Mallocs-before.Mallocs, limit)
-	} else {
-		t.Logf("warm accelerated iteration: %d bytes in %d objects", got, after.Mallocs-before.Mallocs)
 	}
 }

@@ -32,32 +32,35 @@ func BruteForce(ctx context.Context, s *session.Session, cfg Config) (*Result, e
 // gate is usually still near the top. The hint only reorders evaluation;
 // results are unchanged.
 //
-// The session is acquired exclusively for the whole run, so concurrent
-// session calls block until it finishes. The run uses the analysis grid
-// and the worker set the session was opened with: cfg.Bins, cfg.DT and
-// cfg.Parallelism are construction-time parameters (see OpenSession) and
-// are ignored here. Every candidate sweep of the run computes through
-// the session's per-worker scratch (Tx.Scratch), one warm working set.
+// The run is one Session.Do: it holds the session for its whole
+// duration, so concurrent session calls block until it finishes. The
+// run uses the analysis grid and the worker set the session was opened
+// with: cfg.Bins, cfg.DT and cfg.Parallelism are construction-time
+// parameters (see OpenSession) and are ignored here. Every candidate
+// sweep of the run computes through the session's per-worker scratch
+// (Tx.Scratch), one warm working set.
 //
 // The context is checked between iterations and between candidate
 // evaluations inside `inner`. On cancellation the Result built so far —
 // every committed iteration, a consistent session state, the partial
 // trace — is returned alongside an error wrapping context.Canceled (or
 // DeadlineExceeded), so a canceled run is still a usable, smaller run.
-func statisticalDescent(
-	ctx context.Context,
-	s *session.Session,
-	cfg Config,
-	method string,
-	inner func(ctx context.Context, a *ssta.Analysis, cfg Config, base float64, hint netlist.GateID, ws []*ssta.Scratch) (innerResult, error),
-) (*Result, error) {
-	cfg = cfg.withDefaults()
+func statisticalDescent(ctx context.Context, s *session.Session, cfg Config, method string, inner innerFunc) (*Result, error) {
 	start := time.Now()
-	tx, err := s.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer tx.Release()
+	var res *Result
+	err := s.Do(func(tx *session.Tx) (err error) {
+		res, err = descend(ctx, tx, cfg.withDefaults(), method, inner, start)
+		return err
+	})
+	return res, err
+}
+
+// innerFunc is one iteration's sensitivity search: brute force or
+// accelerated.
+type innerFunc func(ctx context.Context, a *ssta.Analysis, cfg Config, base float64, hint netlist.GateID, ws []*ssta.Scratch) (innerResult, error)
+
+// descend is statisticalDescent's run over the held session.
+func descend(ctx context.Context, tx *session.Tx, cfg Config, method string, inner innerFunc, start time.Time) (*Result, error) {
 	a := tx.Analysis()
 	d := tx.Design()
 	ws := tx.Scratch()

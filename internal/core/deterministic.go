@@ -24,13 +24,17 @@ import (
 // session, so its statistical view (sink distribution, slack queries)
 // stays live while this nominal-only baseline runs.
 func Deterministic(ctx context.Context, s *session.Session, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
 	start := time.Now()
-	tx, err := s.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer tx.Release()
+	var res *Result
+	err := s.Do(func(tx *session.Tx) (err error) {
+		res, err = deterministic(ctx, tx, cfg.withDefaults(), start)
+		return err
+	})
+	return res, err
+}
+
+// deterministic is Deterministic's run over the held session.
+func deterministic(ctx context.Context, tx *session.Tx, cfg Config, start time.Time) (*Result, error) {
 	d := tx.Design()
 	res := &Result{
 		Method:       "deterministic",

@@ -72,9 +72,6 @@ func toAPIError(err error) *apiError {
 	}
 }
 
-// sessionErr wraps a session-layer error for an already-leased handle.
-func sessionErr(err error) *apiError { return toAPIError(err) }
-
 // routes builds the daemon's mux. Every work route runs behind the
 // deadline middleware (X-Deadline-Ms threads into the handler context,
 // pre-expired budgets rejected before any work) and then admission
@@ -106,17 +103,16 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
-// withLease resolves the {id} path segment to a leased session for the
-// request's duration.
-func (s *Server) withLease(h func(http.ResponseWriter, *http.Request, *Lease)) http.HandlerFunc {
+// withLease runs h inside Manager.Do on the session the {id} path
+// segment names, so the lease spans the handler and is released on
+// every exit. h writes its own success response; a lease failure or an
+// error h returns becomes the error envelope.
+func (s *Server) withLease(h func(http.ResponseWriter, *http.Request, *Lease) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		lease, err := s.mgr.Acquire(r.PathValue("id"))
+		err := s.mgr.Do(r.PathValue("id"), func(lease *Lease) error { return h(w, r, lease) })
 		if err != nil {
 			writeError(w, toAPIError(err))
-			return
 		}
-		defer lease.Release()
-		h(w, r, lease)
 	}
 }
 
@@ -154,12 +150,11 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	lease, resp, err := s.mgr.OpenOrAttach(r.Context(), &req)
+	resp, err := s.mgr.OpenOrAttach(r.Context(), &req)
 	if err != nil {
 		writeError(w, toAPIError(err))
 		return
 	}
-	lease.Release()
 	status := http.StatusOK
 	if resp.Created {
 		status = http.StatusCreated
@@ -186,68 +181,61 @@ func (s *Server) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 	}{Closed: true})
 }
 
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request, lease *Lease) {
+// handleAnalyze reads the objective, total width and percentiles under
+// one session hold, so they describe one committed state.
+func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request, lease *Lease) error {
 	var req AnalyzeRequest
 	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	if err := validateAnalyze(&req); err != nil {
-		writeError(w, err)
-		return
-	}
-	sess := lease.Session()
-	obj, err := sess.Objective()
-	if err != nil {
-		writeError(w, sessionErr(err))
-		return
-	}
-	tw, err := sess.TotalWidth()
-	if err != nil {
-		writeError(w, sessionErr(err))
-		return
+		return err
 	}
 	resp := &AnalyzeResponse{
-		Objective:     obj,
 		ObjectiveName: lease.ObjectiveName(),
-		TotalWidth:    tw,
 		NumGates:      lease.NumGates(),
 	}
-	if len(req.Percentiles) > 0 {
-		resp.Percentiles = make(map[string]float64, len(req.Percentiles))
-		for _, p := range req.Percentiles {
-			v, err := sess.Percentile(p)
-			if err != nil {
-				writeError(w, sessionErr(err))
-				return
+	err := lease.Session().Do(func(tx *statsize.SessionTx) error {
+		resp.Objective = tx.Objective()
+		resp.TotalWidth = tx.Design().TotalWidth()
+		if len(req.Percentiles) > 0 {
+			resp.Percentiles = make(map[string]float64, len(req.Percentiles))
+			for _, p := range req.Percentiles {
+				resp.Percentiles[strconv.FormatFloat(p, 'g', -1, 64)] = tx.Analysis().Percentile(p)
 			}
-			resp.Percentiles[strconv.FormatFloat(p, 'g', -1, 64)] = v
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
-func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request, lease *Lease) {
+// handleWhatIf reads the base objective and evaluates the batch under
+// one session hold, so every result's delta is measured from the base
+// the response reports.
+func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request, lease *Lease) error {
 	var req WhatIfRequest
 	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	cands, apiErr := validateWhatIf(&req)
 	if apiErr != nil {
-		writeError(w, apiErr)
-		return
+		return apiErr
 	}
-	sess := lease.Session()
-	base, err := sess.Objective()
+	var (
+		base    float64
+		results []statsize.WhatIfResult
+	)
+	err := lease.Session().Do(func(tx *statsize.SessionTx) (err error) {
+		base = tx.Objective()
+		results, err = tx.WhatIfBatch(r.Context(), cands)
+		return err
+	})
 	if err != nil {
-		writeError(w, sessionErr(err))
-		return
-	}
-	results, err := sess.WhatIfBatch(r.Context(), cands)
-	if err != nil {
-		writeError(w, sessionErr(err))
-		return
+		return err
 	}
 	resp := &WhatIfResponse{Base: base, Results: make([]WhatIfResultWire, len(results))}
 	for i, res := range results {
@@ -261,23 +249,21 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request, lease *Lea
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
-func (s *Server) handleResize(w http.ResponseWriter, r *http.Request, lease *Lease) {
+func (s *Server) handleResize(w http.ResponseWriter, r *http.Request, lease *Lease) error {
 	var req ResizeRequest
 	if err := decodeJSON(w, r, s.cfg.MaxBodyBytes, &req); err != nil {
-		writeError(w, err)
-		return
+		return err
 	}
 	g, width, apiErr := validateResize(&req)
 	if apiErr != nil {
-		writeError(w, apiErr)
-		return
+		return apiErr
 	}
 	st, err := lease.Session().Resize(r.Context(), g, width)
 	if err != nil {
-		writeError(w, sessionErr(err))
-		return
+		return err
 	}
 	writeJSON(w, http.StatusOK, &ResizeResponse{
 		Gate:            int64(st.Gate),
@@ -287,29 +273,34 @@ func (s *Server) handleResize(w http.ResponseWriter, r *http.Request, lease *Lea
 		FullPassNodes:   st.FullPassNodes,
 		Objective:       st.Objective,
 	})
+	return nil
 }
 
-func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, lease *Lease) {
+func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, lease *Lease) error {
 	depth, err := lease.Session().Checkpoint()
 	if err != nil {
-		writeError(w, sessionErr(err))
-		return
+		return err
 	}
 	writeJSON(w, http.StatusOK, &CheckpointResponse{Depth: depth})
+	return nil
 }
 
-func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request, lease *Lease) {
-	sess := lease.Session()
-	if err := sess.Rollback(); err != nil {
-		writeError(w, sessionErr(err))
-		return
-	}
-	depth, err := sess.CheckpointDepth()
+// handleRollback reports the depth its own pop left, read under the
+// same session hold as the pop.
+func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request, lease *Lease) error {
+	var depth int
+	err := lease.Session().Do(func(tx *statsize.SessionTx) error {
+		if err := tx.Rollback(); err != nil {
+			return err
+		}
+		depth = tx.CheckpointDepth()
+		return nil
+	})
 	if err != nil {
-		writeError(w, sessionErr(err))
-		return
+		return err
 	}
 	writeJSON(w, http.StatusOK, &CheckpointResponse{Depth: depth})
+	return nil
 }
 
 // handleOptimize starts a detached optimizer run and streams it, or —

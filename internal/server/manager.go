@@ -48,13 +48,14 @@ type entry struct {
 	created  time.Time
 
 	refs     int       // in-flight leases; eviction requires 0 (guarded by Manager.mu)
-	lastUsed time.Time // updated on every acquire and release (guarded by Manager.mu)
+	lastUsed time.Time // updated on every open, lease and release (guarded by Manager.mu)
 	doomed   bool      // close fires when refs drain to 0 (guarded by Manager.mu)
 }
 
-// Lease pins one session for the duration of one request: the manager
-// will not evict a leased entry, so a handler can use the session
-// without racing the idle sweeper. Release promptly (and exactly once).
+// Lease pins one session for the duration of one Manager.Do callback:
+// the manager will not evict a leased entry, so a handler can use the
+// session without racing the idle sweeper. Do releases it when the
+// callback returns; retain is the one way to keep a pin past that.
 type Lease struct {
 	m *Manager
 	e *entry
@@ -70,10 +71,19 @@ func (l *Lease) NumGates() int                 { return l.e.numGates }
 func (l *Lease) ObjectiveName() string         { return l.e.objName }
 func (l *Lease) Objective() statsize.Objective { return l.e.obj }
 
-// Release returns the lease. If the entry was doomed while leased
+// retain takes one more pin on the leased entry, for a holder that
+// outlives the Do callback (the detached optimize run). The holder
+// must release it exactly once.
+func (l *Lease) retain() *Lease {
+	l.m.mu.Lock()
+	defer l.m.mu.Unlock()
+	return l.m.leaseLocked(l.e)
+}
+
+// release returns the lease. If the entry was doomed while leased
 // (explicit DELETE during an in-flight request), the last release
 // closes the underlying session.
-func (l *Lease) Release() { l.m.release(l.e) }
+func (l *Lease) release() { l.m.release(l.e) }
 
 // ManagerStats is the pool accounting surfaced by /stats.
 type ManagerStats struct {
@@ -117,18 +127,19 @@ func NewManager(eng *statsize.Engine, cfg Config) *Manager {
 	}
 }
 
-// OpenOrAttach returns a leased handle for (design, client), creating
-// the session on first use. The bins/objective knobs apply only at
-// creation; attaching to a pooled session returns its existing grid
-// and objective (Created=false tells the client which happened).
-func (m *Manager) OpenOrAttach(ctx context.Context, req *OpenSessionRequest) (*Lease, *OpenSessionResponse, error) {
+// OpenOrAttach returns the handle of the pooled session for (design,
+// client), creating the session on first use; work on it goes through
+// Do. The bins/objective knobs apply only at creation; attaching to a
+// pooled session returns its existing grid and objective (Created=false
+// tells the client which happened).
+func (m *Manager) OpenOrAttach(ctx context.Context, req *OpenSessionRequest) (*OpenSessionResponse, error) {
 	key := poolKey{design: req.Design, client: req.Client}
 	m.mu.Lock()
 	if e, ok := m.byKey[key]; ok {
-		lease := m.leaseLocked(e)
+		e.lastUsed = m.now()
 		m.stats.Attached++
 		m.mu.Unlock()
-		return lease, openResponse(e, false), nil
+		return openResponse(e, false), nil
 	}
 	m.mu.Unlock()
 
@@ -137,16 +148,16 @@ func (m *Manager) OpenOrAttach(ctx context.Context, req *OpenSessionRequest) (*L
 	// racing first-opens may both build; the loser's session is closed.
 	e, err := m.build(ctx, req, key)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	m.mu.Lock()
 	if prior, ok := m.byKey[key]; ok {
-		lease := m.leaseLocked(prior)
+		prior.lastUsed = m.now()
 		m.stats.Attached++
 		m.mu.Unlock()
 		e.sess.Close() // lost the race; discard our build
-		return lease, openResponse(prior, false), nil
+		return openResponse(prior, false), nil
 	}
 	if len(m.byID) >= m.cfg.MaxSessions && !m.evictOneLocked() {
 		m.mu.Unlock()
@@ -154,16 +165,15 @@ func (m *Manager) OpenOrAttach(ctx context.Context, req *OpenSessionRequest) (*L
 		// Every slot is leased by an in-flight request; slots free as
 		// soon as any of them finishes, so the honest hint is "shortly"
 		// — one second, the Retry-After floor.
-		return nil, nil, &retryAfterError{err: ErrPoolFull, after: time.Second}
+		return nil, &retryAfterError{err: ErrPoolFull, after: time.Second}
 	}
 	m.seq++
 	e.id = fmt.Sprintf("s%06d-%s", m.seq, sanitizeID(req.Design))
 	m.byID[e.id] = e
 	m.byKey[key] = e
 	m.stats.Opened++
-	lease := m.leaseLocked(e)
 	m.mu.Unlock()
-	return lease, openResponse(e, true), nil
+	return openResponse(e, true), nil
 }
 
 // build elaborates the design and opens its session (no pool locks
@@ -232,9 +242,23 @@ func openResponse(e *entry, created bool) *OpenSessionResponse {
 	}
 }
 
-// Acquire leases the session behind id. ErrNoSession for unknown ids,
-// ErrSessionGone for evicted/closed ones.
-func (m *Manager) Acquire(id string) (*Lease, error) {
+// Do leases the session behind id for the duration of f: the manager
+// neither evicts it nor, if a DELETE arrives meanwhile, closes it until
+// f returns or panics, and the lease is released on every exit. The
+// lease must not be used after f returns. An id the pool does not hold
+// (never opened, or already evicted or deleted) yields ErrNoSession
+// without calling f; otherwise Do returns f's error.
+func (m *Manager) Do(id string, f func(*Lease) error) error {
+	lease, err := m.acquire(id)
+	if err != nil {
+		return err
+	}
+	defer lease.release()
+	return f(lease)
+}
+
+// acquire leases the session behind id; Do is its one caller.
+func (m *Manager) acquire(id string) (*Lease, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e, ok := m.byID[id]

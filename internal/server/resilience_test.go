@@ -206,24 +206,24 @@ func TestPoolFullCarriesRetryAfter(t *testing.T) {
 	s, ts := newHTTP(t, Config{MaxSessions: 1, SweepEvery: time.Hour})
 	sess := openSession(t, ts.URL, &OpenSessionRequest{Design: "c17", Client: "holder", Bins: 120})
 
-	lease, err := s.Manager().Acquire(sess.SessionID)
+	err := s.Manager().Do(sess.SessionID, func(*Lease) error {
+		body, _ := json.Marshal(&OpenSessionRequest{Design: "c17", Client: "other", Bins: 120})
+		status, out, retryAfter := doReq(t, "POST", ts.URL+"/v1/sessions", nil, body)
+		if status != http.StatusServiceUnavailable || errorCode(t, out) != CodePoolFull {
+			t.Fatalf("pool-full open: %d %s, want 503 %s", status, out, CodePoolFull)
+		}
+		if n, err := strconv.Atoi(retryAfter); err != nil || n < 1 {
+			t.Fatalf("pool-full Retry-After %q, want a positive integer", retryAfter)
+		}
+		var env errorEnvelope
+		mustUnmarshal(t, out, &env)
+		if env.Error.RetryAfterS < 1 {
+			t.Fatalf("pool-full body retry_after_s %d, want >= 1", env.Error.RetryAfterS)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	defer lease.Release()
-
-	body, _ := json.Marshal(&OpenSessionRequest{Design: "c17", Client: "other", Bins: 120})
-	status, out, retryAfter := doReq(t, "POST", ts.URL+"/v1/sessions", nil, body)
-	if status != http.StatusServiceUnavailable || errorCode(t, out) != CodePoolFull {
-		t.Fatalf("pool-full open: %d %s, want 503 %s", status, out, CodePoolFull)
-	}
-	if n, err := strconv.Atoi(retryAfter); err != nil || n < 1 {
-		t.Fatalf("pool-full Retry-After %q, want a positive integer", retryAfter)
-	}
-	var env errorEnvelope
-	mustUnmarshal(t, out, &env)
-	if env.Error.RetryAfterS < 1 {
-		t.Fatalf("pool-full body retry_after_s %d, want >= 1", env.Error.RetryAfterS)
 	}
 }
 

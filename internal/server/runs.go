@@ -25,7 +25,9 @@ import (
 // Ownership: the run owns its session lease and its heavy-class
 // admission ticket from the moment the launching handler stores them
 // into the run's fields until the optimizer goroutine returns, which
-// releases both. The recorded history outlives the lease by the linger
+// releases both. The lease is the one pin that outlives a Manager.Do
+// callback: launchRun retains it inside Do, and executeRun's deferred
+// release drops it. The recorded history outlives the lease by the linger
 // window so a client that lost the tail of the stream can still fetch
 // its terminal done event.
 
@@ -48,7 +50,7 @@ type optRun struct {
 
 	cancel context.CancelFunc // cancels the run context
 
-	lease  *Lease  // owned by the run; released when the optimizer returns
+	lease  *Lease  // retained for the run; released when the optimizer returns
 	ticket *ticket // heavy-class admission slot, released with the lease
 
 	mu         sync.Mutex
@@ -260,39 +262,40 @@ func marshalEvent(name string, id int, payload any) recordedEvent {
 	return recordedEvent{name: name, id: id, data: data}
 }
 
-// launchRun acquires the session lease, claims the run slot, and
-// starts the detached optimizer goroutine. On success the returned
-// run owns the lease and the caller's admission ticket; on failure
+// launchRun leases the session, reads the start event's initial state,
+// claims the run slot, retains the lease for the run and starts the
+// detached optimizer goroutine. On success the returned run owns the
+// retained lease and the caller's admission ticket; on failure
 // ownership of the ticket stays with the caller.
 func (s *Server) launchRun(r *http.Request, t *ticket, req *OptimizeRequest) (*optRun, *apiError) {
-	lease, err := s.mgr.Acquire(r.PathValue("id"))
+	var (
+		rn             *optRun
+		initObj, initW float64
+	)
+	err := s.mgr.Do(r.PathValue("id"), func(lease *Lease) error {
+		err := lease.Session().Do(func(tx *statsize.SessionTx) error {
+			initObj, initW = tx.Objective(), tx.Design().TotalWidth()
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		rn = &optRun{
+			sessionID:  lease.ID(),
+			linger:     s.cfg.RunLinger,
+			history:    s.cfg.RunHistory,
+			maxDropped: -1,
+			updated:    make(chan struct{}),
+		}
+		if aerr := s.runs.insert(rn); aerr != nil {
+			return aerr
+		}
+		rn.lease = lease.retain()
+		return nil
+	})
 	if err != nil {
 		return nil, toAPIError(err)
 	}
-	sess := lease.Session()
-	initObj, err := sess.Objective()
-	if err != nil {
-		lease.Release()
-		return nil, sessionErr(err)
-	}
-	initW, err := sess.TotalWidth()
-	if err != nil {
-		lease.Release()
-		return nil, sessionErr(err)
-	}
-
-	rn := &optRun{
-		sessionID:  lease.ID(),
-		linger:     s.cfg.RunLinger,
-		history:    s.cfg.RunHistory,
-		maxDropped: -1,
-		updated:    make(chan struct{}),
-	}
-	if aerr := s.runs.insert(rn); aerr != nil {
-		lease.Release()
-		return nil, aerr
-	}
-	rn.lease = lease
 	rn.ticket = t
 
 	// The run outlives the request: its context derives from the
@@ -307,10 +310,10 @@ func (s *Server) launchRun(r *http.Request, t *ticket, req *OptimizeRequest) (*o
 
 	rn.start = marshalEvent("start", -1, &StartEvent{
 		RunID:            rn.id,
-		SessionID:        lease.ID(),
-		Design:           lease.Design(),
+		SessionID:        rn.lease.ID(),
+		Design:           rn.lease.Design(),
 		Optimizer:        req.Optimizer,
-		Objective:        lease.ObjectiveName(),
+		Objective:        rn.lease.ObjectiveName(),
 		InitialObjective: initObj,
 		InitialWidth:     initW,
 	})
@@ -327,6 +330,8 @@ func (s *Server) launchRun(r *http.Request, t *ticket, req *OptimizeRequest) (*o
 func (s *Server) executeRun(runCtx context.Context, rn *optRun, req *OptimizeRequest) {
 	defer s.runWG.Done()
 	defer rn.cancel()
+	defer rn.ticket.release()
+	defer rn.lease.release()
 
 	opts := []statsize.RunOption{
 		statsize.OnIteration(func(rec statsize.IterRecord) {
@@ -362,8 +367,5 @@ func (s *Server) executeRun(runCtx context.Context, rn *optRun, req *OptimizeReq
 		ev.ElapsedNS = res.Elapsed.Nanoseconds()
 	}
 	rn.finish(marshalEvent("done", -1, &ev))
-
-	rn.lease.Release()
-	rn.ticket.release()
 	time.AfterFunc(rn.linger, func() { s.runs.remove(rn) })
 }

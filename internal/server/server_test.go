@@ -464,20 +464,23 @@ func TestPoolFullWhenAllLeased(t *testing.T) {
 	m := s.Manager()
 	ctx := context.Background()
 
-	lease, _, err := m.OpenOrAttach(ctx, &OpenSessionRequest{Design: "c17", Client: "holder", Bins: 120})
+	holder, err := m.OpenOrAttach(ctx, &OpenSessionRequest{Design: "c17", Client: "holder", Bins: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = m.OpenOrAttach(ctx, &OpenSessionRequest{Design: "c17", Client: "other", Bins: 120})
-	if !errors.Is(err, ErrPoolFull) {
-		t.Fatalf("open with a fully-leased pool: %v, want ErrPoolFull", err)
-	}
-	lease.Release()
-	lease2, _, err := m.OpenOrAttach(ctx, &OpenSessionRequest{Design: "c17", Client: "other", Bins: 120})
+	err = m.Do(holder.SessionID, func(*Lease) error {
+		_, err := m.OpenOrAttach(ctx, &OpenSessionRequest{Design: "c17", Client: "other", Bins: 120})
+		if !errors.Is(err, ErrPoolFull) {
+			t.Errorf("open with a fully-leased pool: %v, want ErrPoolFull", err)
+		}
+		return nil
+	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.OpenOrAttach(ctx, &OpenSessionRequest{Design: "c17", Client: "other", Bins: 120}); err != nil {
 		t.Fatalf("open after release should evict the idle holder: %v", err)
 	}
-	lease2.Release()
 	if st := m.Stats(); st.EvictedCap != 1 || st.Live != 1 {
 		t.Fatalf("stats after cap turnover: %+v", st)
 	}
@@ -491,24 +494,96 @@ func TestDeleteWhileLeased(t *testing.T) {
 	m := s.Manager()
 	ctx := context.Background()
 
-	lease, resp, err := m.OpenOrAttach(ctx, &OpenSessionRequest{Design: "c17", Client: "x", Bins: 120})
+	resp, err := m.OpenOrAttach(ctx, &OpenSessionRequest{Design: "c17", Client: "x", Bins: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Close(resp.SessionID); err != nil {
+	var sess *statsize.Session
+	err = m.Do(resp.SessionID, func(lease *Lease) error {
+		if err := m.Close(resp.SessionID); err != nil {
+			return err
+		}
+		if err := m.Do(resp.SessionID, func(*Lease) error { return nil }); !errors.Is(err, ErrNoSession) {
+			t.Errorf("Do after delete: %v, want ErrNoSession", err)
+		}
+		// The lease still works: the session must not close under it.
+		sess = lease.Session()
+		if _, err := sess.WhatIfBatch(ctx, []statsize.Candidate{{Gate: 0, Width: 1.5}}); err != nil {
+			t.Errorf("what-if on doomed-but-leased session: %v", err)
+		}
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Acquire(resp.SessionID); err != ErrNoSession {
-		t.Fatalf("acquire after delete: %v", err)
-	}
-	// The lease still works: the session must not close under it.
-	if _, err := lease.Session().WhatIfBatch(ctx, []statsize.Candidate{{Gate: 0, Width: 1.5}}); err != nil {
-		t.Fatalf("what-if on doomed-but-leased session: %v", err)
-	}
-	lease.Release()
 	// Now it is closed.
-	if _, err := lease.Session().TotalWidth(); err != statsize.ErrSessionClosed {
+	if _, err := sess.TotalWidth(); err != statsize.ErrSessionClosed {
 		t.Fatalf("session after final release: %v, want ErrSessionClosed", err)
+	}
+}
+
+// TestManagerDoReleasesOnEveryExit pins the scoped lease: whether f
+// returns normally, returns an error or panics, Do leaves no lease in
+// flight, and an id the pool does not hold is refused without calling
+// f.
+func TestManagerDoReleasesOnEveryExit(t *testing.T) {
+	s := newDaemon(t, Config{SweepEvery: time.Hour})
+	m := s.Manager()
+	ctx := context.Background()
+
+	resp, err := m.OpenOrAttach(ctx, &OpenSessionRequest{Design: "c17", Client: "x", Bins: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := resp.SessionID
+	inFlight := func() (pool, entry int) {
+		info, err := m.Info(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Stats().InFlight, info.InFlight
+	}
+	boom := errors.New("boom")
+	exits := []struct {
+		name string
+		f    func(*Lease) error
+		want error
+	}{
+		{"return", func(*Lease) error { return nil }, nil},
+		{"error", func(*Lease) error { return boom }, boom},
+		{"panic", func(*Lease) error { panic(boom) }, boom},
+	}
+	for _, e := range exits {
+		var got error
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					got = r.(error)
+				}
+			}()
+			got = m.Do(id, func(l *Lease) error {
+				if pool, entry := inFlight(); pool != 1 || entry != 1 {
+					t.Errorf("%s exit: in flight inside Do = %d pool, %d entry; want 1, 1", e.name, pool, entry)
+				}
+				return e.f(l)
+			})
+		}()
+		if got != e.want {
+			t.Errorf("%s exit: Do gave %v, want %v", e.name, got, e.want)
+		}
+		if pool, entry := inFlight(); pool != 0 || entry != 0 {
+			t.Errorf("%s exit left %d pool, %d entry leases in flight", e.name, pool, entry)
+		}
+	}
+
+	if err := m.Close(id); err != nil {
+		t.Fatal(err)
+	}
+	for _, missing := range []string{"s999999-nope", id} {
+		called := false
+		if err := m.Do(missing, func(*Lease) error { called = true; return nil }); !errors.Is(err, ErrNoSession) || called {
+			t.Errorf("Do(%q): err %v, f called %v; want ErrNoSession without f", missing, err, called)
+		}
 	}
 }
 

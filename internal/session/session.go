@@ -25,8 +25,9 @@
 //
 // Every exported Session method locks the session; concurrent calls from
 // multiple goroutines serialize. Multi-step operations (an optimizer
-// run, a query-then-resize decision that must not interleave) take the
-// lock once with Acquire and work through the returned Tx.
+// run, a query-then-resize decision that must not interleave) run as
+// one Session.Do callback and work through the Tx it is handed; Do
+// unlocks on every exit, so no caller can leave the session held.
 package session
 
 import (
@@ -191,9 +192,27 @@ func (s *Session) Close() error {
 	return nil
 }
 
-// Acquire locks the session for a multi-step operation and returns the
-// transaction view. Every other session call blocks until Release; the
-// caller must not retain the Tx afterwards.
+// Do locks the session, runs f on the transaction view and unlocks when
+// f returns or panics, so no exit leaves the session held. Every other
+// session call blocks meanwhile: f must work through the Tx, must not
+// call the session's own methods (they would deadlock), and must not
+// retain the Tx after it returns. A closed session returns ErrClosed
+// without calling f; otherwise Do returns f's error.
+func (s *Session) Do(f func(*Tx) error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
+	return f(&s.tx)
+}
+
+// Acquire locks the session and returns the transaction view, which
+// Tx.Release unlocks. It stays exported only for the perfbench module's
+// analysis probe, which builds against this API; nothing in this module
+// calls it.
+//
+// Deprecated: use Session.Do, which releases the lock on every exit.
 func (s *Session) Acquire() (*Tx, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -203,26 +222,26 @@ func (s *Session) Acquire() (*Tx, error) {
 	return &s.tx, nil
 }
 
-// --- single-call convenience wrappers (lock, delegate, unlock) ---
+// --- single-call convenience wrappers (one Do each) ---
 
 // Resize commits gate g at width w through the incremental recompute.
 func (s *Session) Resize(ctx context.Context, g netlist.GateID, w float64) (ResizeStats, error) {
-	tx, err := s.Acquire()
-	if err != nil {
-		return ResizeStats{}, err
-	}
-	defer tx.Release()
-	return tx.Resize(ctx, g, w)
+	var st ResizeStats
+	err := s.Do(func(tx *Tx) (err error) {
+		st, err = tx.Resize(ctx, g, w)
+		return err
+	})
+	return st, err
 }
 
 // WhatIf evaluates resizing gate g to width w without committing.
 func (s *Session) WhatIf(ctx context.Context, g netlist.GateID, w float64) (WhatIfResult, error) {
-	tx, err := s.Acquire()
-	if err != nil {
-		return WhatIfResult{}, err
-	}
-	defer tx.Release()
-	return tx.WhatIf(ctx, g, w)
+	var res WhatIfResult
+	err := s.Do(func(tx *Tx) (err error) {
+		res, err = tx.WhatIf(ctx, g, w)
+		return err
+	})
+	return res, err
 }
 
 // WhatIfBatch evaluates every candidate resize without committing any
@@ -232,115 +251,110 @@ func (s *Session) WhatIf(ctx context.Context, g netlist.GateID, w float64) (What
 // order and are bit-identical to issuing the same WhatIf calls one by
 // one.
 func (s *Session) WhatIfBatch(ctx context.Context, candidates []Candidate) ([]WhatIfResult, error) {
-	tx, err := s.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer tx.Release()
-	return tx.WhatIfBatch(ctx, candidates)
+	var res []WhatIfResult
+	err := s.Do(func(tx *Tx) (err error) {
+		res, err = tx.WhatIfBatch(ctx, candidates)
+		return err
+	})
+	return res, err
 }
 
 // Checkpoint pushes a restore point and returns the checkpoint depth
 // after the push.
 func (s *Session) Checkpoint() (int, error) {
-	tx, err := s.Acquire()
-	if err != nil {
-		return 0, err
-	}
-	defer tx.Release()
-	return tx.Checkpoint(), nil
+	var depth int
+	err := s.Do(func(tx *Tx) error {
+		depth = tx.Checkpoint()
+		return nil
+	})
+	return depth, err
 }
 
 // Rollback pops the most recent checkpoint and restores the session to
 // it. Without a pending checkpoint it fails with ErrNoCheckpoint.
 func (s *Session) Rollback() error {
-	tx, err := s.Acquire()
-	if err != nil {
-		return err
-	}
-	defer tx.Release()
-	return tx.Rollback()
+	return s.Do(func(tx *Tx) error { return tx.Rollback() })
 }
 
 // CheckpointDepth returns the number of pending checkpoints.
 func (s *Session) CheckpointDepth() (int, error) {
-	tx, err := s.Acquire()
-	if err != nil {
-		return 0, err
-	}
-	defer tx.Release()
-	return len(s.marks), nil
+	var depth int
+	err := s.Do(func(tx *Tx) error {
+		depth = tx.CheckpointDepth()
+		return nil
+	})
+	return depth, err
 }
 
 // SinkDist returns the circuit-delay distribution at the current widths.
 func (s *Session) SinkDist() (*dist.Dist, error) {
-	tx, err := s.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer tx.Release()
-	return s.a.SinkDist(), nil
+	var sink *dist.Dist
+	err := s.Do(func(*Tx) error {
+		sink = s.a.SinkDist()
+		return nil
+	})
+	return sink, err
 }
 
 // Percentile returns the p-quantile of the circuit-delay distribution.
 func (s *Session) Percentile(p float64) (float64, error) {
-	tx, err := s.Acquire()
-	if err != nil {
-		return 0, err
-	}
-	defer tx.Release()
-	return s.a.Percentile(p), nil
+	var v float64
+	err := s.Do(func(*Tx) error {
+		v = s.a.Percentile(p)
+		return nil
+	})
+	return v, err
 }
 
 // Objective returns the session objective evaluated on the current sink
 // distribution.
 func (s *Session) Objective() (float64, error) {
-	tx, err := s.Acquire()
-	if err != nil {
-		return 0, err
-	}
-	defer tx.Release()
-	return s.obj.Eval(s.a.SinkDist()), nil
+	var v float64
+	err := s.Do(func(tx *Tx) error {
+		v = tx.Objective()
+		return nil
+	})
+	return v, err
 }
 
 // ObjectiveName describes the session objective (e.g. "p99").
 func (s *Session) ObjectiveName() (string, error) {
-	tx, err := s.Acquire()
-	if err != nil {
-		return "", err
-	}
-	defer tx.Release()
-	return s.obj.String(), nil
+	var name string
+	err := s.Do(func(*Tx) error {
+		name = s.obj.String()
+		return nil
+	})
+	return name, err
 }
 
 // Arrival returns the arrival-time distribution at gate g's output.
 func (s *Session) Arrival(g netlist.GateID) (*dist.Dist, error) {
-	tx, err := s.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer tx.Release()
-	if err := s.checkGate(g); err != nil {
-		return nil, err
-	}
-	return s.a.Arrival(s.d.E.NodeOf[s.d.NL.Gate(g).Out]), nil
+	var arr *dist.Dist
+	err := s.Do(func(*Tx) error {
+		if err := s.checkGate(g); err != nil {
+			return err
+		}
+		arr = s.a.Arrival(s.d.E.NodeOf[s.d.NL.Gate(g).Out])
+		return nil
+	})
+	return arr, err
 }
 
 // Required returns the required-time distribution at gate g's output,
 // running the backward pass first if no current one is cached.
 func (s *Session) Required(ctx context.Context, g netlist.GateID) (*dist.Dist, error) {
-	tx, err := s.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer tx.Release()
-	if err := s.checkGate(g); err != nil {
-		return nil, err
-	}
-	if err := tx.EnsureRequired(ctx); err != nil {
-		return nil, err
-	}
-	return s.a.Required(s.d.E.NodeOf[s.d.NL.Gate(g).Out]), nil
+	var req *dist.Dist
+	err := s.Do(func(tx *Tx) error {
+		if err := s.checkGate(g); err != nil {
+			return err
+		}
+		if err := tx.EnsureRequired(ctx); err != nil {
+			return err
+		}
+		req = s.a.Required(s.d.E.NodeOf[s.d.NL.Gate(g).Out])
+		return nil
+	})
+	return req, err
 }
 
 // Slack returns the statistical slack distribution at gate g's output:
@@ -348,18 +362,18 @@ func (s *Session) Required(ctx context.Context, g netlist.GateID) (*dist.Dist, e
 // current objective value at the sink). Mass below zero is the
 // probability the gate violates the deadline.
 func (s *Session) Slack(ctx context.Context, g netlist.GateID) (*dist.Dist, error) {
-	tx, err := s.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer tx.Release()
-	if err := s.checkGate(g); err != nil {
-		return nil, err
-	}
-	if err := tx.EnsureRequired(ctx); err != nil {
-		return nil, err
-	}
-	return s.a.Slack(s.d.E.NodeOf[s.d.NL.Gate(g).Out]), nil
+	var sl *dist.Dist
+	err := s.Do(func(tx *Tx) error {
+		if err := s.checkGate(g); err != nil {
+			return err
+		}
+		if err := tx.EnsureRequired(ctx); err != nil {
+			return err
+		}
+		sl = s.a.Slack(s.d.E.NodeOf[s.d.NL.Gate(g).Out])
+		return nil
+	})
+	return sl, err
 }
 
 // Criticality returns P(slack <= 0) at gate g's output — the SSTA-based
@@ -376,39 +390,36 @@ func (s *Session) Criticality(ctx context.Context, g netlist.GateID) (float64, e
 // SetDeadline fixes the sink deadline the slack queries measure against
 // and invalidates any cached required-time pass.
 func (s *Session) SetDeadline(t float64) error {
-	tx, err := s.Acquire()
-	if err != nil {
-		return err
-	}
-	defer tx.Release()
-	s.deadline = t
-	s.hasDeadline = true
-	s.a.InvalidateRequired()
-	return nil
+	return s.Do(func(*Tx) error {
+		s.deadline = t
+		s.hasDeadline = true
+		s.a.InvalidateRequired()
+		return nil
+	})
 }
 
 // Width returns gate g's current width.
 func (s *Session) Width(g netlist.GateID) (float64, error) {
-	tx, err := s.Acquire()
-	if err != nil {
-		return 0, err
-	}
-	defer tx.Release()
-	if err := s.checkGate(g); err != nil {
-		return 0, err
-	}
-	return s.d.Width(g), nil
+	var w float64
+	err := s.Do(func(*Tx) error {
+		if err := s.checkGate(g); err != nil {
+			return err
+		}
+		w = s.d.Width(g)
+		return nil
+	})
+	return w, err
 }
 
 // TotalWidth returns the sum of all gate widths (the paper's "total
 // gate size").
 func (s *Session) TotalWidth() (float64, error) {
-	tx, err := s.Acquire()
-	if err != nil {
-		return 0, err
-	}
-	defer tx.Release()
-	return s.d.TotalWidth(), nil
+	var w float64
+	err := s.Do(func(*Tx) error {
+		w = s.d.TotalWidth()
+		return nil
+	})
+	return w, err
 }
 
 // NumGates returns the gate count of the underlying netlist. Like every
@@ -417,43 +428,43 @@ func (s *Session) TotalWidth() (float64, error) {
 // Rollback restoring the design in place, and a silent use-after-Close
 // is a bug worth surfacing.
 func (s *Session) NumGates() (int, error) {
-	tx, err := s.Acquire()
-	if err != nil {
-		return 0, err
-	}
-	defer tx.Release()
-	return s.d.NL.NumGates(), nil
+	var n int
+	err := s.Do(func(*Tx) error {
+		n = s.d.NL.NumGates()
+		return nil
+	})
+	return n, err
 }
 
 // DT returns the SSTA grid resolution the session was opened at.
 func (s *Session) DT() (float64, error) {
-	tx, err := s.Acquire()
-	if err != nil {
-		return 0, err
-	}
-	defer tx.Release()
-	return s.a.DT, nil
+	var dt float64
+	err := s.Do(func(*Tx) error {
+		dt = s.a.DT
+		return nil
+	})
+	return dt, err
 }
 
 // Snapshot returns an independent clone of the current design, safe to
 // use after the session closes or moves on.
 func (s *Session) Snapshot() (*design.Design, error) {
-	tx, err := s.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer tx.Release()
-	return s.d.Clone(), nil
+	var d *design.Design
+	err := s.Do(func(*Tx) error {
+		d = s.d.Clone()
+		return nil
+	})
+	return d, err
 }
 
 // Stats returns the cumulative session accounting.
 func (s *Session) Stats() (Stats, error) {
-	tx, err := s.Acquire()
-	if err != nil {
-		return Stats{}, err
-	}
-	defer tx.Release()
-	return s.stats, nil
+	var st Stats
+	err := s.Do(func(tx *Tx) error {
+		st = tx.Stats()
+		return nil
+	})
+	return st, err
 }
 
 // checkGate validates a gate ID against the netlist. Callers hold the

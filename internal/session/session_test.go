@@ -58,39 +58,86 @@ func TestTxLifecycle(t *testing.T) {
 	s := open(t)
 	ctx := context.Background()
 
-	tx, err := s.Acquire()
+	err := s.Do(func(tx *Tx) error {
+		objBefore := tx.Objective()
+		if depth := tx.Checkpoint(); depth != 1 || tx.CheckpointDepth() != 1 {
+			t.Fatalf("depth %d, CheckpointDepth %d", depth, tx.CheckpointDepth())
+		}
+		rs, err := tx.Resize(ctx, 0, 2)
+		if err != nil {
+			return err
+		}
+		if rs.OldWidth != tx.Design().Lib.WMin || rs.NewWidth != 2 {
+			t.Errorf("resize widths %+v", rs)
+		}
+		if rs.NodesRecomputed <= 0 || rs.NodesRecomputed > rs.FullPassNodes {
+			t.Errorf("implausible recompute count %d", rs.NodesRecomputed)
+		}
+		if err := tx.Rollback(); err != nil {
+			return err
+		}
+		if tx.Objective() != objBefore {
+			t.Error("rollback did not restore the objective")
+		}
+		if err := tx.Rollback(); !errors.Is(err, ErrNoCheckpoint) {
+			t.Errorf("err %v, want ErrNoCheckpoint", err)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	objBefore := tx.Objective()
-	depth := tx.Checkpoint()
-	if depth != 1 {
-		t.Fatalf("depth %d", depth)
-	}
-	rs, err := tx.Resize(ctx, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.OldWidth != tx.Design().Lib.WMin || rs.NewWidth != 2 {
-		t.Errorf("resize widths %+v", rs)
-	}
-	if rs.NodesRecomputed <= 0 || rs.NodesRecomputed > rs.FullPassNodes {
-		t.Errorf("implausible recompute count %d", rs.NodesRecomputed)
-	}
-	if err := tx.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	if tx.Objective() != objBefore {
-		t.Error("rollback did not restore the objective")
-	}
-	if err := tx.Rollback(); !errors.Is(err, ErrNoCheckpoint) {
-		t.Errorf("err %v, want ErrNoCheckpoint", err)
-	}
-	tx.Release()
 
-	// The session is usable again after Release.
+	// The session is usable again once Do returns.
 	if _, err := s.Objective(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDoReleasesOnEveryExit pins the scoped lock: whether f returns
+// normally, returns an error or panics, Do leaves the session unlocked.
+// TryLock makes a missing unlock fail here instead of hanging. A closed
+// session refuses Do without calling f.
+func TestDoReleasesOnEveryExit(t *testing.T) {
+	s := open(t)
+	boom := errors.New("boom")
+	exits := []struct {
+		name string
+		f    func(*Tx) error
+		want error
+	}{
+		{"return", func(*Tx) error { return nil }, nil},
+		{"error", func(*Tx) error { return boom }, boom},
+		{"panic", func(*Tx) error { panic(boom) }, boom},
+	}
+	for _, e := range exits {
+		var got error
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					got = r.(error)
+				}
+			}()
+			got = s.Do(e.f)
+		}()
+		if got != e.want {
+			t.Errorf("%s exit: Do gave %v, want %v", e.name, got, e.want)
+		}
+		// Either TryLock took the lock or the exit leaked it; unlocking
+		// covers both, so a failure here does not hang the cleanup.
+		leaked := !s.mu.TryLock()
+		s.mu.Unlock()
+		if leaked {
+			t.Errorf("%s exit left the session locked", e.name)
+		}
+	}
+
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	called := false
+	if err := s.Do(func(*Tx) error { called = true; return nil }); !errors.Is(err, ErrClosed) || called {
+		t.Errorf("Do on a closed session: err %v, f called %v; want ErrClosed without f", err, called)
 	}
 }
 

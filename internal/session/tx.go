@@ -12,15 +12,21 @@ import (
 	"statsize/internal/ssta"
 )
 
-// Tx is the unlocked working view of an acquired session: the optimizer
-// inner loops and any caller that needs several queries and mutations to
-// happen without interleaving work through it. A Tx is only valid
-// between Acquire and Release on the goroutine that acquired it.
+// Tx is the working view of a held session: Session.Do hands one to
+// its callback, and the optimizer inner loops and any caller that needs
+// several queries and mutations to happen without interleaving work
+// through it. A Tx is only valid inside the callback that received it,
+// on that goroutine; Do releases the session when the callback returns.
 type Tx struct {
 	s *Session
 }
 
-// Release unlocks the session. The Tx must not be used afterwards.
+// Release unlocks a session taken with Acquire. The Tx must not be used
+// afterwards, and a Tx from Do must never be released by hand. Like
+// Acquire, it stays exported only for the perfbench module's analysis
+// probe.
+//
+// Deprecated: use Session.Do, which releases the lock on every exit.
 func (t *Tx) Release() { t.s.mu.Unlock() }
 
 // Design returns the session-owned design. It remains owned by the
@@ -207,6 +213,9 @@ func (t *Tx) Checkpoint() int {
 	s.record(opCheckpoint, 1, 0)
 	return len(s.marks)
 }
+
+// CheckpointDepth returns the number of pending checkpoints.
+func (t *Tx) CheckpointDepth() int { return len(t.s.marks) }
 
 // Rollback pops the most recent checkpoint and restores design,
 // analysis and deadline setting to it; ErrNoCheckpoint when none is

@@ -11,13 +11,14 @@ import (
 )
 
 // Optimizer is a pluggable gate-sizing strategy. Implementations drive
-// the Session they are given — acquiring it, evaluating candidates
-// against its live analysis, and committing width changes through its
-// incremental Resize — and must honor ctx, returning partial results
-// wrapped around the context error on cancellation. Driving a session
-// rather than a bare design is what gives every strategy (including
-// external RegisterOptimizer plugins) incremental commits, transactional
-// checkpoints, cancellation and stats accounting for free.
+// the Session they are given — holding it through one Session.Do,
+// evaluating candidates against its live analysis, and committing width
+// changes through its incremental Resize — and must honor ctx,
+// returning partial results wrapped around the context error on
+// cancellation. Driving a session rather than a bare design is what
+// gives every strategy (including external RegisterOptimizer plugins)
+// incremental commits, transactional checkpoints, cancellation and
+// stats accounting for free.
 //
 // Strategies register once with RegisterOptimizer and are then
 // addressable by name through Engine.Optimize, Engine.OptimizeSession

@@ -102,8 +102,8 @@ type (
 	// uncommitted what-ifs, incremental resizes and checkpoints all run
 	// against. Open one with Engine.Open.
 	Session = session.Session
-	// SessionTx is the locked transaction view of an acquired Session —
-	// what optimizers drive between Session.Acquire and Release.
+	// SessionTx is the transaction view Session.Do hands its callback —
+	// what optimizers drive while they hold the session.
 	SessionTx = session.Tx
 	// SessionStats is the cumulative accounting of a Session (resizes,
 	// nodes recomputed incrementally vs. a full pass, what-ifs, ...).
