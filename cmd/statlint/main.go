@@ -1,8 +1,7 @@
 // Command statlint is the repository's invariant gate: it runs the
 // custom analyzer suite in internal/analyzers — scratchescape,
-// arenashare, lockdiscipline, ctxflow, boundeddecode — over the given
-// packages, plus the standard go vet passes, and exits non-zero on any
-// finding.
+// arenashare, ctxflow, boundeddecode — over the given packages, plus
+// the standard go vet passes, and exits non-zero on any finding.
 //
 // Usage:
 //

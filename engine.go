@@ -13,6 +13,7 @@ import (
 	"statsize/internal/design"
 	"statsize/internal/montecarlo"
 	"statsize/internal/netlist"
+	"statsize/internal/par"
 	"statsize/internal/session"
 	"statsize/internal/ssta"
 	"statsize/internal/sta"
@@ -46,13 +47,16 @@ type Engine struct {
 	// counters is the engine-wide atomic session rollup behind Stats:
 	// every session the engine opens (Open, Optimize, OptimizeSuite)
 	// is bound to it at open and reports its activity inline. Atomic,
-	// so it sits above the mutex with the immutable configuration and
-	// is read lock-free.
+	// so it is read lock-free.
 	counters session.Counters
 
-	mu    sync.Mutex
-	cache map[string]*design.Design // benchmark name -> min-sized base design
+	// cache holds the elaborated benchmark base designs. Its Do
+	// callbacks cannot fail, so their nil error is dropped.
+	cache par.Locked[benchCache]
 }
+
+// benchCache maps a benchmark name to its min-sized base design.
+type benchCache map[string]*design.Design
 
 // Option configures an Engine under construction.
 type Option func(*Engine)
@@ -104,7 +108,8 @@ func WithParallelism(n int) Option { return func(e *Engine) { e.parallelism = n 
 
 // New builds an Engine from functional options.
 func New(opts ...Option) (*Engine, error) {
-	e := &Engine{cache: make(map[string]*design.Design)}
+	e := &Engine{}
+	_ = e.cache.Do(func(c *benchCache) error { *c = benchCache{}; return nil })
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -151,23 +156,22 @@ func (e *Engine) Parallelism() int { return e.parallelism }
 // receive independent clones, so designs returned here can be sized and
 // analyzed freely without affecting each other.
 func (e *Engine) Benchmark(name string) (*Design, error) {
-	e.mu.Lock()
-	base, ok := e.cache[name]
-	e.mu.Unlock()
-	if ok {
+	var base *design.Design
+	_ = e.cache.Do(func(c *benchCache) error { base = (*c)[name]; return nil })
+	if base != nil {
 		return base.Clone(), nil
 	}
-	base, err := e.buildBenchmark(name)
+	built, err := e.buildBenchmark(name)
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	if cached, ok := e.cache[name]; ok {
-		base = cached // another goroutine won the build race; keep one copy
-	} else {
-		e.cache[name] = base
-	}
-	e.mu.Unlock()
+	_ = e.cache.Do(func(c *benchCache) error {
+		// Another goroutine may have won the build race; keep one copy.
+		if base = (*c)[name]; base == nil {
+			base, (*c)[name] = built, built
+		}
+		return nil
+	})
 	return base.Clone(), nil
 }
 
@@ -456,15 +460,16 @@ func (e *Engine) Stats() EngineStats {
 		Checkpoints:      e.counters.Checkpoints(),
 		Rollbacks:        e.counters.Rollbacks(),
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	st.BenchmarksCached = len(e.cache)
-	for _, d := range e.cache {
-		hits, misses, flushes, entries := d.DelayCacheStats()
-		st.DelayCacheHits += hits
-		st.DelayCacheMisses += misses
-		st.DelayCacheFlushes += flushes
-		st.DelayCacheEntries += entries
-	}
+	_ = e.cache.Do(func(c *benchCache) error {
+		st.BenchmarksCached = len(*c)
+		for _, d := range *c {
+			hits, misses, flushes, entries := d.DelayCacheStats()
+			st.DelayCacheHits += hits
+			st.DelayCacheMisses += misses
+			st.DelayCacheFlushes += flushes
+			st.DelayCacheEntries += entries
+		}
+		return nil
+	})
 	return st
 }

@@ -8,12 +8,12 @@
 // The framework exists to machine-check the memory-model and
 // concurrency invariants DESIGN.md states in prose: scratch
 // distributions must be persisted before retention, arenas serve one
-// goroutine, session queries hold the lock, long propagation loops
-// observe their context, HTTP bodies are read bounded. See the sibling
-// analyzer packages (scratchescape, arenashare, lockdiscipline, ctxflow,
-// boundeddecode) and DESIGN.md's "Enforced invariants" section, which
-// also says where the invariants that need no analyzer live (lease
-// release among them: Session.Do and Manager.Do carry it).
+// goroutine, long propagation loops observe their context, HTTP bodies
+// are read bounded. See the sibling analyzer packages (scratchescape,
+// arenashare, ctxflow, boundeddecode) and DESIGN.md's "Enforced
+// invariants" section, which also says where the invariants that need
+// no analyzer live (lease release and session locking among them:
+// Session.Do, Manager.Do and par.Locked carry them).
 //
 // Intentional exceptions are suppressed in source with
 //

@@ -11,7 +11,6 @@ import (
 	"statsize/internal/analyzers/arenashare"
 	"statsize/internal/analyzers/boundeddecode"
 	"statsize/internal/analyzers/ctxflow"
-	"statsize/internal/analyzers/lockdiscipline"
 	"statsize/internal/analyzers/scratchescape"
 )
 
@@ -21,7 +20,6 @@ func All() []*analysis.Analyzer {
 		arenashare.Analyzer,
 		boundeddecode.Analyzer,
 		ctxflow.Analyzer,
-		lockdiscipline.Analyzer,
 		scratchescape.Analyzer,
 	}
 }

@@ -8,6 +8,11 @@
 // bit-identical output. The helpers only distribute *pure* work — the
 // mutation-free evaluation contract documented in DESIGN.md is what
 // makes that distribution sound.
+//
+// Locked guards the shared mutable state those paths run against: its
+// value is reachable only under its mutex, through a scoped callback.
+// Session, Engine and the daemon's session pool keep their state in
+// one.
 package par
 
 import (

@@ -33,7 +33,7 @@ func writeError(w http.ResponseWriter, err *apiError) {
 }
 
 // toAPIError normalizes every failure class a handler can see into an
-// apiError with the right status: pool errors to 404/410/503, session
+// apiError with the right status: pool errors to 404/503, session
 // sentinel errors to 410/409, context errors to 504/499 (a request
 // deadline expiring mid-work surfaces the partial-cancellation
 // contract, not a client mistake), apiErrors pass through, everything
@@ -53,8 +53,6 @@ func toAPIError(err error) *apiError {
 		return ae
 	case errors.Is(err, ErrNoSession):
 		return &apiError{Status: http.StatusNotFound, Code: "no_session", Message: err.Error()}
-	case errors.Is(err, ErrSessionGone):
-		return &apiError{Status: http.StatusGone, Code: "session_gone", Message: err.Error()}
 	case errors.Is(err, ErrPoolFull):
 		return &apiError{Status: http.StatusServiceUnavailable, Code: CodePoolFull,
 			Message: err.Error(), RetryAfterS: retryAfter}

@@ -6,19 +6,18 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"statsize"
+	"statsize/internal/par"
 )
 
 // Pool errors the handlers translate to HTTP statuses.
 var (
-	// ErrNoSession marks a handle that never existed (404).
+	// ErrNoSession marks a handle the pool does not hold: never opened,
+	// or already evicted or closed (404).
 	ErrNoSession = errors.New("server: no such session")
-	// ErrSessionGone marks a handle whose session was evicted or closed;
-	// the client should reopen (410).
-	ErrSessionGone = errors.New("server: session evicted")
 	// ErrPoolFull marks a full session table with nothing evictable (503).
 	ErrPoolFull = errors.New("server: session pool full")
 )
@@ -32,11 +31,9 @@ type poolKey struct {
 	client string
 }
 
-// entry is one pooled session plus its lease accounting. The session
-// itself serializes its own calls; refs/lastUsed/doomed carry the
-// machine-readable foreign-guard annotation statlint's lockdiscipline
-// analyzer enforces: exported functions touching them must hold the
-// Manager's mutex.
+// entry is one pooled session and the metadata its responses report,
+// all set by build and fixed from then on. The session serializes its
+// own calls; the entry's lease count and last use live in the pool.
 type entry struct {
 	id       string
 	key      poolKey
@@ -46,10 +43,19 @@ type entry struct {
 	objName  string
 	obj      statsize.Objective // nil = engine default; passed to optimizer runs
 	created  time.Time
+}
 
-	refs     int       // in-flight leases; eviction requires 0 (guarded by Manager.mu)
-	lastUsed time.Time // updated on every open, lease and release (guarded by Manager.mu)
-	doomed   bool      // close fires when refs drain to 0 (guarded by Manager.mu)
+// pool is the Manager's mutable state, reachable only through
+// Manager.pool.Do; callbacks that cannot fail return nil, and their
+// callers drop it. An entry is live while byID holds it. A doomed entry
+// has left both maps; refs and lastUsed keep it until its last lease
+// returns, and then its session closes.
+type pool struct {
+	byID     map[string]*entry
+	byKey    map[poolKey]*entry
+	refs     map[*entry]int       // in-flight leases; eviction requires 0
+	lastUsed map[*entry]time.Time // stamped on every open, lease and release
+	stats    ManagerStats         // Stats fills in Live and InFlight
 }
 
 // Lease pins one session for the duration of one Manager.Do callback:
@@ -75,15 +81,25 @@ func (l *Lease) Objective() statsize.Objective { return l.e.obj }
 // outlives the Do callback (the detached optimize run). The holder
 // must release it exactly once.
 func (l *Lease) retain() *Lease {
-	l.m.mu.Lock()
-	defer l.m.mu.Unlock()
-	return l.m.leaseLocked(l.e)
+	_ = l.m.pool.Do(func(p *pool) error { p.lease(l.e, l.m.now()); return nil })
+	return &Lease{m: l.m, e: l.e}
 }
 
 // release returns the lease. If the entry was doomed while leased
 // (explicit DELETE during an in-flight request), the last release
 // closes the underlying session.
-func (l *Lease) release() { l.m.release(l.e) }
+func (l *Lease) release() {
+	var closeNow bool
+	_ = l.m.pool.Do(func(p *pool) error {
+		p.refs[l.e]--
+		p.lastUsed[l.e] = l.m.now()
+		closeNow = p.byID[l.e.id] != l.e && p.drained(l.e)
+		return nil
+	})
+	if closeNow {
+		l.e.sess.Close()
+	}
+}
 
 // ManagerStats is the pool accounting surfaced by /stats.
 type ManagerStats struct {
@@ -103,28 +119,23 @@ type ManagerStats struct {
 // lease outstanding, which is the evict-vs-query exclusion the race
 // tests hammer.
 type Manager struct {
-	eng *statsize.Engine
-	cfg Config
-	now func() time.Time // injectable clock for eviction tests
-
-	mu       sync.Mutex
-	byID     map[string]*entry
-	byKey    map[poolKey]*entry
-	seq      int64
-	inFlight int
-	stats    ManagerStats
+	eng  *statsize.Engine
+	cfg  Config
+	now  func() time.Time // injectable clock for eviction tests
+	seq  atomic.Int64     // session ids issued, one per build
+	pool par.Locked[pool]
 }
 
 // NewManager builds a pool over eng. cfg must already be normalized
 // (Server.New does it).
 func NewManager(eng *statsize.Engine, cfg Config) *Manager {
-	return &Manager{
-		eng:   eng,
-		cfg:   cfg,
-		now:   time.Now,
-		byID:  make(map[string]*entry),
-		byKey: make(map[poolKey]*entry),
-	}
+	m := &Manager{eng: eng, cfg: cfg, now: time.Now}
+	_ = m.pool.Do(func(p *pool) error {
+		*p = pool{byID: map[string]*entry{}, byKey: map[poolKey]*entry{},
+			refs: map[*entry]int{}, lastUsed: map[*entry]time.Time{}}
+		return nil
+	})
+	return m
 }
 
 // OpenOrAttach returns the handle of the pooled session for (design,
@@ -134,14 +145,11 @@ func NewManager(eng *statsize.Engine, cfg Config) *Manager {
 // tells the client which happened).
 func (m *Manager) OpenOrAttach(ctx context.Context, req *OpenSessionRequest) (*OpenSessionResponse, error) {
 	key := poolKey{design: req.Design, client: req.Client}
-	m.mu.Lock()
-	if e, ok := m.byKey[key]; ok {
-		e.lastUsed = m.now()
-		m.stats.Attached++
-		m.mu.Unlock()
-		return openResponse(e, false), nil
+	var got *entry // the pooled entry the response names
+	_ = m.pool.Do(func(p *pool) error { got = p.attach(key, m.now()); return nil })
+	if got != nil {
+		return openResponse(got, false), nil
 	}
-	m.mu.Unlock()
 
 	// Build outside the lock: elaboration plus the opening SSTA pass is
 	// the expensive part and must not serialize the whole pool. Two
@@ -150,30 +158,27 @@ func (m *Manager) OpenOrAttach(ctx context.Context, req *OpenSessionRequest) (*O
 	if err != nil {
 		return nil, err
 	}
-
-	m.mu.Lock()
-	if prior, ok := m.byKey[key]; ok {
-		prior.lastUsed = m.now()
-		m.stats.Attached++
-		m.mu.Unlock()
-		e.sess.Close() // lost the race; discard our build
-		return openResponse(prior, false), nil
+	err = m.pool.Do(func(p *pool) error {
+		if got = p.attach(key, m.now()); got != nil {
+			return nil
+		}
+		if len(p.byID) >= m.cfg.MaxSessions && !p.evictOne() {
+			// Every slot is leased by an in-flight request; slots free
+			// as soon as any of them finishes, so the honest hint is
+			// "shortly" — one second, the Retry-After floor.
+			return &retryAfterError{err: ErrPoolFull, after: time.Second}
+		}
+		got, p.byID[e.id], p.byKey[key], p.lastUsed[e] = e, e, e, e.created
+		p.stats.Opened++
+		return nil
+	})
+	if got != e {
+		e.sess.Close() // lost the race, or no room: discard our build
 	}
-	if len(m.byID) >= m.cfg.MaxSessions && !m.evictOneLocked() {
-		m.mu.Unlock()
-		e.sess.Close()
-		// Every slot is leased by an in-flight request; slots free as
-		// soon as any of them finishes, so the honest hint is "shortly"
-		// — one second, the Retry-After floor.
-		return nil, &retryAfterError{err: ErrPoolFull, after: time.Second}
+	if err != nil {
+		return nil, err
 	}
-	m.seq++
-	e.id = fmt.Sprintf("s%06d-%s", m.seq, sanitizeID(req.Design))
-	m.byID[e.id] = e
-	m.byKey[key] = e
-	m.stats.Opened++
-	m.mu.Unlock()
-	return openResponse(e, true), nil
+	return openResponse(got, got == e), nil
 }
 
 // build elaborates the design and opens its session (no pool locks
@@ -203,31 +208,22 @@ func (m *Manager) build(ctx context.Context, req *OpenSessionRequest, key poolKe
 	if err != nil {
 		return nil, fmt.Errorf("server: opening session: %w", err)
 	}
-	numGates, err := sess.NumGates()
-	if err != nil {
+	numGates, errG := sess.NumGates()
+	dt, errDT := sess.DT()
+	objName, errObj := sess.ObjectiveName()
+	if err := errors.Join(errG, errDT, errObj); err != nil {
 		sess.Close()
 		return nil, err
 	}
-	dt, err := sess.DT()
-	if err != nil {
-		sess.Close()
-		return nil, err
-	}
-	objName, err := sess.ObjectiveName()
-	if err != nil {
-		sess.Close()
-		return nil, err
-	}
-	now := m.now()
 	return &entry{
+		id:       fmt.Sprintf("s%06d-%s", m.seq.Add(1), sanitizeID(req.Design)),
 		key:      key,
 		sess:     sess,
 		numGates: numGates,
 		dt:       dt,
 		objName:  objName,
 		obj:      obj,
-		created:  now,
-		lastUsed: now,
+		created:  m.now(),
 	}, nil
 }
 
@@ -249,78 +245,42 @@ func openResponse(e *entry, created bool) *OpenSessionResponse {
 // (never opened, or already evicted or deleted) yields ErrNoSession
 // without calling f; otherwise Do returns f's error.
 func (m *Manager) Do(id string, f func(*Lease) error) error {
-	lease, err := m.acquire(id)
+	var e *entry
+	err := m.pool.Do(func(p *pool) error {
+		if e = p.byID[id]; e == nil {
+			return ErrNoSession
+		}
+		p.lease(e, m.now())
+		return nil
+	})
 	if err != nil {
 		return err
 	}
+	lease := &Lease{m: m, e: e}
 	defer lease.release()
 	return f(lease)
 }
 
-// acquire leases the session behind id; Do is its one caller.
-func (m *Manager) acquire(id string) (*Lease, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.byID[id]
-	if !ok {
-		return nil, ErrNoSession
-	}
-	if e.doomed {
-		return nil, ErrSessionGone
-	}
-	return m.leaseLocked(e), nil
-}
-
-// leaseLocked pins e; the caller holds m.mu.
-func (m *Manager) leaseLocked(e *entry) *Lease {
-	e.refs++
-	e.lastUsed = m.now()
-	m.inFlight++
-	return &Lease{m: m, e: e}
-}
-
-// release unpins e and closes it if a DELETE doomed it while leased.
-func (m *Manager) release(e *entry) {
-	m.mu.Lock()
-	e.refs--
-	e.lastUsed = m.now()
-	m.inFlight--
-	closeNow := e.doomed && e.refs == 0
-	m.mu.Unlock()
-	if closeNow {
-		e.sess.Close()
-	}
-}
-
 // Close dooms the session behind id: it leaves the pool immediately
-// (new acquires fail with ErrSessionGone) and the underlying session
+// (later calls on id fail with ErrNoSession) and the underlying session
 // closes as soon as no lease holds it.
 func (m *Manager) Close(id string) error {
-	m.mu.Lock()
-	e, ok := m.byID[id]
-	if !ok || e.doomed {
-		m.mu.Unlock()
-		if ok {
-			return ErrSessionGone
+	var (
+		e        *entry
+		closeNow bool
+	)
+	err := m.pool.Do(func(p *pool) error {
+		if e = p.byID[id]; e == nil {
+			return ErrNoSession
 		}
-		return ErrNoSession
-	}
-	m.doomLocked(e)
-	m.stats.ClosedExplicit++
-	closeNow := e.refs == 0
-	m.mu.Unlock()
+		p.stats.ClosedExplicit++
+		closeNow = p.doom(e)
+		return nil
+	})
 	if closeNow {
 		e.sess.Close()
 	}
-	return nil
-}
-
-// doomLocked removes e from the pool maps; the caller holds m.mu and
-// is responsible for closing the session once refs reach zero.
-func (m *Manager) doomLocked(e *entry) {
-	e.doomed = true
-	delete(m.byID, e.id)
-	delete(m.byKey, e.key)
+	return err
 }
 
 // Sweep reclaims every unleased session idle for at least the
@@ -329,100 +289,140 @@ func (m *Manager) doomLocked(e *entry) {
 // closed. The janitor calls this periodically; tests call it directly.
 func (m *Manager) Sweep() int {
 	now := m.now()
-	var doomed []*entry
-	m.mu.Lock()
-	for _, e := range m.byID {
-		if e.refs == 0 && m.cfg.IdleTimeout > 0 && now.Sub(e.lastUsed) >= m.cfg.IdleTimeout {
-			m.doomLocked(e)
-			m.stats.EvictedIdle++
-			doomed = append(doomed, e)
+	var idle []*entry
+	_ = m.pool.Do(func(p *pool) error {
+		for _, e := range p.byID {
+			if p.refs[e] == 0 && m.cfg.IdleTimeout > 0 && now.Sub(p.lastUsed[e]) >= m.cfg.IdleTimeout {
+				p.doom(e)
+				p.stats.EvictedIdle++
+				idle = append(idle, e)
+			}
 		}
-	}
-	for len(m.byID) > m.cfg.MaxSessions {
-		if !m.evictOneLocked() {
-			break
+		for len(p.byID) > m.cfg.MaxSessions {
+			if !p.evictOne() {
+				break
+			}
 		}
-	}
-	m.mu.Unlock()
-	for _, e := range doomed {
+		return nil
+	})
+	for _, e := range idle {
 		e.sess.Close()
 	}
-	return len(doomed)
-}
-
-// evictOneLocked dooms and closes the least-recently-used unleased
-// entry, reporting whether one existed. The caller holds m.mu. The
-// close itself happens inline: refs==0 means no server request is
-// inside the session, so Close cannot block on a long-held session
-// lock.
-func (m *Manager) evictOneLocked() bool {
-	var victim *entry
-	for _, e := range m.byID {
-		if e.refs != 0 {
-			continue
-		}
-		if victim == nil || e.lastUsed.Before(victim.lastUsed) {
-			victim = e
-		}
-	}
-	if victim == nil {
-		return false
-	}
-	m.doomLocked(victim)
-	m.stats.EvictedCap++
-	victim.sess.Close()
-	return true
-}
-
-// Info returns the manager-level metadata for id without touching the
-// session lock.
-func (m *Manager) Info(id string) (*SessionInfoResponse, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.byID[id]
-	if !ok {
-		return nil, ErrNoSession
-	}
-	now := m.now()
-	return &SessionInfoResponse{
-		SessionID: e.id,
-		Design:    e.key.design,
-		Client:    e.key.client,
-		NumGates:  e.numGates,
-		Objective: e.objName,
-		DT:        e.dt,
-		IdleS:     now.Sub(e.lastUsed).Seconds(),
-		InFlight:  e.refs,
-		AgeS:      now.Sub(e.created).Seconds(),
-	}, nil
-}
-
-// Stats snapshots the pool accounting.
-func (m *Manager) Stats() ManagerStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := m.stats
-	st.Live = len(m.byID)
-	st.InFlight = m.inFlight
-	return st
+	return len(idle)
 }
 
 // CloseAll dooms and closes every unleased session; leased ones close
 // on their final release. Used at shutdown, after the HTTP server has
 // drained.
 func (m *Manager) CloseAll() {
-	var doomed []*entry
-	m.mu.Lock()
-	for _, e := range m.byID {
-		m.doomLocked(e)
-		if e.refs == 0 {
-			doomed = append(doomed, e)
+	var idle []*entry
+	_ = m.pool.Do(func(p *pool) error {
+		for _, e := range p.byID {
+			if p.doom(e) {
+				idle = append(idle, e)
+			}
 		}
-	}
-	m.mu.Unlock()
-	for _, e := range doomed {
+		return nil
+	})
+	for _, e := range idle {
 		e.sess.Close()
 	}
+}
+
+// Info returns the manager-level metadata for id without touching the
+// session lock.
+func (m *Manager) Info(id string) (*SessionInfoResponse, error) {
+	var info *SessionInfoResponse
+	err := m.pool.Do(func(p *pool) error {
+		e := p.byID[id]
+		if e == nil {
+			return ErrNoSession
+		}
+		now := m.now()
+		info = &SessionInfoResponse{
+			SessionID: e.id,
+			Design:    e.key.design,
+			Client:    e.key.client,
+			NumGates:  e.numGates,
+			Objective: e.objName,
+			DT:        e.dt,
+			IdleS:     now.Sub(p.lastUsed[e]).Seconds(),
+			InFlight:  p.refs[e],
+			AgeS:      now.Sub(e.created).Seconds(),
+		}
+		return nil
+	})
+	return info, err
+}
+
+// Stats snapshots the pool accounting.
+func (m *Manager) Stats() ManagerStats {
+	var st ManagerStats
+	_ = m.pool.Do(func(p *pool) error {
+		st = p.stats
+		st.Live = len(p.byID)
+		for _, n := range p.refs {
+			st.InFlight += n
+		}
+		return nil
+	})
+	return st
+}
+
+// lease pins e and stamps its use.
+func (p *pool) lease(e *entry, now time.Time) {
+	p.refs[e]++
+	p.lastUsed[e] = now
+}
+
+// attach stamps and returns the live entry for key, nil when there is
+// none.
+func (p *pool) attach(key poolKey, now time.Time) *entry {
+	e := p.byKey[key]
+	if e != nil {
+		p.lastUsed[e] = now
+		p.stats.Attached++
+	}
+	return e
+}
+
+// doom removes e from the pool and reports whether its session may
+// close now; otherwise the release of its last lease closes it.
+func (p *pool) doom(e *entry) bool {
+	delete(p.byID, e.id)
+	delete(p.byKey, e.key)
+	return p.drained(e)
+}
+
+// drained reports whether no lease holds the doomed entry e, and then
+// drops its accounting; the caller closes its session.
+func (p *pool) drained(e *entry) bool {
+	if p.refs[e] > 0 {
+		return false
+	}
+	delete(p.refs, e)
+	delete(p.lastUsed, e)
+	return true
+}
+
+// evictOne dooms and closes the least-recently-used unleased entry,
+// reporting whether one existed. The close happens inline: an unleased
+// entry has no server request inside its session, so Close cannot
+// block on a long-held session lock.
+func (p *pool) evictOne() bool {
+	var victim *entry
+	for _, e := range p.byID {
+		if p.refs[e] == 0 && (victim == nil || p.lastUsed[e].Before(p.lastUsed[victim])) {
+			victim = e
+		}
+	}
+	if victim == nil {
+		return false
+	}
+	p.doom(victim)
+	p.stats.EvictedCap++
+	victim.sess.Close()
+	return true
 }
 
 // sanitizeID keeps session ids readable: design names become a short

@@ -85,7 +85,7 @@ func TestEvictVsQueryRace(t *testing.T) {
 					})
 					return err
 				})
-				if errors.Is(err, ErrNoSession) || errors.Is(err, ErrSessionGone) {
+				if errors.Is(err, ErrNoSession) {
 					continue // evicted between open and Do; acceptable
 				}
 				if err != nil {

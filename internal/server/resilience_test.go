@@ -587,8 +587,8 @@ func TestDeadlineSweepRaceHammer(t *testing.T) {
 				st, out, _ = doReq(t, "POST", base+"/resize",
 					map[string]string{HeaderDeadlineMs: strconv.Itoa(1 + i%3)}, rz)
 				switch st {
-				case http.StatusOK, http.StatusGatewayTimeout, http.StatusGone, http.StatusNotFound:
-					// Gone/NotFound: the sweeper won; the next loop reopens.
+				case http.StatusOK, http.StatusGatewayTimeout, http.StatusNotFound:
+					// NotFound: the sweeper won; the next loop reopens.
 				default:
 					t.Errorf("hammer resize: %d %s", st, out)
 					return

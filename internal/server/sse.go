@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -52,19 +51,12 @@ func newSSEWriter(w http.ResponseWriter, timeout time.Duration) *sseWriter {
 // cancellation) and the final done emission compose without fuss.
 func (sw *sseWriter) fail() { sw.failed = true }
 
-// event writes one frame; id < 0 omits the id field. Write errors mark
-// the writer failed — the subscriber loop detaches but stops touching
-// the dead connection.
-func (sw *sseWriter) event(name string, id int, payload any) {
+// event writes one frame carrying data, an event's recorded JSON, as
+// it is; id < 0 omits the id field. Write errors mark the writer
+// failed — the subscriber loop detaches but stops touching the dead
+// connection.
+func (sw *sseWriter) event(name string, id int, data []byte) {
 	if sw.failed {
-		return
-	}
-	data, err := json.Marshal(payload)
-	if err != nil {
-		// Payloads are our own wire structs; a marshal failure is a
-		// programming error, but a broken stream must not panic the
-		// daemon mid-response.
-		sw.fail()
 		return
 	}
 	if sw.timeout > 0 {

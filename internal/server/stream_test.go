@@ -82,8 +82,8 @@ func collectSSE(t testing.TB, body []byte) []sseEvent {
 func TestSSEWriterFraming(t *testing.T) {
 	rec := httptest.NewRecorder()
 	sw := newSSEWriter(rec, 0)
-	sw.event("start", -1, map[string]int{"a": 1})
-	sw.event("iter", 3, map[string]int{"b": 2})
+	sw.event("start", -1, []byte(`{"a":1}`))
+	sw.event("iter", 3, []byte(`{"b":2}`))
 	want := "event: start\ndata: {\"a\":1}\n\n" +
 		"id: 3\nevent: iter\ndata: {\"b\":2}\n\n"
 	if got := rec.Body.String(); got != want {

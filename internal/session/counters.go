@@ -10,7 +10,7 @@ import "sync/atomic"
 // optimizer run holding a session for minutes cannot block a stats
 // query.
 //
-// The counts are unexported: Session.record is their only writer, and
+// The counts are unexported: Tx.record is their only writer, and
 // it books each operation into the session's own Stats in the same
 // call, so the per-session accounting and the engine rollup cannot
 // drift apart. Readers use the methods below.
@@ -58,25 +58,25 @@ func (c *Counters) Rollbacks() int64 { return c.n[opRollback].Load() }
 // record books n operations of kind k, which together cost nodes
 // arrival computations, into the session's Stats and, when the session
 // was opened with a rollup, into the engine-wide Counters. It is the
-// only writer of either. Callers hold the session lock; Open calls it
-// before the session is shared.
-func (s *Session) record(k op, n, nodes int) {
+// only writer of either, and runs on a Tx, so only under the session
+// lock.
+func (t *Tx) record(k op, n, nodes int) {
 	switch k {
 	case opWhatIf:
-		s.stats.WhatIfs += n
-		s.stats.WhatIfNodesVisited += nodes
+		t.stats.WhatIfs += n
+		t.stats.WhatIfNodesVisited += nodes
 	case opResize:
-		s.stats.Resizes += n
-		s.stats.NodesRecomputed += nodes
-		s.stats.LastResizeNodes = nodes
+		t.stats.Resizes += n
+		t.stats.NodesRecomputed += nodes
+		t.stats.LastResizeNodes = nodes
 	case opCheckpoint:
-		s.stats.Checkpoints += n
+		t.stats.Checkpoints += n
 	case opRollback:
-		s.stats.Rollbacks += n
+		t.stats.Rollbacks += n
 	case opRequired:
-		s.stats.RequiredPasses += n
+		t.stats.RequiredPasses += n
 	}
-	if s.rollup != nil && k < opRequired {
-		s.rollup.n[k].Add(int64(n))
+	if t.rollup != nil && k < opRequired {
+		t.rollup.n[k].Add(int64(n))
 	}
 }

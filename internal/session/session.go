@@ -23,18 +23,18 @@
 //     instead of owning their own analysis loop, so every strategy gets
 //     incremental commits, cancellation and stats accounting for free.
 //
-// Every exported Session method locks the session; concurrent calls from
-// multiple goroutines serialize. Multi-step operations (an optimizer
-// run, a query-then-resize decision that must not interleave) run as
-// one Session.Do callback and work through the Tx it is handed; Do
-// unlocks on every exit, so no caller can leave the session held.
+// A Session's state is a Tx value behind a par.Locked, reachable only
+// through Session.Do: every exported method is one Do, and concurrent
+// calls from multiple goroutines serialize. Multi-step operations (an
+// optimizer run, a query-then-resize decision that must not interleave)
+// run as one Session.Do callback and work through the Tx it is handed;
+// Do unlocks on every exit, so no caller can leave the session held.
 package session
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"statsize/internal/design"
 	"statsize/internal/dist"
@@ -60,36 +60,11 @@ type Objective interface {
 
 // Session binds a design to a live incremental SSTA analysis. Open one
 // with Open (or Engine.Open at the facade, which hands it a private
-// clone), query and mutate it freely, and Close it when done.
+// clone), query and mutate it freely, and Close it when done. Its whole
+// state is the Tx value behind one par.Locked, so every read and write
+// of it runs inside Do.
 type Session struct {
-	mu sync.Mutex
-	tx Tx
-
-	d      *design.Design
-	a      *ssta.Analysis
-	obj    Objective
-	closed bool
-
-	// scratch is the session's one evaluation working set, one Scratch
-	// (kernel arena plus dense overlays) per worker. What-ifs, batches,
-	// resize commits, required-time passes and optimizer sweeps all
-	// compute through it, so a warm session allocates only what escapes
-	// (persisted sinks and committed arrivals). Guarded by mu like
-	// everything else; worker w of a parallel sweep touches only
-	// scratch[w], and the serial paths use scratch[0].
-	scratch []*ssta.Scratch
-
-	// deadline overrides the slack reference; when unset the current
-	// objective value of the sink distribution is used.
-	deadline    float64
-	hasDeadline bool
-
-	marks []mark
-	stats Stats // written only through record
-
-	// rollup, when non-nil, is the engine-wide Counters this session
-	// reports into from Open to Close (see record).
-	rollup *Counters
+	state par.Locked[Tx]
 }
 
 // mark is one checkpoint: paired design and analysis snapshots plus the
@@ -164,16 +139,19 @@ func Open(ctx context.Context, d *design.Design, dt float64, obj Objective, work
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{
-		d: d, a: a, obj: obj, rollup: rollup,
-		stats: Stats{TotalNodes: d.E.G.NumNodes() - 1}, // every node but the source
+	scratch := make([]*ssta.Scratch, workers)
+	for i := range scratch {
+		scratch[i] = ssta.NewScratch()
 	}
-	s.scratch = make([]*ssta.Scratch, workers)
-	for i := range s.scratch {
-		s.scratch[i] = ssta.NewScratch()
-	}
-	s.tx.s = s
-	s.record(opOpen, 1, 0)
+	s := new(Session)
+	_ = s.state.Do(func(tx *Tx) error { // fills in the state; cannot fail
+		*tx = Tx{
+			d: d, a: a, obj: obj, scratch: scratch, rollup: rollup,
+			stats: Stats{TotalNodes: d.E.G.NumNodes() - 1}, // every node but the source
+		}
+		tx.record(opOpen, 1, 0)
+		return nil
+	})
 	return s, nil
 }
 
@@ -181,15 +159,12 @@ func Open(ctx context.Context, d *design.Design, dt float64, obj Objective, work
 // Close) return ErrClosed. The design last committed remains valid in
 // any Result that references it.
 func (s *Session) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	s.closed = true
-	s.marks = nil
-	s.record(opClose, 1, 0)
-	return nil
+	return s.Do(func(tx *Tx) error {
+		tx.closed = true
+		tx.marks = nil
+		tx.record(opClose, 1, 0)
+		return nil
+	})
 }
 
 // Do locks the session, runs f on the transaction view and unlocks when
@@ -199,27 +174,38 @@ func (s *Session) Close() error {
 // retain the Tx after it returns. A closed session returns ErrClosed
 // without calling f; otherwise Do returns f's error.
 func (s *Session) Do(f func(*Tx) error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return f(&s.tx)
+	return s.state.Do(func(tx *Tx) error {
+		if tx.closed {
+			return ErrClosed
+		}
+		return f(tx)
+	})
 }
 
-// Acquire locks the session and returns the transaction view, which
-// Tx.Release unlocks. It stays exported only for the perfbench module's
-// analysis probe, which builds against this API; nothing in this module
-// calls it.
+// Acquire holds the session and returns the transaction view, which
+// Tx.Release lets go: a helper goroutine runs one Do whose callback
+// waits for the release. It stays exported only for the perfbench
+// module's analysis probe, which builds against this API; nothing in
+// this module calls it.
 //
 // Deprecated: use Session.Do, which releases the lock on every exit.
 func (s *Session) Acquire() (*Tx, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
+	held := make(chan *Tx)
+	go func() {
+		err := s.Do(func(tx *Tx) error {
+			tx.release = make(chan struct{})
+			held <- tx
+			<-tx.release
+			return nil
+		})
+		if err != nil {
+			close(held)
+		}
+	}()
+	if tx, ok := <-held; ok {
+		return tx, nil
 	}
-	return &s.tx, nil
+	return nil, ErrClosed
 }
 
 // --- single-call convenience wrappers (one Do each) ---
@@ -289,8 +275,8 @@ func (s *Session) CheckpointDepth() (int, error) {
 // SinkDist returns the circuit-delay distribution at the current widths.
 func (s *Session) SinkDist() (*dist.Dist, error) {
 	var sink *dist.Dist
-	err := s.Do(func(*Tx) error {
-		sink = s.a.SinkDist()
+	err := s.Do(func(tx *Tx) error {
+		sink = tx.a.SinkDist()
 		return nil
 	})
 	return sink, err
@@ -299,8 +285,8 @@ func (s *Session) SinkDist() (*dist.Dist, error) {
 // Percentile returns the p-quantile of the circuit-delay distribution.
 func (s *Session) Percentile(p float64) (float64, error) {
 	var v float64
-	err := s.Do(func(*Tx) error {
-		v = s.a.Percentile(p)
+	err := s.Do(func(tx *Tx) error {
+		v = tx.a.Percentile(p)
 		return nil
 	})
 	return v, err
@@ -320,8 +306,8 @@ func (s *Session) Objective() (float64, error) {
 // ObjectiveName describes the session objective (e.g. "p99").
 func (s *Session) ObjectiveName() (string, error) {
 	var name string
-	err := s.Do(func(*Tx) error {
-		name = s.obj.String()
+	err := s.Do(func(tx *Tx) error {
+		name = tx.obj.String()
 		return nil
 	})
 	return name, err
@@ -330,11 +316,11 @@ func (s *Session) ObjectiveName() (string, error) {
 // Arrival returns the arrival-time distribution at gate g's output.
 func (s *Session) Arrival(g netlist.GateID) (*dist.Dist, error) {
 	var arr *dist.Dist
-	err := s.Do(func(*Tx) error {
-		if err := s.checkGate(g); err != nil {
+	err := s.Do(func(tx *Tx) error {
+		if err := tx.checkGate(g); err != nil {
 			return err
 		}
-		arr = s.a.Arrival(s.d.E.NodeOf[s.d.NL.Gate(g).Out])
+		arr = tx.a.Arrival(tx.d.E.NodeOf[tx.d.NL.Gate(g).Out])
 		return nil
 	})
 	return arr, err
@@ -345,13 +331,13 @@ func (s *Session) Arrival(g netlist.GateID) (*dist.Dist, error) {
 func (s *Session) Required(ctx context.Context, g netlist.GateID) (*dist.Dist, error) {
 	var req *dist.Dist
 	err := s.Do(func(tx *Tx) error {
-		if err := s.checkGate(g); err != nil {
+		if err := tx.checkGate(g); err != nil {
 			return err
 		}
 		if err := tx.EnsureRequired(ctx); err != nil {
 			return err
 		}
-		req = s.a.Required(s.d.E.NodeOf[s.d.NL.Gate(g).Out])
+		req = tx.a.Required(tx.d.E.NodeOf[tx.d.NL.Gate(g).Out])
 		return nil
 	})
 	return req, err
@@ -364,13 +350,13 @@ func (s *Session) Required(ctx context.Context, g netlist.GateID) (*dist.Dist, e
 func (s *Session) Slack(ctx context.Context, g netlist.GateID) (*dist.Dist, error) {
 	var sl *dist.Dist
 	err := s.Do(func(tx *Tx) error {
-		if err := s.checkGate(g); err != nil {
+		if err := tx.checkGate(g); err != nil {
 			return err
 		}
 		if err := tx.EnsureRequired(ctx); err != nil {
 			return err
 		}
-		sl = s.a.Slack(s.d.E.NodeOf[s.d.NL.Gate(g).Out])
+		sl = tx.a.Slack(tx.d.E.NodeOf[tx.d.NL.Gate(g).Out])
 		return nil
 	})
 	return sl, err
@@ -390,10 +376,10 @@ func (s *Session) Criticality(ctx context.Context, g netlist.GateID) (float64, e
 // SetDeadline fixes the sink deadline the slack queries measure against
 // and invalidates any cached required-time pass.
 func (s *Session) SetDeadline(t float64) error {
-	return s.Do(func(*Tx) error {
-		s.deadline = t
-		s.hasDeadline = true
-		s.a.InvalidateRequired()
+	return s.Do(func(tx *Tx) error {
+		tx.deadline = t
+		tx.hasDeadline = true
+		tx.a.InvalidateRequired()
 		return nil
 	})
 }
@@ -401,11 +387,11 @@ func (s *Session) SetDeadline(t float64) error {
 // Width returns gate g's current width.
 func (s *Session) Width(g netlist.GateID) (float64, error) {
 	var w float64
-	err := s.Do(func(*Tx) error {
-		if err := s.checkGate(g); err != nil {
+	err := s.Do(func(tx *Tx) error {
+		if err := tx.checkGate(g); err != nil {
 			return err
 		}
-		w = s.d.Width(g)
+		w = tx.d.Width(g)
 		return nil
 	})
 	return w, err
@@ -415,8 +401,8 @@ func (s *Session) Width(g netlist.GateID) (float64, error) {
 // gate size").
 func (s *Session) TotalWidth() (float64, error) {
 	var w float64
-	err := s.Do(func(*Tx) error {
-		w = s.d.TotalWidth()
+	err := s.Do(func(tx *Tx) error {
+		w = tx.d.TotalWidth()
 		return nil
 	})
 	return w, err
@@ -429,8 +415,8 @@ func (s *Session) TotalWidth() (float64, error) {
 // is a bug worth surfacing.
 func (s *Session) NumGates() (int, error) {
 	var n int
-	err := s.Do(func(*Tx) error {
-		n = s.d.NL.NumGates()
+	err := s.Do(func(tx *Tx) error {
+		n = tx.d.NL.NumGates()
 		return nil
 	})
 	return n, err
@@ -439,8 +425,8 @@ func (s *Session) NumGates() (int, error) {
 // DT returns the SSTA grid resolution the session was opened at.
 func (s *Session) DT() (float64, error) {
 	var dt float64
-	err := s.Do(func(*Tx) error {
-		dt = s.a.DT
+	err := s.Do(func(tx *Tx) error {
+		dt = tx.a.DT
 		return nil
 	})
 	return dt, err
@@ -450,8 +436,8 @@ func (s *Session) DT() (float64, error) {
 // use after the session closes or moves on.
 func (s *Session) Snapshot() (*design.Design, error) {
 	var d *design.Design
-	err := s.Do(func(*Tx) error {
-		d = s.d.Clone()
+	err := s.Do(func(tx *Tx) error {
+		d = tx.d.Clone()
 		return nil
 	})
 	return d, err
@@ -465,13 +451,4 @@ func (s *Session) Stats() (Stats, error) {
 		return nil
 	})
 	return st, err
-}
-
-// checkGate validates a gate ID against the netlist. Callers hold the
-// lock.
-func (s *Session) checkGate(g netlist.GateID) error {
-	if g < 0 || int(g) >= s.d.NL.NumGates() {
-		return fmt.Errorf("session: gate %d out of range [0,%d)", g, s.d.NL.NumGates())
-	}
-	return nil
 }

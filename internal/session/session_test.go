@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"statsize/internal/cell"
 	"statsize/internal/design"
@@ -20,7 +22,18 @@ type pct float64
 func (p pct) Eval(s *dist.Dist) float64 { return s.Percentile(float64(p)) }
 func (p pct) String() string            { return fmt.Sprintf("p%g", 100*float64(p)) }
 
+// open opens a c17 session that the test's cleanup closes.
 func open(t *testing.T) *Session {
+	t.Helper()
+	s := openUnclosed(t)
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// openUnclosed opens a c17 session with no cleanup. The lock tests use
+// it: after a watchdog failure the session may stay locked, and a
+// cleanup Close would then hang the whole run.
+func openUnclosed(t *testing.T) *Session {
 	t.Helper()
 	lib := cell.Default180nm()
 	d, err := design.New(netlist.C17(lib), lib)
@@ -31,8 +44,23 @@ func open(t *testing.T) *Session {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// within runs call and returns its error, failing the test if call has
+// not returned after two seconds: a session call that blocks on a lock
+// nobody will release fails here instead of hanging the run.
+func within(t *testing.T, name string, call func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- call() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(2 * time.Second):
+		t.Fatalf("%s did not return within 2s: the session stayed locked", name)
+		return nil
+	}
 }
 
 func TestOpenValidation(t *testing.T) {
@@ -95,11 +123,12 @@ func TestTxLifecycle(t *testing.T) {
 }
 
 // TestDoReleasesOnEveryExit pins the scoped lock: whether f returns
-// normally, returns an error or panics, Do leaves the session unlocked.
-// TryLock makes a missing unlock fail here instead of hanging. A closed
-// session refuses Do without calling f.
+// normally, returns an error or panics, Do leaves the session unlocked,
+// so the next session call returns (under a watchdog, so a leaked lock
+// fails instead of hanging). A closed session refuses Do without
+// calling f.
 func TestDoReleasesOnEveryExit(t *testing.T) {
-	s := open(t)
+	s := openUnclosed(t)
 	boom := errors.New("boom")
 	exits := []struct {
 		name string
@@ -123,12 +152,11 @@ func TestDoReleasesOnEveryExit(t *testing.T) {
 		if got != e.want {
 			t.Errorf("%s exit: Do gave %v, want %v", e.name, got, e.want)
 		}
-		// Either TryLock took the lock or the exit leaked it; unlocking
-		// covers both, so a failure here does not hang the cleanup.
-		leaked := !s.mu.TryLock()
-		s.mu.Unlock()
-		if leaked {
-			t.Errorf("%s exit left the session locked", e.name)
+		if err := within(t, e.name+" exit, then Objective", func() error {
+			_, err := s.Objective()
+			return err
+		}); err != nil {
+			t.Fatal(err)
 		}
 	}
 
@@ -178,7 +206,8 @@ func TestWhatIfDoesNotCommit(t *testing.T) {
 	if sink0 != sink1 {
 		t.Error("WhatIf mutated the analysis")
 	}
-	if w, _ := s.Width(0); w != s.tx.Design().Lib.WMin {
+	lib := cell.Default180nm()
+	if w, _ := s.Width(0); w != lib.WMin {
 		t.Error("WhatIf mutated the design")
 	}
 	// Clamped width: sensitivity denominator uses the applied width.
@@ -186,7 +215,7 @@ func TestWhatIfDoesNotCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Width != s.tx.Design().Lib.WMax {
+	if r2.Width != lib.WMax {
 		t.Errorf("width %v not clamped to WMax", r2.Width)
 	}
 	// Resizing to the current width is a zero-sensitivity no-op.
@@ -362,34 +391,117 @@ func TestRollbackRestoresDeadline(t *testing.T) {
 	}
 }
 
-// TestAccessorsLockAndCheckClosed: NumGates, DT and ObjectiveName must
-// behave like every other accessor — serialize on the session lock and
-// fail with ErrClosed instead of silently reading freed state.
-func TestAccessorsLockAndCheckClosed(t *testing.T) {
-	s := open(t)
-	if n, err := s.NumGates(); err != nil || n != 6 {
-		t.Errorf("NumGates = %d, %v; want 6 (c17)", n, err)
+// TestAcquireBlocksUntilRelease pins the unscoped pair the perfbench
+// analysis probe holds a session with: while the Tx from Acquire is
+// held it works and every other session call blocks; after Release
+// they proceed. Acquire on a closed session fails with ErrClosed.
+func TestAcquireBlocksUntilRelease(t *testing.T) {
+	s := openUnclosed(t)
+	tx, err := s.Acquire()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if dt, err := s.DT(); err != nil || dt <= 0 {
-		t.Errorf("DT = %v, %v; want positive", dt, err)
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := s.NumGates()
+		blocked <- err
+	}()
+	select {
+	case err := <-blocked:
+		t.Fatalf("NumGates returned (%v) while the session was acquired", err)
+	case <-time.After(100 * time.Millisecond):
 	}
-	if name, err := s.ObjectiveName(); err != nil || name != "p99" {
-		t.Errorf("ObjectiveName = %q, %v; want p99", name, err)
+	if n := tx.Design().NL.NumGates(); n != 6 {
+		t.Errorf("held Tx reads %d gates, want 6", n)
+	}
+	tx.Release()
+	if err := within(t, "NumGates after Release", func() error { return <-blocked }); err != nil {
+		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.NumGates(); !errors.Is(err, ErrClosed) {
-		t.Errorf("NumGates after Close: %v, want ErrClosed", err)
+	if tx, err := s.Acquire(); !errors.Is(err, ErrClosed) || tx != nil {
+		t.Errorf("Acquire after Close = %v, %v; want nil, ErrClosed", tx, err)
 	}
-	if _, err := s.DT(); !errors.Is(err, ErrClosed) {
-		t.Errorf("DT after Close: %v, want ErrClosed", err)
+}
+
+// TestAccessorsLockAndCheckClosed runs every single-call Session method
+// (all exported methods but Do, Acquire and Close): each must return on
+// an open session, so none takes the session lock twice (the self-
+// deadlock class of an accessor calling another accessor inside its
+// callback), and each must fail with ErrClosed after Close instead of
+// reading freed state.
+func TestAccessorsLockAndCheckClosed(t *testing.T) {
+	s := openUnclosed(t)
+	ctx := context.Background()
+	calls := []struct {
+		name string
+		call func() error
+	}{
+		{"Resize", func() error { _, err := s.Resize(ctx, 0, 2); return err }},
+		{"WhatIf", func() error { _, err := s.WhatIf(ctx, 1, 2); return err }},
+		{"WhatIfBatch", func() error { _, err := s.WhatIfBatch(ctx, []Candidate{{1, 2}}); return err }},
+		{"Checkpoint", func() error { _, err := s.Checkpoint(); return err }},
+		{"CheckpointDepth", func() error { _, err := s.CheckpointDepth(); return err }},
+		{"Rollback", s.Rollback},
+		{"SinkDist", func() error { _, err := s.SinkDist(); return err }},
+		{"Percentile", func() error { _, err := s.Percentile(0.5); return err }},
+		{"Objective", func() error { _, err := s.Objective(); return err }},
+		{"ObjectiveName", func() error {
+			name, err := s.ObjectiveName()
+			if err == nil && name != "p99" {
+				return fmt.Errorf("name %q, want p99", name)
+			}
+			return err
+		}},
+		{"Arrival", func() error { _, err := s.Arrival(0); return err }},
+		{"Required", func() error { _, err := s.Required(ctx, 0); return err }},
+		{"Slack", func() error { _, err := s.Slack(ctx, 0); return err }},
+		{"Criticality", func() error { _, err := s.Criticality(ctx, 0); return err }},
+		{"SetDeadline", func() error { return s.SetDeadline(1e6) }},
+		{"Width", func() error { _, err := s.Width(0); return err }},
+		{"TotalWidth", func() error { _, err := s.TotalWidth(); return err }},
+		{"NumGates", func() error {
+			n, err := s.NumGates()
+			if err == nil && n != 6 {
+				return fmt.Errorf("%d gates, want 6 (c17)", n)
+			}
+			return err
+		}},
+		{"DT", func() error {
+			dt, err := s.DT()
+			if err == nil && dt <= 0 {
+				return fmt.Errorf("dt %v, want positive", dt)
+			}
+			return err
+		}},
+		{"Snapshot", func() error { _, err := s.Snapshot(); return err }},
+		{"Stats", func() error { _, err := s.Stats(); return err }},
 	}
-	if _, err := s.ObjectiveName(); !errors.Is(err, ErrClosed) {
-		t.Errorf("ObjectiveName after Close: %v, want ErrClosed", err)
+	covered := map[string]bool{"Do": true, "Acquire": true, "Close": true}
+	for _, c := range calls {
+		covered[c.name] = true
 	}
-	if _, err := s.WhatIfBatch(context.Background(), nil); !errors.Is(err, ErrClosed) {
-		t.Errorf("WhatIfBatch after Close: %v, want ErrClosed", err)
+	typ := reflect.TypeOf(s)
+	for i := 0; i < typ.NumMethod(); i++ {
+		if name := typ.Method(i).Name; !covered[name] {
+			t.Errorf("Session.%s is missing from the table", name)
+		}
+	}
+
+	for _, c := range calls {
+		if err := within(t, c.name, c.call); err != nil {
+			t.Errorf("%s on an open session: %v", c.name, err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range calls {
+		if err := within(t, c.name+" after Close", c.call); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s after Close: %v, want ErrClosed", c.name, err)
+		}
 	}
 }
 

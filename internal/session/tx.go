@@ -12,40 +12,67 @@ import (
 	"statsize/internal/ssta"
 )
 
-// Tx is the working view of a held session: Session.Do hands one to
-// its callback, and the optimizer inner loops and any caller that needs
-// several queries and mutations to happen without interleaving work
-// through it. A Tx is only valid inside the callback that received it,
-// on that goroutine; Do releases the session when the callback returns.
+// Tx is the state of a session and the working view of a held one:
+// Session.Do hands it to its callback, and the optimizer inner loops
+// and any caller that needs several queries and mutations to happen
+// without interleaving work through it. A Tx is only valid inside the
+// callback that received it, on that goroutine; Do releases the session
+// when the callback returns.
 type Tx struct {
-	s *Session
+	d      *design.Design
+	a      *ssta.Analysis
+	obj    Objective
+	closed bool
+
+	// scratch is the session's one evaluation working set, one Scratch
+	// (kernel arena plus dense overlays) per worker. What-ifs, batches,
+	// resize commits, required-time passes and optimizer sweeps all
+	// compute through it, so a warm session allocates only what escapes
+	// (persisted sinks and committed arrivals). Worker w of a parallel
+	// sweep touches only scratch[w], and the serial paths use scratch[0].
+	scratch []*ssta.Scratch
+
+	// deadline overrides the slack reference; when unset the current
+	// objective value of the sink distribution is used.
+	deadline    float64
+	hasDeadline bool
+
+	marks []mark
+	stats Stats // written only through record
+
+	// rollup, when non-nil, is the engine-wide Counters this session
+	// reports into from Open to Close (see record).
+	rollup *Counters
+
+	// release ends the hold Session.Acquire took (see Release).
+	release chan struct{}
 }
 
-// Release unlocks a session taken with Acquire. The Tx must not be used
-// afterwards, and a Tx from Do must never be released by hand. Like
-// Acquire, it stays exported only for the perfbench module's analysis
-// probe.
+// Release lets go of a session taken with Acquire. The Tx must not be
+// used afterwards, and a Tx from Do must never be released by hand.
+// Like Acquire, it stays exported only for the perfbench module's
+// analysis probe.
 //
 // Deprecated: use Session.Do, which releases the lock on every exit.
-func (t *Tx) Release() { t.s.mu.Unlock() }
+func (t *Tx) Release() { close(t.release) }
 
 // Design returns the session-owned design. It remains owned by the
 // session: mutate widths only through Resize so the analysis stays
 // consistent.
-func (t *Tx) Design() *design.Design { return t.s.d }
+func (t *Tx) Design() *design.Design { return t.d }
 
 // Analysis returns the live incremental analysis.
-func (t *Tx) Analysis() *ssta.Analysis { return t.s.a }
+func (t *Tx) Analysis() *ssta.Analysis { return t.a }
 
 // Scratch returns the session's evaluation working set, one Scratch per
 // worker: the optimizers sweep their candidates over it, so one set of
 // warm arenas and overlays serves every pass of the session. Worker w
 // of a parallel sweep uses only element w.
-func (t *Tx) Scratch() []*ssta.Scratch { return t.s.scratch }
+func (t *Tx) Scratch() []*ssta.Scratch { return t.scratch }
 
 // Objective evaluates the session objective on the current sink
 // distribution.
-func (t *Tx) Objective() float64 { return t.s.obj.Eval(t.s.a.SinkDist()) }
+func (t *Tx) Objective() float64 { return t.obj.Eval(t.a.SinkDist()) }
 
 // Resize commits gate g at width w: the design width changes (clamped
 // to the library range) and the perturbation propagates incrementally —
@@ -54,30 +81,29 @@ func (t *Tx) Objective() float64 { return t.s.obj.Eval(t.s.a.SinkDist()) }
 // mid commit, the design width is restored and the analysis was never
 // touched, so a resize is all-or-nothing.
 func (t *Tx) Resize(ctx context.Context, g netlist.GateID, w float64) (ResizeStats, error) {
-	s := t.s
-	if err := s.checkGate(g); err != nil {
+	if err := t.checkGate(g); err != nil {
 		return ResizeStats{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		return ResizeStats{}, fmt.Errorf("session: resize canceled: %w", err)
 	}
-	oldW := s.d.Width(g)
+	oldW := t.d.Width(g)
 	// Design pre-image for all-or-nothing semantics; ResizeCommit itself
 	// writes the analysis only after its propagation completes.
-	dSt := s.d.Snapshot()
-	applied := s.d.SetWidth(g, w)
-	n, err := s.a.ResizeCommit(ctx, g, s.scratch[0])
+	dSt := t.d.Snapshot()
+	applied := t.d.SetWidth(g, w)
+	n, err := t.a.ResizeCommit(ctx, g, t.scratch[0])
 	if err != nil {
-		s.d.Restore(dSt)
+		t.d.Restore(dSt)
 		return ResizeStats{}, err
 	}
-	s.record(opResize, 1, n)
+	t.record(opResize, 1, n)
 	return ResizeStats{
 		Gate:            g,
 		OldWidth:        oldW,
 		NewWidth:        applied,
 		NodesRecomputed: n,
-		FullPassNodes:   s.stats.TotalNodes,
+		FullPassNodes:   t.stats.TotalNodes,
 		Objective:       t.Objective(),
 	}, nil
 }
@@ -87,15 +113,14 @@ func (t *Tx) Resize(ctx context.Context, g netlist.GateID, w float64) (ResizeSta
 // the graph with overlays, pruned where the perturbation dies out.
 // Neither the design nor the analysis changes.
 func (t *Tx) WhatIf(ctx context.Context, g netlist.GateID, w float64) (WhatIfResult, error) {
-	s := t.s
-	if err := s.checkGate(g); err != nil {
+	if err := t.checkGate(g); err != nil {
 		return WhatIfResult{}, err
 	}
 	res, err := t.evalWhatIf(ctx, t.Objective(), g, w)
 	if err != nil {
 		return WhatIfResult{}, err
 	}
-	s.record(opWhatIf, 1, res.NodesVisited)
+	t.record(opWhatIf, 1, res.NodesVisited)
 	return res, nil
 }
 
@@ -103,7 +128,7 @@ func (t *Tx) WhatIf(ctx context.Context, g netlist.GateID, w float64) (WhatIfRes
 // WhatIfBatch: the propagation (whatIfSink) followed by the objective
 // summary (finishWhatIf).
 func (t *Tx) evalWhatIf(ctx context.Context, base float64, g netlist.GateID, w float64) (WhatIfResult, error) {
-	wEff, sink, visited, err := t.whatIfSink(ctx, g, w, t.s.scratch[0])
+	wEff, sink, visited, err := t.whatIfSink(ctx, g, w, t.scratch[0])
 	if err != nil {
 		return WhatIfResult{}, err
 	}
@@ -119,9 +144,8 @@ func (t *Tx) evalWhatIf(ctx context.Context, base float64, g netlist.GateID, w f
 // thread-safety requirement, so their Eval runs only on the merging
 // goroutine (finishWhatIf).
 func (t *Tx) whatIfSink(ctx context.Context, g netlist.GateID, w float64, sc *ssta.Scratch) (float64, *dist.Dist, int, error) {
-	s := t.s
-	wEff := s.d.Lib.ClampWidth(w)
-	sink, visited, err := s.a.WhatIf(ctx, g, wEff, sc)
+	wEff := t.d.Lib.ClampWidth(w)
+	sink, visited, err := t.a.WhatIf(ctx, g, wEff, sc)
 	if err != nil {
 		return 0, nil, visited, err
 	}
@@ -131,8 +155,7 @@ func (t *Tx) whatIfSink(ctx context.Context, g netlist.GateID, w float64, sc *ss
 // finishWhatIf summarizes one propagated candidate into a WhatIfResult,
 // evaluating the objective on the caller's goroutine.
 func (t *Tx) finishWhatIf(base float64, g netlist.GateID, wEff float64, sink *dist.Dist, visited int) WhatIfResult {
-	s := t.s
-	after := s.obj.Eval(sink)
+	after := t.obj.Eval(sink)
 	res := WhatIfResult{
 		Gate:         g,
 		Width:        wEff,
@@ -140,7 +163,7 @@ func (t *Tx) finishWhatIf(base float64, g netlist.GateID, wEff float64, sink *di
 		Delta:        base - after,
 		NodesVisited: visited,
 	}
-	if dw := wEff - s.d.Width(g); dw != 0 {
+	if dw := wEff - t.d.Width(g); dw != 0 {
 		res.Sensitivity = res.Delta / dw
 	}
 	return res
@@ -158,9 +181,8 @@ func (t *Tx) finishWhatIf(base float64, g netlist.GateID, wEff float64, sink *di
 // candidates and reports the context error; no partial results are
 // returned (nothing was committed, so nothing needs undoing).
 func (t *Tx) WhatIfBatch(ctx context.Context, candidates []Candidate) ([]WhatIfResult, error) {
-	s := t.s
 	for i, c := range candidates {
-		if err := s.checkGate(c.Gate); err != nil {
+		if err := t.checkGate(c.Gate); err != nil {
 			return nil, fmt.Errorf("session: what-if batch candidate %d: %w", i, err)
 		}
 	}
@@ -174,8 +196,8 @@ func (t *Tx) WhatIfBatch(ctx context.Context, candidates []Candidate) ([]WhatIfR
 		visited int
 	}
 	props := make([]propagated, len(candidates))
-	err := par.RunIndexed(ctx, len(s.scratch), len(candidates), func(w, i int) error {
-		wEff, sink, visited, err := t.whatIfSink(ctx, candidates[i].Gate, candidates[i].Width, s.scratch[w])
+	err := par.RunIndexed(ctx, len(t.scratch), len(candidates), func(w, i int) error {
+		wEff, sink, visited, err := t.whatIfSink(ctx, candidates[i].Gate, candidates[i].Width, t.scratch[w])
 		if err != nil {
 			return err
 		}
@@ -196,26 +218,25 @@ func (t *Tx) WhatIfBatch(ctx context.Context, candidates []Candidate) ([]WhatIfR
 		results[i] = t.finishWhatIf(base, candidates[i].Gate, p.wEff, p.sink, p.visited)
 		visited += p.visited
 	}
-	s.record(opWhatIf, len(results), visited)
+	t.record(opWhatIf, len(results), visited)
 	return results, nil
 }
 
 // Checkpoint pushes a restore point and returns the checkpoint depth
 // after the push. Checkpoints nest: each Rollback pops the most recent.
 func (t *Tx) Checkpoint() int {
-	s := t.s
-	s.marks = append(s.marks, mark{
-		d:           s.d.Snapshot(),
-		a:           s.a.Snapshot(),
-		deadline:    s.deadline,
-		hasDeadline: s.hasDeadline,
+	t.marks = append(t.marks, mark{
+		d:           t.d.Snapshot(),
+		a:           t.a.Snapshot(),
+		deadline:    t.deadline,
+		hasDeadline: t.hasDeadline,
 	})
-	s.record(opCheckpoint, 1, 0)
-	return len(s.marks)
+	t.record(opCheckpoint, 1, 0)
+	return len(t.marks)
 }
 
 // CheckpointDepth returns the number of pending checkpoints.
-func (t *Tx) CheckpointDepth() int { return len(t.s.marks) }
+func (t *Tx) CheckpointDepth() int { return len(t.marks) }
 
 // Rollback pops the most recent checkpoint and restores design,
 // analysis and deadline setting to it; ErrNoCheckpoint when none is
@@ -223,17 +244,16 @@ func (t *Tx) CheckpointDepth() int { return len(t.s.marks) }
 // required-time cache is never served against a deadline configured
 // after the checkpoint.
 func (t *Tx) Rollback() error {
-	s := t.s
-	if len(s.marks) == 0 {
+	if len(t.marks) == 0 {
 		return ErrNoCheckpoint
 	}
-	m := s.marks[len(s.marks)-1]
-	s.marks = s.marks[:len(s.marks)-1]
-	s.d.Restore(m.d)
-	s.a.Restore(m.a)
-	s.deadline = m.deadline
-	s.hasDeadline = m.hasDeadline
-	s.record(opRollback, 1, 0)
+	m := t.marks[len(t.marks)-1]
+	t.marks = t.marks[:len(t.marks)-1]
+	t.d.Restore(m.d)
+	t.a.Restore(m.a)
+	t.deadline = m.deadline
+	t.hasDeadline = m.hasDeadline
+	t.record(opRollback, 1, 0)
 	return nil
 }
 
@@ -242,20 +262,27 @@ func (t *Tx) Rollback() error {
 // session's configured deadline, or the current objective value when
 // none was set.
 func (t *Tx) EnsureRequired(ctx context.Context) error {
-	s := t.s
-	if s.a.HasRequired() {
+	if t.a.HasRequired() {
 		return nil
 	}
-	deadline := s.deadline
-	if !s.hasDeadline {
+	deadline := t.deadline
+	if !t.hasDeadline {
 		deadline = t.Objective()
 	}
-	if err := s.a.ComputeRequired(ctx, dist.Point(s.a.DT, deadline), s.scratch[0]); err != nil {
+	if err := t.a.ComputeRequired(ctx, dist.Point(t.a.DT, deadline), t.scratch[0]); err != nil {
 		return err
 	}
-	s.record(opRequired, 1, 0)
+	t.record(opRequired, 1, 0)
 	return nil
 }
 
 // Stats returns the cumulative session accounting.
-func (t *Tx) Stats() Stats { return t.s.stats }
+func (t *Tx) Stats() Stats { return t.stats }
+
+// checkGate validates a gate ID against the netlist.
+func (t *Tx) checkGate(g netlist.GateID) error {
+	if g < 0 || int(g) >= t.d.NL.NumGates() {
+		return fmt.Errorf("session: gate %d out of range [0,%d)", g, t.d.NL.NumGates())
+	}
+	return nil
+}
