@@ -9,7 +9,6 @@ import (
 	"statsize/internal/dist"
 	"statsize/internal/graph"
 	"statsize/internal/netlist"
-	"statsize/internal/par"
 	"statsize/internal/session"
 	"statsize/internal/ssta"
 )
@@ -25,61 +24,71 @@ import (
 // 1–4 this bound is an upper bound on the candidate's true sensitivity
 // and can only shrink as the front advances.
 //
-// The inner loop (Figure 6, steps 6–21) repeatedly advances the front
-// with the largest bound by one level. When a front reaches the sink,
-// its exact sensitivity updates Max_S; any front whose bound falls below
-// Max_S is discarded without further propagation. The surviving argmax
-// is identical to the brute-force result.
+// The inner loop (Figure 6, steps 6–21) advances the fronts with the
+// largest bounds level by level, in rounds that step up to roundSize
+// fronts on the session's workers at once. When a front reaches the
+// sink, its exact sensitivity updates Max_S; any front whose bound falls
+// below Max_S is discarded without further propagation. The surviving
+// argmax is identical to the brute-force result.
 func Accelerated(ctx context.Context, s *session.Session, cfg Config) (*Result, error) {
 	return statisticalDescent(ctx, s, cfg, "accelerated", acceleratedIteration)
 }
+
+// roundSize bounds the fronts one round of the heap loop steps at once.
+// It is a constant, not the worker count, so which fronts step — and
+// with them the visited and pruned counts — never depends on the
+// parallelism; a round of one is the one-pop-one-level serial loop.
+const roundSize = 8
 
 // front is the A'set bookkeeping of one candidate gate (Figure 7/9): the
 // perturbed delays, the live perturbed nodes, the nodes pending
 // computation at later levels, and the current bound.
 //
-// A front computes through the scratch of the worker that built it, for
-// its whole life: its arena for kernel intermediates, its dense
-// overlays for each level step, and its recycler for the live arrivals
-// and the sink. Fronts are built in parallel, one worker's scratch each,
-// but stepped only by the serial heap loop after the build barrier, so
-// no scratch ever serves two goroutines at once.
+// A front owns no scratch. Each level step computes through the scratch
+// of the worker running it — its arena for kernel intermediates, its
+// dense overlays, its recycler for what the step keeps — and every kept
+// value records that worker's ordinal, its keeper. One worker steps a
+// front at a time (the build, then one per round), and the iteration's
+// caller touches fronts only between barriers, so no scratch ever serves
+// two goroutines at once (see crew.drop for values kept elsewhere).
 type front struct {
 	gate   netlist.GateID
-	sc     *ssta.Scratch
 	delays []ssta.EdgeDelay
 
 	live    []liveNode
 	pending []graph.NodeID // sorted by (level, ID), without duplicates
 	levels  int            // levels advanced so far (for the heuristic cutoff)
 
-	smx      float64
-	sinkDist *dist.Dist // set once the sink is computed; recycled storage
-	visits   int
+	smx        float64
+	sinkDist   *dist.Dist // set once the sink is computed; recycled storage
+	sinkKeeper int32      // worker whose recycler kept sinkDist
+	visits     int
 }
 
 // liveNode is one perturbed arrival on a front: the distribution, held
-// in the front's recycler (or, when it is a base arrival, by pointer),
-// its perturbation bound Δ, and the level of its last fanout — the
-// level step that consumes it (Figure 9, steps 13–18). A node without
-// fanouts is never consumed.
+// in its keeper worker's recycler (or, when it is a base arrival, by
+// pointer), its perturbation bound Δ, and the level of its last fanout
+// — the level step that consumes it (Figure 9, steps 13–18). A node
+// without fanouts is never consumed. The keeper sits in what would be
+// padding after node, so the struct stays 32 bytes.
 type liveNode struct {
-	node  graph.NodeID
-	pert  *dist.Dist
-	delta float64
-	until int
+	node   graph.NodeID
+	keeper int32
+	pert   *dist.Dist
+	delta  float64
+	until  int
 }
 
-// newFront builds and initializes a candidate's front, propagating
-// through the candidate gate's own level exactly as Initialize does. sc
-// is the calling worker's scratch, which the front keeps (see front).
-func newFront(a *ssta.Analysis, cfg Config, x netlist.GateID, sc *ssta.Scratch) (*front, error) {
+// newFront builds and initializes a candidate's front on worker w,
+// propagating through the candidate gate's own level exactly as
+// Initialize does.
+func newFront(a *ssta.Analysis, cfg Config, x netlist.GateID, c *crew, w int) (*front, error) {
 	d := a.D
 	delays, err := a.PerturbedDelays(x, d.Width(x)+d.Lib.DeltaW)
 	if err != nil {
 		return nil, err
 	}
-	f := &front{gate: x, sc: sc, delays: delays}
+	f := &front{gate: x, delays: delays}
 	g := d.E.G
 	for _, gid := range ssta.AffectedGates(d, x) {
 		f.queue(g, d.E.NodeOf[d.NL.Gate(gid).Out])
@@ -89,7 +98,7 @@ func newFront(a *ssta.Analysis, cfg Config, x netlist.GateID, sc *ssta.Scratch) 
 	// steps 4–6).
 	ownLevel := g.Level(d.E.NodeOf[d.NL.Gate(x).Out])
 	for !f.dead() && f.nextLevel(g) <= ownLevel {
-		f.propagateOneLevel(a, cfg)
+		f.propagateOneLevel(a, cfg, c, w)
 	}
 	return f, nil
 }
@@ -118,22 +127,24 @@ func (f *front) queue(g *graph.Graph, n graph.NodeID) {
 	f.pending = slices.Insert(f.pending, lo, n)
 }
 
-// propagateOneLevel computes the perturbed arrivals of every node
-// pending at the front's lowest level, in node-ID order (Figure 9),
-// updates the perturbation bounds, queues fanouts, retires the live
-// nodes whose last fanout this level consumed, and recomputes Smx.
+// propagateOneLevel computes, on worker w, the perturbed arrivals of
+// every node pending at the front's lowest level, in node-ID order
+// (Figure 9), updates the perturbation bounds, queues fanouts, retires
+// the live nodes whose last fanout this level consumed, and recomputes
+// Smx.
 //
-// The step loads the live arrivals and perturbed delays into the
+// The step loads the live arrivals and perturbed delays into w's
 // scratch overlays and clears exactly those entries before returning,
 // so the overlays are all-nil between steps. Kernel intermediates cycle
-// through the arena per node; what the front retains (live arrivals,
-// the sink) is kept in the recycler, and a retired node's storage goes
-// straight back to it.
-func (f *front) propagateOneLevel(a *ssta.Analysis, cfg Config) {
+// through w's arena per node; what the front retains (live arrivals,
+// the sink) is kept in w's recycler with keeper w, and a retired node's
+// storage goes back through crew.drop.
+func (f *front) propagateOneLevel(a *ssta.Analysis, cfg Config, c *crew, w int) {
 	g := a.D.E.G
 	sink := g.Sink()
-	ar, rec := f.sc.Arena(), f.sc.Recycler()
-	arrOv, delayOv := a.Overlays(f.sc)
+	sc := c.ws[w]
+	ar, rec := sc.Arena(), sc.Recycler()
+	arrOv, delayOv := a.Overlays(sc)
 	for _, l := range f.live {
 		arrOv[l.node] = l.pert
 	}
@@ -151,7 +162,7 @@ func (f *front) propagateOneLevel(a *ssta.Analysis, cfg Config) {
 	}
 	for _, n := range f.pending[:k] {
 		ar.Reset()
-		pert := a.ArrivalWithOverlayInto(n, f.sc)
+		pert := a.ArrivalWithOverlayInto(n, sc)
 		f.visits++
 		base := a.Arrival(n)
 		alive := true
@@ -163,7 +174,7 @@ func (f *front) propagateOneLevel(a *ssta.Analysis, cfg Config) {
 			alive = false
 		}
 		if n == sink {
-			f.sinkDist = rec.Keep(pert)
+			f.sinkDist, f.sinkKeeper = rec.Keep(pert), int32(w)
 			alive = false
 		}
 		if alive {
@@ -177,10 +188,11 @@ func (f *front) propagateOneLevel(a *ssta.Analysis, cfg Config) {
 				until = math.MaxInt
 			}
 			f.live = append(f.live, liveNode{
-				node:  n,
-				pert:  rec.Keep(pert),
-				delta: dist.PerturbationBound(base, pert),
-				until: until,
+				node:   n,
+				keeper: int32(w),
+				pert:   rec.Keep(pert),
+				delta:  dist.PerturbationBound(base, pert),
+				until:  until,
 			})
 		}
 	}
@@ -199,7 +211,7 @@ func (f *front) propagateOneLevel(a *ssta.Analysis, cfg Config) {
 	for _, l := range f.live {
 		arrOv[l.node] = nil
 		if l.until <= level {
-			rec.Drop(l.pert)
+			c.drop(w, l)
 			continue
 		}
 		f.smx = max(f.smx, l.delta)
@@ -209,19 +221,81 @@ func (f *front) propagateOneLevel(a *ssta.Analysis, cfg Config) {
 	f.live = kept
 }
 
-// release hands the front's storage back to its recycler — the sink and
-// every live arrival — once the front is finished or pruned. It is
+// advance steps f on worker w, level by level, for as long as the serial
+// loop would keep popping it: until it dies, stops ranking above tau
+// (the best front left in the heap, nil when it is empty), turns
+// prunable against kth (the round's Max_S) or reaches the heuristic
+// cutoff. The first step is unconditional: the caller popped f only
+// because it needs one. No worker steps tau, so reading it is safe.
+func (f *front) advance(a *ssta.Analysis, cfg Config, c *crew, w int, tau *front, kth float64) {
+	for {
+		f.propagateOneLevel(a, cfg, c, w)
+		if f.dead() || f.prunable(cfg, a.D.Lib.DeltaW, kth) || f.atCutoff(cfg) || (tau != nil && !f.above(tau)) {
+			return
+		}
+	}
+}
+
+// prunable reports whether f's bound Smx/Δw falls below the k-th exact
+// sensitivity kth by more than pruneSlack (Figure 6, step 20).
+func (f *front) prunable(cfg Config, deltaW, kth float64) bool {
+	return !cfg.DisablePruning && f.smx/deltaW < kth-pruneSlack
+}
+
+// atCutoff reports whether f has advanced as many levels as the
+// heuristic allows.
+func (f *front) atCutoff(cfg Config) bool {
+	return cfg.HeuristicLevels > 0 && f.levels >= cfg.HeuristicLevels
+}
+
+// above reports whether f ranks above o in the heap's order: Smx
+// descending, ties to the lower gate ID.
+func (f *front) above(o *front) bool {
+	if f.smx != o.smx {
+		return f.smx > o.smx
+	}
+	return f.gate < o.gate
+}
+
+// release hands the front's storage back to the recyclers that kept it
+// — the sink and every live arrival — once the front is finished or
+// pruned. It runs on the iteration's caller between barriers, and it is
 // idempotent.
-func (f *front) release() {
-	rec := f.sc.Recycler()
+func (f *front) release(c *crew) {
 	if f.sinkDist != nil {
-		rec.Drop(f.sinkDist)
+		c.ws[f.sinkKeeper].Recycler().Drop(f.sinkDist)
 		f.sinkDist = nil
 	}
 	for _, l := range f.live {
-		rec.Drop(l.pert)
+		c.ws[l.keeper].Recycler().Drop(l.pert)
 	}
 	f.live = nil
+}
+
+// drop hands back a live value that worker w's step consumed: straight
+// to w's recycler when w kept it; otherwise onto w's foreign list,
+// because the keeper's recycler may be serving another front's step
+// right now. The caller empties the lists after the round's barrier
+// (drain).
+func (c *crew) drop(w int, l liveNode) {
+	if int(l.keeper) == w {
+		c.ws[w].Recycler().Drop(l.pert)
+		return
+	}
+	c.foreign[w] = append(c.foreign[w], l)
+}
+
+// drain drops every value on the workers' foreign lists through its
+// keeper's recycler. It runs on the caller after a barrier, when no
+// worker steps.
+func (c *crew) drain() {
+	for w, list := range c.foreign {
+		for _, l := range list {
+			c.ws[l.keeper].Recycler().Drop(l.pert)
+		}
+		clear(list)
+		c.foreign[w] = list[:0]
+	}
 }
 
 // frontHeap is a max-heap over Smx (ties: lower gate ID first).
@@ -229,10 +303,7 @@ type frontHeap []*front
 
 func (h frontHeap) Len() int { return len(h) }
 func (h frontHeap) Less(i, j int) bool {
-	if h[i].smx != h[j].smx {
-		return h[i].smx > h[j].smx
-	}
-	return h[i].gate < h[j].gate
+	return h[i].above(h[j])
 }
 func (h frontHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *frontHeap) Push(x any)   { *h = append(*h, x.(*front)) }
@@ -245,11 +316,29 @@ func (h *frontHeap) Pop() any {
 
 // acceleratedIteration is the inner loop of Figure 6 (steps 3–21): find
 // the most sensitive gates without propagating every candidate to the
-// sink. The warm-start hint (the previous iteration's winner) is
-// propagated to the sink before anything else, so Max_S starts high and
-// prunes from the first heap pop; this only reorders evaluation and
-// cannot change the result.
-func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, base float64, hint netlist.GateID, ws []*ssta.Scratch) (innerResult, error) {
+// sink.
+//
+// The loop runs in rounds. The caller pops up to roundSize fronts in
+// (Smx, gate) order and handles each pop as the one-front loop would: a
+// dead front finishes, a front at the heuristic cutoff offers its bound,
+// and a prunable head ends the popping — and the iteration, pruning
+// every front left, when it is the round's first pop. While fewer than
+// MultiSize fronts have finished there is no Max_S to prune against, so
+// a round takes a single front. The crew's workers then advance the
+// taken fronts at once, each against the round-start τ and Max_S
+// (front.advance), and after the barrier the caller merges them back in
+// pop order. Which fronts a round takes and how far each steps depend
+// on the heap alone, never on the worker count, so the trace is the
+// same at every parallelism, and a round of one is exactly the serial
+// one-pop-one-level loop. The picks are exact at any round size: a
+// front is discarded only once the heap maximum is prunable.
+//
+// The warm-start hint (the previous iteration's winner) is propagated to
+// the sink before anything else, so Max_S starts high and prunes from
+// the first round; this only reorders evaluation and cannot change the
+// result. Cancellation is observed per level of the hint front and per
+// round, so its latency is one round: at most one front run to the sink.
+func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, base float64, hint netlist.GateID, c *crew) (innerResult, error) {
 	d := a.D
 	deltaW := d.Lib.DeltaW
 	var ir innerResult
@@ -257,7 +346,7 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 	// Fronts load and clear their own overlay entries per level step, so
 	// every worker's overlays must start all-nil; commits and what-ifs
 	// leave entries behind.
-	for _, sc := range ws {
+	for _, sc := range c.ws {
 		arr, delay := a.Overlays(sc)
 		clear(arr)
 		clear(delay)
@@ -271,18 +360,20 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 	// parallelism.
 	cands := candidateGates(d)
 	fronts := make([]*front, len(cands))
-	// Finished fronts release their storage as they retire; this hands
-	// back the rest — pruned fronts, and every front on an error path —
-	// so no recycler holds anything once the iteration returns.
+	// Finished fronts release their storage as they retire; this empties
+	// the foreign lists and hands back the rest — pruned fronts, and
+	// every front on an error path — so no recycler holds anything once
+	// the iteration returns.
 	defer func() {
+		c.drain()
 		for _, f := range fronts {
 			if f != nil {
-				f.release()
+				f.release(c)
 			}
 		}
 	}()
-	err := par.RunIndexed(ctx, len(ws), len(cands), func(w, i int) error {
-		f, err := newFront(a, cfg, cands[i], ws[w])
+	err := c.pool.RunIndexed(ctx, len(cands), func(w, i int) error {
+		f, err := newFront(a, cfg, cands[i], c, w)
 		if err != nil {
 			return err
 		}
@@ -319,61 +410,89 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 			ir.pruned++
 		}
 		top.offer(pick{gate: f.gate, sens: sens})
-		f.release()
+		f.release(c)
 	}
 
 	if hintFront != nil {
+		// The hint front runs to the sink outside the rounds and their
+		// pruning checks, on this goroutine as worker 0 while no other
+		// worker steps, so cancellation must be observed here: one level
+		// of one front is the latency bound.
 		for !hintFront.dead() {
-			// The hint front runs to the sink outside the heap's pop loop
-			// and its pruning checks, so cancellation must be observed
-			// here: one level of one front is the latency bound.
 			if err := ctx.Err(); err != nil {
 				return ir, err
 			}
-			hintFront.propagateOneLevel(a, cfg)
+			hintFront.propagateOneLevel(a, cfg, c, 0)
 			ir.nodesVisited += hintFront.visits
 			hintFront.visits = 0
 		}
+		c.drain()
 		finish(hintFront)
 	}
 
-	pops := 0
+	batch := make([]*front, 0, roundSize)
+rounds:
 	for h.Len() > 0 {
-		if pops%64 == 0 {
-			if err := ctx.Err(); err != nil {
-				return ir, err
-			}
+		if err := ctx.Err(); err != nil {
+			return ir, err
 		}
-		pops++
-		f := heap.Pop(&h).(*front)
-		// Pruning (Figure 6, step 20): the heap maximum's front bound
-		// Smx = Δmx/Δw dominates every remaining candidate's true
-		// sensitivity, so once it falls below the MultiSize-th exact
-		// sensitivity nothing left can win.
-		if !cfg.DisablePruning && f.smx/deltaW < top.kthSens()-pruneSlack {
-			ir.pruned += 1 + h.Len()
+		batch = batch[:0]
+		for h.Len() > 0 && len(batch) < roundSize && (len(batch) == 0 || top.full()) {
+			f := heap.Pop(&h).(*front)
+			// Pruning (Figure 6, step 20): the heap maximum's front bound
+			// Smx = Δmx/Δw dominates every remaining candidate's true
+			// sensitivity, so once it falls below the MultiSize-th exact
+			// sensitivity nothing left can win. Fronts this round already
+			// took rank above it and step first.
+			if f.prunable(cfg, deltaW, top.kthSens()) {
+				if len(batch) == 0 {
+					ir.pruned += 1 + h.Len()
+					break rounds
+				}
+				heap.Push(&h, f)
+				break
+			}
+			if f.dead() {
+				finish(f)
+				continue
+			}
+			if f.atCutoff(cfg) {
+				// Future-work heuristic: accept the bound as the sensitivity
+				// estimate without reaching the sink.
+				top.offer(pick{gate: f.gate, sens: f.smx / deltaW})
+				ir.pruned++
+				f.release(c)
+				continue
+			}
+			batch = append(batch, f)
+		}
+		if len(batch) == 0 {
 			break
 		}
-		if f.dead() {
-			finish(f)
-			continue
+		// τ and Max_S hold still for the round: only the merge below
+		// changes the heap and the picks.
+		var tau *front
+		if h.Len() > 0 {
+			tau = h[0]
 		}
-		if cfg.HeuristicLevels > 0 && f.levels >= cfg.HeuristicLevels {
-			// Future-work heuristic: accept the bound as the sensitivity
-			// estimate without reaching the sink.
-			top.offer(pick{gate: f.gate, sens: f.smx / deltaW})
-			ir.pruned++
-			f.release()
-			continue
+		kth := top.kthSens()
+		err := c.pool.RunIndexed(ctx, len(batch), func(w, i int) error {
+			batch[i].advance(a, cfg, c, w, tau, kth)
+			return nil
+		})
+		c.drain()
+		if err != nil {
+			return ir, err
 		}
-		f.propagateOneLevel(a, cfg)
-		ir.nodesVisited += f.visits
-		f.visits = 0
-		if f.dead() {
-			finish(f)
-			continue
+		for _, f := range batch {
+			ir.nodesVisited += f.visits
+			f.visits = 0
+			if f.dead() {
+				finish(f)
+				continue
+			}
+			heap.Push(&h, f)
 		}
-		heap.Push(&h, f)
 	}
 	ir.picks = top.sorted()
 	if len(ir.picks) > 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"statsize/internal/netlist"
 	"statsize/internal/session"
@@ -12,9 +13,11 @@ import (
 
 // TestAcceleratedFrontStorageAccounting pins the lifetime of recycled
 // front storage: after every accelerated iteration no worker's
-// recycler holds a value and every overlay is nil again, and once the
-// run returns no recycler retains a free list — with pruning, and with
-// each ablation that keeps fronts alive longer.
+// recycler holds a value, no worker's foreign list still waits to drop
+// one, and every overlay is nil again; once the run returns no
+// recycler retains a free list. It covers pruning, each ablation that
+// keeps fronts alive longer, the MultiSize and heuristic round shapes,
+// and three workers stepping one round's fronts.
 func TestAcceleratedFrontStorageAccounting(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -23,21 +26,33 @@ func TestAcceleratedFrontStorageAccounting(t *testing.T) {
 		{"default", Config{}},
 		{"no-pruning", Config{DisablePruning: true}},
 		{"no-elision", Config{DisableDeadFrontElision: true}},
+		{"multi-size", Config{MultiSize: 3}},
+		{"heuristic-levels", Config{HeuristicLevels: 4}},
+		{"three-workers", Config{Parallelism: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
-			cfg.Bins, cfg.MaxIterations, cfg.Parallelism = 300, 3, 2
+			cfg.Bins, cfg.MaxIterations = 300, 3
+			if cfg.Parallelism == 0 {
+				cfg.Parallelism = 2
+			}
 			s, err := OpenSession(context.Background(), newDesign(t, "c880"), cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
 			var scratch []*ssta.Scratch
-			retained := 0
-			inner := func(ctx context.Context, a *ssta.Analysis, cfg Config, base float64, hint netlist.GateID, ws []*ssta.Scratch) (innerResult, error) {
-				scratch = ws
-				ir, err := acceleratedIteration(ctx, a, cfg, base, hint, ws)
-				for w, sc := range ws {
+			retained, foreign := 0, 0
+			inner := func(ctx context.Context, a *ssta.Analysis, cfg Config, base float64, hint netlist.GateID, c *crew) (innerResult, error) {
+				scratch = c.ws
+				ir, err := acceleratedIteration(ctx, a, cfg, base, hint, c)
+				for w, list := range c.foreign {
+					if len(list) != 0 {
+						t.Errorf("worker %d still lists %d consumed values another worker kept", w, len(list))
+					}
+					foreign = max(foreign, cap(list))
+				}
+				for w, sc := range c.ws {
 					if n := sc.Recycler().Held(); n != 0 {
 						t.Errorf("worker %d holds %d front values after the iteration", w, n)
 					}
@@ -63,6 +78,10 @@ func TestAcceleratedFrontStorageAccounting(t *testing.T) {
 			if res.Iterations == 0 || retained == 0 {
 				t.Fatalf("vacuous run: %d iterations, %d bytes of free lists seen", res.Iterations, retained)
 			}
+			if len(scratch) != cfg.Parallelism {
+				t.Fatalf("run used %d workers, want %d", len(scratch), cfg.Parallelism)
+			}
+			t.Logf("largest foreign list: %d values", foreign)
 			for w, sc := range scratch {
 				if b := sc.Recycler().FootprintBytes(); b != 0 {
 					t.Errorf("worker %d retains %d bytes of front storage after the run", w, b)
@@ -92,10 +111,11 @@ func TestWarmIterationAllocsC1908(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = s.Do(func(tx *session.Tx) error {
-		a, ws := tx.Analysis(), tx.Scratch()
+		a, c := tx.Analysis(), newCrew(tx.Scratch())
+		defer c.close()
 		base := cfg.Objective.Eval(a.SinkDist())
 		iterate := func() {
-			if _, err := acceleratedIteration(context.Background(), a, cfg, base, netlist.NoGate, ws); err != nil {
+			if _, err := acceleratedIteration(context.Background(), a, cfg, base, netlist.NoGate, c); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -115,5 +135,14 @@ func TestWarmIterationAllocsC1908(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLiveNodeSize pins liveNode at 32 bytes: the keeper ordinal lives
+// in what would otherwise be padding, so tracking ownership per value
+// costs fronts no memory.
+func TestLiveNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(liveNode{}); got != 32 {
+		t.Errorf("liveNode is %d bytes, want 32", got)
 	}
 }

@@ -38,7 +38,7 @@ func BruteForce(ctx context.Context, s *session.Session, cfg Config) (*Result, e
 // with: cfg.Bins, cfg.DT and cfg.Parallelism are construction-time
 // parameters (see OpenSession) and are ignored here. Every candidate
 // sweep of the run computes through the session's per-worker scratch
-// (Tx.Scratch), one warm working set.
+// (Tx.Scratch), one warm working set, on one pool of workers (crew).
 //
 // The context is checked between iterations and between candidate
 // evaluations inside `inner`. On cancellation the Result built so far —
@@ -57,20 +57,40 @@ func statisticalDescent(ctx context.Context, s *session.Session, cfg Config, met
 
 // innerFunc is one iteration's sensitivity search: brute force or
 // accelerated.
-type innerFunc func(ctx context.Context, a *ssta.Analysis, cfg Config, base float64, hint netlist.GateID, ws []*ssta.Scratch) (innerResult, error)
+type innerFunc func(ctx context.Context, a *ssta.Analysis, cfg Config, base float64, hint netlist.GateID, c *crew) (innerResult, error)
+
+// crew is the session's workers as one optimizer run drives them: one
+// scratch each (Tx.Scratch), the pool that runs them, and per worker
+// the consumed front values another worker kept, which wait there for
+// the caller to drop them after a barrier (see crew.drop).
+type crew struct {
+	ws      []*ssta.Scratch
+	pool    *par.Pool
+	foreign [][]liveNode
+}
+
+// newCrew starts a pool with one worker per scratch in ws. The caller
+// must close it.
+func newCrew(ws []*ssta.Scratch) *crew {
+	return &crew{ws: ws, pool: par.NewPool(len(ws)), foreign: make([][]liveNode, len(ws))}
+}
+
+// close stops the pool and releases every worker's recycler. Recycled
+// front storage lives for one run, so an idle session retains none of
+// it.
+func (c *crew) close() {
+	c.pool.Close()
+	for _, sc := range c.ws {
+		sc.Recycler().Release()
+	}
+}
 
 // descend is statisticalDescent's run over the held session.
 func descend(ctx context.Context, tx *session.Tx, cfg Config, method string, inner innerFunc, start time.Time) (*Result, error) {
 	a := tx.Analysis()
 	d := tx.Design()
-	ws := tx.Scratch()
-	// Recycled front storage lives for one run: the free lists go when
-	// it returns, so an idle session retains none of it.
-	defer func() {
-		for _, sc := range ws {
-			sc.Recycler().Release()
-		}
-	}()
+	c := newCrew(tx.Scratch())
+	defer c.close()
 	res := &Result{
 		Method:           method,
 		InitialWidth:     d.TotalWidth(),
@@ -96,7 +116,7 @@ func descend(ctx context.Context, tx *session.Tx, cfg Config, method string, inn
 		}
 		iterStart := time.Now()
 		base := cfg.Objective.Eval(a.SinkDist())
-		ir, err := inner(ctx, a, cfg, base, hint, ws)
+		ir, err := inner(ctx, a, cfg, base, hint, c)
 		if err != nil {
 			if ctx.Err() != nil {
 				return partial(ctx.Err())
@@ -174,7 +194,7 @@ type innerResult struct {
 // tie-breaks) are bit-identical to the serial sweep. Cancellation is
 // checked per candidate — each one costs a full SSTA propagation, the
 // natural granularity.
-func bruteForceIteration(ctx context.Context, a *ssta.Analysis, cfg Config, base float64, _ netlist.GateID, ws []*ssta.Scratch) (innerResult, error) {
+func bruteForceIteration(ctx context.Context, a *ssta.Analysis, cfg Config, base float64, _ netlist.GateID, c *crew) (innerResult, error) {
 	d := a.D
 	var ir innerResult
 	cands := candidateGates(d)
@@ -185,10 +205,10 @@ func bruteForceIteration(ctx context.Context, a *ssta.Analysis, cfg Config, base
 	sweeps := make([]sweep, len(cands))
 	// Each candidate's full pass computes in its worker's scratch; only
 	// the persisted sink distribution escapes.
-	err := par.RunIndexed(ctx, len(ws), len(cands), func(w, i int) error {
+	err := c.pool.RunIndexed(ctx, len(cands), func(w, i int) error {
 		x := cands[i]
 		var err error
-		sweeps[i].sink, sweeps[i].visited, err = a.WhatIfFull(x, d.Width(x)+d.Lib.DeltaW, ws[w])
+		sweeps[i].sink, sweeps[i].visited, err = a.WhatIfFull(x, d.Width(x)+d.Lib.DeltaW, c.ws[w])
 		return err
 	})
 	if err != nil {
@@ -238,11 +258,15 @@ func (t *topK) offer(p pick) {
 
 func (t *topK) sorted() []pick { return t.items }
 
+// full reports whether k candidates have finished, so that kthSens is a
+// threshold to prune against.
+func (t *topK) full() bool { return len(t.items) >= t.k }
+
 // kthSens returns the k-th best sensitivity seen so far (the pruning
 // threshold for MultiSize runs), or negative infinity while fewer than k
 // candidates have finished.
 func (t *topK) kthSens() float64 {
-	if len(t.items) < t.k {
+	if !t.full() {
 		return negInf
 	}
 	return t.items[len(t.items)-1].sens

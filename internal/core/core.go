@@ -87,14 +87,17 @@ type Config struct {
 	// default 1.
 	MultiSize int
 	// Parallelism bounds the worker pools of the parallel evaluation
-	// paths: the session-opening SSTA pass, what-if batches, and the
+	// paths: the session-opening SSTA pass, what-if batches, the
 	// per-candidate sweeps inside the brute-force and accelerated inner
-	// loops. Like Bins and DT it is fixed when the session opens
-	// (OpenSession): a run on an already-open session sweeps with that
-	// session's workers. Candidate evaluation is mutation-free, results
-	// merge in candidate order, and distributions are exact lattice
-	// operations, so the worker count never changes any result —
-	// trajectories are bit-identical at every setting. Non-positive
+	// loops, and the accelerated heap loop's rounds, which step up to
+	// eight perturbation fronts at once. Like Bins and DT it is fixed
+	// when the session opens (OpenSession): a run on an already-open
+	// session sweeps with that session's workers. Candidate evaluation
+	// is mutation-free, results merge in candidate (or heap pop) order,
+	// a round's fronts are chosen from the heap alone, and
+	// distributions are exact lattice operations, so the worker count
+	// never changes any result — trajectories, visited and pruned
+	// counts included, are bit-identical at every setting. Non-positive
 	// means one worker per logical CPU; 1 forces fully serial
 	// evaluation.
 	Parallelism int

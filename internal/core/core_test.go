@@ -201,15 +201,17 @@ func TestFrontBoundDominatesSensitivity(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := cfg.Objective.Eval(a.SinkDist())
+	c := newCrew([]*ssta.Scratch{ssta.NewScratch()})
+	defer c.close()
 	for _, gid := range candidateGates(d) {
-		f, err := newFront(a, cfg, gid, ssta.NewScratch())
+		f, err := newFront(a, cfg, gid, c, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		bound := f.smx / d.Lib.DeltaW
 		prevBound := math.Inf(1)
 		for !f.dead() {
-			f.propagateOneLevel(a, cfg)
+			f.propagateOneLevel(a, cfg, c, 0)
 			b := f.smx / d.Lib.DeltaW
 			if b > prevBound+pruneSlack {
 				t.Fatalf("gate %d: front bound grew from %v to %v", gid, prevBound, b)
@@ -223,6 +225,7 @@ func TestFrontBoundDominatesSensitivity(t *testing.T) {
 		if sens > bound+pruneSlack {
 			t.Errorf("gate %d: sensitivity %v exceeds initial bound %v", gid, sens, bound)
 		}
+		f.release(c)
 	}
 }
 

@@ -136,7 +136,9 @@ func (p *Pool) Run(ctx context.Context, n int, fn func(i int) error) error {
 }
 
 // RunIndexed is Run with the worker ordinal passed to fn (see the
-// package-level RunIndexed).
+// package-level RunIndexed). A batch wakes only as many workers as it
+// has indices, so the ordinals lie in [0, min(NumWorkers, n)): a
+// narrow batch on a wide pool leaves the other workers asleep.
 func (p *Pool) RunIndexed(ctx context.Context, n int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -153,8 +155,9 @@ func (p *Pool) RunIndexed(ctx context.Context, n int, fn func(worker, i int) err
 		return nil
 	}
 	b := &batch{ctx: ctx, n: n, fn: fn, firstI: n}
-	b.wg.Add(len(p.chans))
-	for _, ch := range p.chans {
+	chans := p.chans[:min(len(p.chans), n)]
+	b.wg.Add(len(chans))
+	for _, ch := range chans {
 		ch <- b
 	}
 	b.wg.Wait()

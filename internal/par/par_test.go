@@ -168,3 +168,28 @@ func TestPoolRunIndexedSerialOrdinal(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPoolNarrowBatchWakesFewWorkers: a batch with fewer indices than
+// the pool has workers goes to that many workers only, so every
+// ordinal fn sees stays below n however the pool schedules.
+func TestPoolNarrowBatchWakesFewWorkers(t *testing.T) {
+	p := NewPool(16)
+	defer p.Close()
+	const n = 2
+	for trial := 0; trial < 200; trial++ {
+		var ran atomic.Int32
+		err := p.RunIndexed(context.Background(), n, func(w, i int) error {
+			if w >= n {
+				t.Errorf("trial %d: index %d ran on worker %d, want an ordinal below %d", trial, i, w, n)
+			}
+			ran.Add(1)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ran.Load(); got != n {
+			t.Fatalf("trial %d: %d calls, want %d", trial, got, n)
+		}
+	}
+}

@@ -136,14 +136,52 @@ func checkGolden(t *testing.T, eng *Engine, circuit, opt string, bins int, file 
 		t.Fatal(err)
 	}
 	if got != string(want) {
-		gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := range gotLines {
-			if i >= len(wantLines) || gotLines[i] != wantLines[i] {
-				t.Fatalf("trace diverges from golden at line %d:\n got  %q\n want %q",
-					i+1, gotLines[i], wantLines[min(i, len(wantLines)-1)])
-			}
+		t.Fatalf("trace diverges from golden %s", traceDiff(got, string(want)))
+	}
+}
+
+// traceDiff describes where two differing traces first part.
+func traceDiff(got, want string) string {
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := range gotLines {
+		if i >= len(wantLines) || gotLines[i] != wantLines[i] {
+			return fmt.Sprintf("at line %d:\n got  %q\n want %q",
+				i+1, gotLines[i], wantLines[min(i, len(wantLines)-1)])
 		}
-		t.Fatalf("trace diverges from golden (golden has %d lines, got %d)",
-			len(wantLines), len(gotLines))
+	}
+	return fmt.Sprintf("(want has %d lines, got %d)", len(wantLines), len(gotLines))
+}
+
+// TestAcceleratedTracesIndependentOfWorkers pins the accelerated heap
+// loop's determinism across worker counts, which the goldens (run at
+// GOMAXPROCS) cannot: the fronts a round steps, and how far each goes,
+// depend on the heap alone, so every accelerated variant's trace —
+// pruned and visited counts included — is hex-identical at 1, 2 and 3
+// workers.
+func TestAcceleratedTracesIndependentOfWorkers(t *testing.T) {
+	eng := newEngine(t)
+	for _, circuit := range []string{"c432", "c880"} {
+		for _, opt := range []string{"accelerated", "multi-size", "heuristic-levels"} {
+			t.Run(circuit+"/"+opt, func(t *testing.T) {
+				d, err := eng.Benchmark(circuit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var serial string
+				for _, workers := range []int{1, 2, 3} {
+					res, err := eng.Optimize(context.Background(), d, opt,
+						WithConfig(Config{MaxIterations: 10, Bins: 400, Parallelism: workers}))
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := formatTrace(circuit, opt, 400, res)
+					if workers == 1 {
+						serial = got
+					} else if got != serial {
+						t.Errorf("%d workers: trace diverges from 1 worker %s", workers, traceDiff(got, serial))
+					}
+				}
+			})
+		}
 	}
 }
