@@ -28,8 +28,11 @@ import (
 // largest bounds level by level, in rounds that step up to roundSize
 // fronts on the session's workers at once. When a front reaches the
 // sink, its exact sensitivity updates Max_S; any front whose bound falls
-// below Max_S is discarded without further propagation. The surviving
-// argmax is identical to the brute-force result.
+// below Max_S is discarded without further propagation. On a percentile
+// objective, whose improvements come in whole grid steps, so is a front
+// whose bound can at best tie Max_S from a higher gate ID, since ties go
+// to the lower ID. The surviving argmax is identical to the brute-force
+// result.
 func Accelerated(ctx context.Context, s *session.Session, cfg Config) (*Result, error) {
 	return statisticalDescent(ctx, s, cfg, "accelerated", acceleratedIteration)
 }
@@ -224,22 +227,37 @@ func (f *front) propagateOneLevel(a *ssta.Analysis, cfg Config, c *crew, w int) 
 // advance steps f on worker w, level by level, for as long as the serial
 // loop would keep popping it: until it dies, stops ranking above tau
 // (the best front left in the heap, nil when it is empty), turns
-// prunable against kth (the round's Max_S) or reaches the heuristic
-// cutoff. The first step is unconditional: the caller popped f only
+// prunable against kth (the round-start k-th pick: Max_S and its gate)
+// on the objective's grid step, or reaches the heuristic cutoff.
+// Prunable includes the tie rule, so a front that can at best tie kth
+// stops too. The first step is unconditional: the caller popped f only
 // because it needs one. No worker steps tau, so reading it is safe.
-func (f *front) advance(a *ssta.Analysis, cfg Config, c *crew, w int, tau *front, kth float64) {
+func (f *front) advance(a *ssta.Analysis, cfg Config, c *crew, w int, tau *front, kth pick, step float64) {
 	for {
 		f.propagateOneLevel(a, cfg, c, w)
-		if f.dead() || f.prunable(cfg, a.D.Lib.DeltaW, kth) || f.atCutoff(cfg) || (tau != nil && !f.above(tau)) {
+		if f.dead() || f.prunable(cfg, a.D.Lib.DeltaW, step, kth) || f.atCutoff(cfg) || (tau != nil && !f.above(tau)) {
 			return
 		}
 	}
 }
 
-// prunable reports whether f's bound Smx/Δw falls below the k-th exact
-// sensitivity kth by more than pruneSlack (Figure 6, step 20).
-func (f *front) prunable(cfg Config, deltaW, kth float64) bool {
-	return !cfg.DisablePruning && f.smx/deltaW < kth-pruneSlack
+// prunable reports whether f can no longer enter the picks, whose k-th
+// best so far is kth (Figure 6, step 20). Either its bound Smx/Δw falls
+// below kth's sensitivity by more than pruneSlack, or, when the
+// objective moves on a grid of step > 0 (a percentile), f can at best
+// tie kth: its gap f.smx is at most kth's improvement in whole steps
+// (f.smx ≤ kth.sens·Δw + step/2) and its gate ID is above kth's, so
+// better hands the tie to kth. Both rules rest on pruneSlack's
+// whole-step premise. Mean and user objectives pass step 0 and keep the
+// strict rule alone.
+func (f *front) prunable(cfg Config, deltaW, step float64, kth pick) bool {
+	if cfg.DisablePruning {
+		return false
+	}
+	if f.smx/deltaW < kth.sens-pruneSlack {
+		return true
+	}
+	return step > 0 && f.gate > kth.gate && f.smx <= kth.sens*deltaW+step/2
 }
 
 // atCutoff reports whether f has advanced as many levels as the
@@ -322,15 +340,19 @@ func (h *frontHeap) Pop() any {
 // (Smx, gate) order and handles each pop as the one-front loop would: a
 // dead front finishes, a front at the heuristic cutoff offers its bound,
 // and a prunable head ends the popping — and the iteration, pruning
-// every front left, when it is the round's first pop. While fewer than
-// MultiSize fronts have finished there is no Max_S to prune against, so
-// a round takes a single front. The crew's workers then advance the
-// taken fronts at once, each against the round-start τ and Max_S
-// (front.advance), and after the barrier the caller merges them back in
-// pop order. Which fronts a round takes and how far each steps depend
-// on the heap alone, never on the worker count, so the trace is the
-// same at every parallelism, and a round of one is exactly the serial
-// one-pop-one-level loop. The picks are exact at any round size: a
+// every front left, when it is the round's first pop. That holds under
+// the tie rule too (front.prunable), because every front below a
+// prunable head is prunable: one with a lower Smx sits at least a whole
+// grid step lower, so it cannot even tie the k-th pick, and one with an
+// equal Smx carries a higher gate ID, so it loses the tie as well.
+// While fewer than MultiSize fronts have finished there is no Max_S to
+// prune against, so a round takes a single front. The crew's workers
+// then advance the taken fronts at once, each against the round-start τ
+// and k-th pick (front.advance), and after the barrier the caller
+// merges them back in pop order. Which fronts a round takes and how far
+// each steps depend on the heap alone, never on the worker count, so the
+// trace is the same at every parallelism, and a round of one is exactly
+// the serial one-pop-one-level loop. The picks are exact at any round size: a
 // front is discarded only once the heap maximum is prunable.
 //
 // The warm-start hint (the previous iteration's winner) is propagated to
@@ -398,6 +420,14 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 		heap.Push(&h, f)
 	}
 
+	// A percentile of a grid distribution is a grid point, so candidate
+	// improvements come in whole steps of a.DT and tied improvements
+	// tie bit for bit: the tie rule of prunable applies. Other objectives
+	// have no step.
+	step := 0.0
+	if _, ok := cfg.Objective.(Percentile); ok {
+		step = a.DT
+	}
 	top := newTopK(cfg.MultiSize)
 	finish := func(f *front) {
 		sens := 0.0
@@ -442,9 +472,10 @@ rounds:
 			// Pruning (Figure 6, step 20): the heap maximum's front bound
 			// Smx = Δmx/Δw dominates every remaining candidate's true
 			// sensitivity, so once it falls below the MultiSize-th exact
-			// sensitivity nothing left can win. Fronts this round already
-			// took rank above it and step first.
-			if f.prunable(cfg, deltaW, top.kthSens()) {
+			// sensitivity, or can at best tie it and lose the tie, nothing
+			// left can win. Fronts this round already took rank above it
+			// and step first.
+			if f.prunable(cfg, deltaW, step, top.kth()) {
 				if len(batch) == 0 {
 					ir.pruned += 1 + h.Len()
 					break rounds
@@ -475,9 +506,9 @@ rounds:
 		if h.Len() > 0 {
 			tau = h[0]
 		}
-		kth := top.kthSens()
+		kth := top.kth()
 		err := c.pool.RunIndexed(ctx, len(batch), func(w, i int) error {
-			batch[i].advance(a, cfg, c, w, tau, kth)
+			batch[i].advance(a, cfg, c, w, tau, kth, step)
 			return nil
 		})
 		c.drain()

@@ -262,14 +262,15 @@ func (t *topK) sorted() []pick { return t.items }
 // threshold to prune against.
 func (t *topK) full() bool { return len(t.items) >= t.k }
 
-// kthSens returns the k-th best sensitivity seen so far (the pruning
-// threshold for MultiSize runs), or negative infinity while fewer than k
-// candidates have finished.
-func (t *topK) kthSens() float64 {
+// kth returns the k-th best pick so far — the one a candidate must beat
+// to enter the picks, and so the pruning threshold — or a pick of
+// negative-infinity sensitivity while fewer than k candidates have
+// finished.
+func (t *topK) kth() pick {
 	if !t.full() {
-		return negInf
+		return pick{gate: netlist.NoGate, sens: negInf}
 	}
-	return t.items[len(t.items)-1].sens
+	return t.items[len(t.items)-1]
 }
 
 const negInf = -1e308

@@ -57,11 +57,22 @@ func (Mean) Eval(s *dist.Dist) float64 { return s.Mean() }
 
 func (Mean) String() string { return "mean" }
 
-// pruneSlack absorbs the numerical slop between a candidate's true
-// sensitivity and its perturbation-front bound (grid quantization of the
-// bound rounds it up; the ε probability slack can cost ~1e-9 of delay).
-// A candidate is pruned only when its bound is below Max_S by more than
-// this, so pruning can never eliminate the argmax.
+// pruneSlack absorbs float rounding between a candidate's true
+// sensitivity and its perturbation-front bound. A candidate is pruned
+// only when its bound is below Max_S by more than this, so pruning can
+// never eliminate the argmax.
+//
+// On a percentile objective both sides live on the analysis grid: the
+// bound Smx·Δw is a whole number of bins, because the gap is tracked in
+// bins, and the objective is a grid point, so a candidate's improvement
+// is a whole number of steps too. The ε probability slack of the gap and
+// of the percentile cannot cost a fraction of a step. Both prune rules
+// rest on one whole-step premise: a candidate's improvement, in grid
+// steps, never exceeds its front's bound in grid steps, at any level
+// (TestFrontBoundDominatesSensitivity checks it at every level step).
+// Under that premise the slack only covers float rounding, and the tie
+// rule of front.prunable may drop a front whose bound merely equals the
+// k-th pick's improvement.
 const pruneSlack = 1e-8
 
 // Config controls one optimization run. The zero value selects the

@@ -192,17 +192,57 @@ func TestAcceleratedMatchesBruteForceTrajectories(t *testing.T) {
 
 // Smx must bound the exact sensitivity for every candidate (Theorem 4):
 // run one inner iteration with pruning disabled and compare each front's
-// initial bound against its final exact sensitivity.
+// initial bound against its final exact sensitivity. On the p99
+// objective both prune rules rest on the bound in whole grid steps, so
+// at every level step the candidate's improvement in steps,
+// round((base − obj)/dt), must not exceed the bound's, round(smx/dt),
+// with no pruneSlack. The c880 case starts after 8 accelerated
+// iterations, where improvements crowd into ties.
 func TestFrontBoundDominatesSensitivity(t *testing.T) {
-	d := smallDesign(t, 3)
-	cfg := Config{DisablePruning: true}.withDefaults()
-	a, err := ssta.Analyze(context.Background(), d, gridFor(d, cfg))
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		d     func(t *testing.T) *design.Design
+		sized int // accelerated iterations run before the check
+	}{
+		{"small-3", func(t *testing.T) *design.Design { return smallDesign(t, 3) }, 0},
+		{"c880-sized", func(t *testing.T) *design.Design { return newDesign(t, "c880") }, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{DisablePruning: true}.withDefaults()
+			s, err := OpenSession(context.Background(), tc.d(t), cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if tc.sized > 0 {
+				res, err := Accelerated(context.Background(), s, Config{MaxIterations: tc.sized})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Iterations != tc.sized {
+					t.Fatalf("sized %d iterations, want %d", res.Iterations, tc.sized)
+				}
+			}
+			err = s.Do(func(tx *session.Tx) error {
+				checkFrontBounds(t, tx.Analysis(), cfg)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
+}
+
+// checkFrontBounds steps every candidate's front of a to the sink and
+// checks its bound against the candidate's exact improvement.
+func checkFrontBounds(t *testing.T, a *ssta.Analysis, cfg Config) {
+	t.Helper()
+	d, dt := a.D, a.DT
 	base := cfg.Objective.Eval(a.SinkDist())
 	c := newCrew([]*ssta.Scratch{ssta.NewScratch()})
 	defer c.close()
+	fronts, gaining, tight := 0, 0, 0
 	for _, gid := range candidateGates(d) {
 		f, err := newFront(a, cfg, gid, c, 0)
 		if err != nil {
@@ -210,6 +250,8 @@ func TestFrontBoundDominatesSensitivity(t *testing.T) {
 		}
 		bound := f.smx / d.Lib.DeltaW
 		prevBound := math.Inf(1)
+		// The bound of every live step, in whole grid steps.
+		steps := []float64{math.Round(f.smx / dt)}
 		for !f.dead() {
 			f.propagateOneLevel(a, cfg, c, 0)
 			b := f.smx / d.Lib.DeltaW
@@ -217,16 +259,34 @@ func TestFrontBoundDominatesSensitivity(t *testing.T) {
 				t.Fatalf("gate %d: front bound grew from %v to %v", gid, prevBound, b)
 			}
 			prevBound = b
+			if !f.dead() {
+				steps = append(steps, math.Round(f.smx/dt))
+			}
 		}
-		sens := 0.0
+		sens, gain := 0.0, 0.0
 		if f.sinkDist != nil {
-			sens = (base - cfg.Objective.Eval(f.sinkDist)) / d.Lib.DeltaW
+			obj := cfg.Objective.Eval(f.sinkDist)
+			sens = (base - obj) / d.Lib.DeltaW
+			gain = math.Round((base - obj) / dt)
 		}
 		if sens > bound+pruneSlack {
 			t.Errorf("gate %d: sensitivity %v exceeds initial bound %v", gid, sens, bound)
 		}
+		for i, b := range steps {
+			if gain > b {
+				t.Errorf("gate %d: improves by %v grid steps, above the bound of %v steps at level step %d", gid, gain, b, i)
+			}
+		}
+		fronts++
+		if gain > 0 {
+			gaining++
+			if gain == steps[len(steps)-1] {
+				tight++
+			}
+		}
 		f.release(c)
 	}
+	t.Logf("%d fronts, %d improve the objective, %d by exactly their last bound in whole steps", fronts, gaining, tight)
 }
 
 func TestMaxIterationsHonored(t *testing.T) {
@@ -335,8 +395,8 @@ func TestTopK(t *testing.T) {
 	if len(got) != 2 || got[0].gate != 3 || got[1].gate != 9 {
 		t.Fatalf("topK = %v", got)
 	}
-	if top.kthSens() != 2.0 {
-		t.Errorf("kthSens = %v, want 2", top.kthSens())
+	if k := top.kth(); k.sens != 2.0 || k.gate != 9 {
+		t.Errorf("kth = %v, want gate 9 at 2", k)
 	}
 	// Ties resolve to lowest gate ID.
 	tie := newTopK(1)

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
+
+	"statsize/internal/session"
 )
 
 // Forty dual iterations on a real benchmark: the accelerated optimizer
@@ -85,4 +90,105 @@ func TestMultiSizeExactness(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTieBreakExactnessC1908 runs the optimize benchmark's set-up —
+// c1908 at 600 bins from minimum widths, 16 iterations — into the
+// regime where sizing has balanced the paths. There improving
+// candidates lower the p99 by the same whole grid step, their
+// sensitivities tie bit for bit, and the pick goes to the lowest gate
+// ID: exactly where the accelerated optimizer prunes fronts that can
+// at best tie. Accelerated and multi-size must shadow brute force bit
+// for bit in every iteration. Before each brute-force step an
+// all-candidate what-if batch counts the candidates that share the
+// k-th best improvement; at least one iteration must tie, so the test
+// cannot pass without exercising the tie rule. Skipped with -short.
+func TestTieBreakExactnessC1908(t *testing.T) {
+	if testing.Short() {
+		t.Skip("c1908 brute force in short mode")
+	}
+	const iters = 16
+	for _, multi := range []int{1, 3} {
+		t.Run(fmt.Sprintf("multi-size-%d", multi), func(t *testing.T) {
+			ctx := context.Background()
+			cfg := Config{Bins: 600, MaxIterations: iters, MultiSize: multi}
+			ra, err := runOn(t, newDesign(t, "c1908"), cfg, Accelerated)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Brute force steps one iteration per run, so the what-if
+			// batch reads the design each step starts from; it ignores the
+			// warm-start hint, so this is the same trajectory as one run.
+			s, err := OpenSession(ctx, newDesign(t, "c1908"), cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			one := cfg
+			one.MaxIterations = 1
+			var tied []int
+			for i := 0; i < iters; i++ {
+				tied = append(tied, tiedAtKth(t, s, multi))
+				rb, err := BruteForce(ctx, s, one)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rb.Iterations == 0 {
+					if i != ra.Iterations {
+						t.Fatalf("brute force stopped after %d iterations, accelerated ran %d", i, ra.Iterations)
+					}
+					break
+				}
+				if i >= ra.Iterations {
+					t.Fatalf("accelerated stopped after %d iterations, brute force ran on", ra.Iterations)
+				}
+				b, a := rb.Records[0], ra.Records[i]
+				if !slices.Equal(b.Gates, a.Gates) ||
+					math.Float64bits(b.Sensitivity) != math.Float64bits(a.Sensitivity) ||
+					math.Float64bits(b.Objective) != math.Float64bits(a.Objective) {
+					t.Fatalf("iter %d: brute force sized %v (sens %x, obj %x), accelerated %v (sens %x, obj %x)",
+						i, b.Gates, b.Sensitivity, b.Objective, a.Gates, a.Sensitivity, a.Objective)
+				}
+			}
+			t.Logf("candidates tied at the k-th best improvement, per iteration: %v", tied)
+			if slices.Max(tied) < 2 {
+				t.Errorf("no iteration had two candidates tied at the k-th best improvement; the tie rule went untested")
+			}
+		})
+	}
+}
+
+// tiedAtKth evaluates every candidate at one width step up in one
+// what-if batch and returns how many share the k-th best improvement
+// bit for bit.
+func tiedAtKth(t *testing.T, s *session.Session, k int) int {
+	t.Helper()
+	var deltas []float64
+	err := s.Do(func(tx *session.Tx) error {
+		d := tx.Design()
+		var cands []session.Candidate
+		for _, g := range candidateGates(d) {
+			cands = append(cands, session.Candidate{Gate: g, Width: d.Width(g) + d.Lib.DeltaW})
+		}
+		res, err := tx.WhatIfBatch(context.Background(), cands)
+		for _, r := range res {
+			deltas = append(deltas, r.Delta)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(deltas)
+	slices.Reverse(deltas)
+	if len(deltas) < k {
+		return 0
+	}
+	n := 0
+	for _, d := range deltas {
+		if math.Float64bits(d) == math.Float64bits(deltas[k-1]) {
+			n++
+		}
+	}
+	return n
 }
