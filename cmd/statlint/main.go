@@ -1,7 +1,7 @@
 // Command statlint is the repository's invariant gate: it runs the
-// custom analyzer suite in internal/analyzers — scratchescape,
-// arenashare, ctxflow, boundeddecode — over the given packages, plus
-// the standard go vet passes, and exits non-zero on any finding.
+// custom analyzer suite in internal/analyzers — ctxflow and
+// boundeddecode — over the given packages, plus the standard go vet
+// passes, and exits non-zero on any finding.
 //
 // Usage:
 //

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 
 	"statsize/internal/cell"
 	"statsize/internal/circuitgen"
@@ -375,52 +374,28 @@ func (e *Engine) OptimizeSuite(ctx context.Context, circuits []string, optimizer
 		circuits = BenchmarkNames()
 	}
 	out := make([]SuiteResult, len(circuits))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	workers := e.parallelism
-	if workers > len(circuits) {
-		workers = len(circuits)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				name := circuits[i]
-				out[i] = SuiteResult{Circuit: name}
-				d, err := e.Benchmark(name)
-				if err != nil {
-					out[i].Err = err
-					continue
-				}
-				res, err := e.Optimize(ctx, d, optimizer, opts...)
-				out[i].Result = res
-				out[i].Err = err
-			}
-		}()
-	}
-	var batchErr error
-dispatch:
-	for i := range circuits {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			batchErr = fmt.Errorf("statsize: suite canceled after dispatching %d of %d circuits: %w",
-				i, len(circuits), ctx.Err())
-			for j := i; j < len(circuits); j++ {
-				out[j] = SuiteResult{Circuit: circuits[j], Err: ctx.Err()}
-			}
-			break dispatch
+	ran := make([]bool, len(circuits))
+	// A row's own failure lands in its slot and never stops the pool, so
+	// only the context can end the batch early.
+	err := par.Run(ctx, e.parallelism, len(circuits), func(i int) error {
+		row := SuiteResult{Circuit: circuits[i]}
+		d, err := e.Benchmark(row.Circuit)
+		if err == nil {
+			row.Result, err = e.Optimize(ctx, d, optimizer, opts...)
 		}
+		row.Err = err
+		out[i], ran[i] = row, true
+		return nil
+	})
+	if err != nil {
+		for i, name := range circuits {
+			if !ran[i] {
+				out[i] = SuiteResult{Circuit: name, Err: err}
+			}
+		}
+		return out, fmt.Errorf("statsize: suite canceled: %w", err)
 	}
-	close(jobs)
-	wg.Wait()
-	// The context can also die after the last dispatch while runs are
-	// still in flight; the batch is truncated either way.
-	if batchErr == nil && ctx.Err() != nil {
-		batchErr = fmt.Errorf("statsize: suite canceled with runs in flight: %w", ctx.Err())
-	}
-	return out, batchErr
+	return out, nil
 }
 
 // EngineStats is a point-in-time snapshot of engine-wide accounting:

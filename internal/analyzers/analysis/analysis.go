@@ -5,15 +5,14 @@
 // on the standard library (go/parser, go/types, `go list`), because
 // this repository vendors no third-party modules.
 //
-// The framework exists to machine-check the memory-model and
-// concurrency invariants DESIGN.md states in prose: scratch
-// distributions must be persisted before retention, arenas serve one
-// goroutine, long propagation loops observe their context, HTTP bodies
-// are read bounded. See the sibling analyzer packages (scratchescape,
-// arenashare, ctxflow, boundeddecode) and DESIGN.md's "Enforced
+// The framework exists to machine-check the invariants DESIGN.md
+// states in prose that no type carries: long propagation loops observe
+// their context, and HTTP bodies are read bounded. See the sibling
+// analyzer packages (ctxflow, boundeddecode) and DESIGN.md's "Enforced
 // invariants" section, which also says where the invariants that need
-// no analyzer live (lease release and session locking among them:
-// Session.Do, Manager.Do and par.Locked carry them).
+// no analyzer live: lease release and session locking in Session.Do,
+// Manager.Do and par.Locked, distribution ownership in dist.Owned and
+// dist.Kept, per-worker scratch in par.Pool's worker states.
 //
 // Intentional exceptions are suppressed in source with
 //
@@ -41,7 +40,7 @@ import (
 // Analyzer is one named invariant check. Run inspects a single package
 // and reports findings through the Pass; it must not retain the Pass.
 type Analyzer struct {
-	Name string // short identifier, e.g. "scratchescape"
+	Name string // short identifier, e.g. "ctxflow"
 	Doc  string // one-paragraph description of the invariant checked
 	Run  func(*Pass) error
 }

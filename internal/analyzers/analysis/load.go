@@ -22,8 +22,8 @@ import (
 // everything else is assumed to be the standard library and delegated
 // to go/importer's source importer. The prefix is a constant rather
 // than parsed from go.mod because the analyzers themselves hard-code
-// statsize types (dist.Arena, graph.NodeID, ...) — the suite is
-// repo-specific by design.
+// statsize types (graph.NodeID, the server's wire helpers) — the suite
+// is repo-specific by design.
 const modulePath = "statsize"
 
 // Package is one loaded, type-checked package.

@@ -1,25 +1,23 @@
 // Package analyzers registers the statlint suite: the custom static
-// analyses that machine-check the memory-model and concurrency
-// invariants DESIGN.md's "Memory model" and "Concurrency model"
-// sections state in prose. cmd/statlint runs them (plus go vet) over
-// the tree; the analyzer packages themselves document what each check
-// enforces and where its flow-insensitive edges are.
+// analyses that machine-check the cancellation and bounded-read
+// disciplines DESIGN.md's "Enforced invariants" section states.
+// cmd/statlint runs them (plus go vet) over the tree; the analyzer
+// packages themselves document what each check enforces and where its
+// flow-insensitive edges are. The memory-model rules need no analyzer:
+// dist.Owned, dist.Kept and par.Pool's per-worker state carry them in
+// types.
 package analyzers
 
 import (
 	"statsize/internal/analyzers/analysis"
-	"statsize/internal/analyzers/arenashare"
 	"statsize/internal/analyzers/boundeddecode"
 	"statsize/internal/analyzers/ctxflow"
-	"statsize/internal/analyzers/scratchescape"
 )
 
 // All returns the full statlint suite in reporting order.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		arenashare.Analyzer,
 		boundeddecode.Analyzer,
 		ctxflow.Analyzer,
-		scratchescape.Analyzer,
 	}
 }

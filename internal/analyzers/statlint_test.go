@@ -9,7 +9,7 @@ import (
 
 // TestRepoClean runs the full statlint suite over the whole module and
 // requires silence, making `go test ./...` an enforcement gate for the
-// memory-model and concurrency invariants: a new violation (or a
+// cancellation and bounded-read invariants: a new violation (or a
 // malformed suppression) fails this test even before CI's dedicated
 // statlint job runs.
 func TestRepoClean(t *testing.T) {

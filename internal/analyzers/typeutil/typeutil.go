@@ -1,8 +1,7 @@
 // Package typeutil holds the small type-matching helpers shared by the
 // statlint analyzers: resolving called functions, recognizing the
-// statsize types the memory-model invariants are phrased in terms of
-// (dist.Arena, dist.Keeper, ssta.Scratch, graph.NodeID, ...), and
-// unwrapping expressions.
+// types the invariants are phrased in terms of (context.Context,
+// graph.NodeID, ...), and unwrapping expressions.
 package typeutil
 
 import (
@@ -10,13 +9,9 @@ import (
 	"go/types"
 )
 
-// Import paths of the packages whose types the invariants name.
-const (
-	DistPath  = "statsize/internal/dist"
-	SSTAPath  = "statsize/internal/ssta"
-	GraphPath = "statsize/internal/graph"
-	ParPath   = "statsize/internal/par"
-)
+// GraphPath is the import path of the package whose ID types ctxflow
+// recognizes as propagation-scale collections.
+const GraphPath = "statsize/internal/graph"
 
 // Unparen strips any number of enclosing parentheses.
 func Unparen(e ast.Expr) ast.Expr {
@@ -53,12 +48,6 @@ func Is(t types.Type, path, name string) bool {
 	return p == path && n == name
 }
 
-// IsPtrTo reports whether t is exactly *path.name.
-func IsPtrTo(t types.Type, path, name string) bool {
-	p, ok := t.(*types.Pointer)
-	return ok && Is(p.Elem(), path, name)
-}
-
 // SliceBase strips any number of slice/array layers off t.
 func SliceBase(t types.Type) types.Type {
 	for {
@@ -89,29 +78,7 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// Signature returns the signature a call invokes, covering function
-// values and method values as well as declared functions; nil for
-// built-ins and type conversions.
-func Signature(info *types.Info, call *ast.CallExpr) *types.Signature {
-	tv, ok := info.Types[call.Fun]
-	if !ok {
-		return nil
-	}
-	sig, _ := tv.Type.Underlying().(*types.Signature)
-	return sig
-}
-
 // IsContext reports whether t is context.Context.
 func IsContext(t types.Type) bool {
 	return Is(t, "context", "Context")
-}
-
-// IsNilIdent reports whether e is the predeclared nil.
-func IsNilIdent(info *types.Info, e ast.Expr) bool {
-	id, ok := Unparen(e).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	_, isNil := info.Uses[id].(*types.Nil)
-	return isNil
 }

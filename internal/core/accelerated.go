@@ -48,12 +48,13 @@ const roundSize = 8
 // computation at later levels, and the current bound.
 //
 // A front owns no scratch. Each level step computes through the scratch
-// of the worker running it — its arena for kernel intermediates, its
-// dense overlays, its recycler for what the step keeps — and every kept
-// value records that worker's ordinal, its keeper. One worker steps a
-// front at a time (the build, then one per round), and the iteration's
-// caller touches fronts only between barriers, so no scratch ever serves
-// two goroutines at once (see crew.drop for values kept elsewhere).
+// of the worker the pool runs it on — its arena for kernel
+// intermediates, its dense overlays, its recycler for what the step
+// keeps — and every kept value records that worker's id, its keeper.
+// One worker steps a front at a time (the build, then one per round),
+// and the iteration's caller touches fronts only between barriers, so
+// no scratch ever serves two goroutines at once (see worker.drop for
+// values kept elsewhere).
 type front struct {
 	gate   netlist.GateID
 	delays []ssta.EdgeDelay
@@ -63,8 +64,8 @@ type front struct {
 	levels  int            // levels advanced so far (for the heuristic cutoff)
 
 	smx        float64
-	sinkDist   *dist.Dist // set once the sink is computed; recycled storage
-	sinkKeeper int32      // worker whose recycler kept sinkDist
+	sinkDist   dist.Kept // set once the sink is computed
+	sinkKeeper int32     // worker whose recycler kept sinkDist
 	visits     int
 }
 
@@ -77,7 +78,7 @@ type front struct {
 type liveNode struct {
 	node   graph.NodeID
 	keeper int32
-	pert   *dist.Dist
+	pert   dist.Kept
 	delta  float64
 	until  int
 }
@@ -85,7 +86,7 @@ type liveNode struct {
 // newFront builds and initializes a candidate's front on worker w,
 // propagating through the candidate gate's own level exactly as
 // Initialize does.
-func newFront(a *ssta.Analysis, cfg Config, x netlist.GateID, c *crew, w int) (*front, error) {
+func newFront(a *ssta.Analysis, cfg Config, x netlist.GateID, w *worker) (*front, error) {
 	d := a.D
 	delays, err := a.PerturbedDelays(x, d.Width(x)+d.Lib.DeltaW)
 	if err != nil {
@@ -101,7 +102,7 @@ func newFront(a *ssta.Analysis, cfg Config, x netlist.GateID, c *crew, w int) (*
 	// steps 4–6).
 	ownLevel := g.Level(d.E.NodeOf[d.NL.Gate(x).Out])
 	for !f.dead() && f.nextLevel(g) <= ownLevel {
-		f.propagateOneLevel(a, cfg, c, w)
+		f.propagateOneLevel(a, cfg, w)
 	}
 	return f, nil
 }
@@ -141,15 +142,15 @@ func (f *front) queue(g *graph.Graph, n graph.NodeID) {
 // so the overlays are all-nil between steps. Kernel intermediates cycle
 // through w's arena per node; what the front retains (live arrivals,
 // the sink) is kept in w's recycler with keeper w, and a retired node's
-// storage goes back through crew.drop.
-func (f *front) propagateOneLevel(a *ssta.Analysis, cfg Config, c *crew, w int) {
+// storage goes back through worker.drop.
+func (f *front) propagateOneLevel(a *ssta.Analysis, cfg Config, w *worker) {
 	g := a.D.E.G
 	sink := g.Sink()
-	sc := c.ws[w]
+	sc := w.sc
 	ar, rec := sc.Arena(), sc.Recycler()
 	arrOv, delayOv := a.Overlays(sc)
 	for _, l := range f.live {
-		arrOv[l.node] = l.pert
+		arrOv[l.node] = l.pert.Dist()
 	}
 	for _, ed := range f.delays {
 		delayOv[ed.Edge] = ed.Delay
@@ -177,7 +178,7 @@ func (f *front) propagateOneLevel(a *ssta.Analysis, cfg Config, c *crew, w int) 
 			alive = false
 		}
 		if n == sink {
-			f.sinkDist, f.sinkKeeper = rec.Keep(pert), int32(w)
+			f.sinkDist, f.sinkKeeper = rec.Keep(pert), w.id
 			alive = false
 		}
 		if alive {
@@ -192,7 +193,7 @@ func (f *front) propagateOneLevel(a *ssta.Analysis, cfg Config, c *crew, w int) 
 			}
 			f.live = append(f.live, liveNode{
 				node:   n,
-				keeper: int32(w),
+				keeper: w.id,
 				pert:   rec.Keep(pert),
 				delta:  dist.PerturbationBound(base, pert),
 				until:  until,
@@ -214,7 +215,7 @@ func (f *front) propagateOneLevel(a *ssta.Analysis, cfg Config, c *crew, w int) 
 	for _, l := range f.live {
 		arrOv[l.node] = nil
 		if l.until <= level {
-			c.drop(w, l)
+			w.drop(l)
 			continue
 		}
 		f.smx = max(f.smx, l.delta)
@@ -232,9 +233,9 @@ func (f *front) propagateOneLevel(a *ssta.Analysis, cfg Config, c *crew, w int) 
 // Prunable includes the tie rule, so a front that can at best tie kth
 // stops too. The first step is unconditional: the caller popped f only
 // because it needs one. No worker steps tau, so reading it is safe.
-func (f *front) advance(a *ssta.Analysis, cfg Config, c *crew, w int, tau *front, kth pick, step float64) {
+func (f *front) advance(a *ssta.Analysis, cfg Config, w *worker, tau *front, kth pick, step float64) {
 	for {
-		f.propagateOneLevel(a, cfg, c, w)
+		f.propagateOneLevel(a, cfg, w)
 		if f.dead() || f.prunable(cfg, a.D.Lib.DeltaW, step, kth) || f.atCutoff(cfg) || (tau != nil && !f.above(tau)) {
 			return
 		}
@@ -280,39 +281,40 @@ func (f *front) above(o *front) bool {
 // pruned. It runs on the iteration's caller between barriers, and it is
 // idempotent.
 func (f *front) release(c *crew) {
-	if f.sinkDist != nil {
-		c.ws[f.sinkKeeper].Recycler().Drop(f.sinkDist)
-		f.sinkDist = nil
-	}
+	c.keeper(f.sinkKeeper).Drop(f.sinkDist)
+	f.sinkDist = dist.Kept{}
 	for _, l := range f.live {
-		c.ws[l.keeper].Recycler().Drop(l.pert)
+		c.keeper(l.keeper).Drop(l.pert)
 	}
 	f.live = nil
 }
 
-// drop hands back a live value that worker w's step consumed: straight
-// to w's recycler when w kept it; otherwise onto w's foreign list,
-// because the keeper's recycler may be serving another front's step
-// right now. The caller empties the lists after the round's barrier
-// (drain).
-func (c *crew) drop(w int, l liveNode) {
-	if int(l.keeper) == w {
-		c.ws[w].Recycler().Drop(l.pert)
+// keeper returns the recycler of the worker with the given id, for the
+// caller's drops between barriers.
+func (c *crew) keeper(id int32) *dist.Recycler { return c.workers[id].sc.Recycler() }
+
+// drop hands back a live value that w's step consumed: straight to w's
+// recycler when w kept it; otherwise onto w's foreign list, because the
+// keeper's recycler may be serving another front's step right now. The
+// caller empties the lists after the round's barrier (crew.drain).
+func (w *worker) drop(l liveNode) {
+	if l.keeper == w.id {
+		w.sc.Recycler().Drop(l.pert)
 		return
 	}
-	c.foreign[w] = append(c.foreign[w], l)
+	w.foreign = append(w.foreign, l)
 }
 
 // drain drops every value on the workers' foreign lists through its
 // keeper's recycler. It runs on the caller after a barrier, when no
 // worker steps.
 func (c *crew) drain() {
-	for w, list := range c.foreign {
-		for _, l := range list {
-			c.ws[l.keeper].Recycler().Drop(l.pert)
+	for _, w := range c.workers {
+		for _, l := range w.foreign {
+			c.keeper(l.keeper).Drop(l.pert)
 		}
-		clear(list)
-		c.foreign[w] = list[:0]
+		clear(w.foreign)
+		w.foreign = w.foreign[:0]
 	}
 }
 
@@ -368,8 +370,8 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 	// Fronts load and clear their own overlay entries per level step, so
 	// every worker's overlays must start all-nil; commits and what-ifs
 	// leave entries behind.
-	for _, sc := range c.ws {
-		arr, delay := a.Overlays(sc)
+	for _, w := range c.workers {
+		arr, delay := a.Overlays(w.sc)
 		clear(arr)
 		clear(delay)
 	}
@@ -394,8 +396,8 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 			}
 		}
 	}()
-	err := c.pool.RunIndexed(ctx, len(cands), func(w, i int) error {
-		f, err := newFront(a, cfg, cands[i], c, w)
+	err := c.pool.Run(ctx, len(cands), func(w *worker, i int) error {
+		f, err := newFront(a, cfg, cands[i], w)
 		if err != nil {
 			return err
 		}
@@ -403,7 +405,7 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 		return nil
 	})
 	if err != nil {
-		// par.Run already prefers the lowest-index evaluation error over
+		// The pool already prefers the lowest-index evaluation error over
 		// a bare cancellation, matching the serial loop's reporting.
 		return ir, err
 	}
@@ -431,8 +433,8 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 	top := newTopK(cfg.MultiSize)
 	finish := func(f *front) {
 		sens := 0.0
-		if f.sinkDist != nil {
-			sens = (base - cfg.Objective.Eval(f.sinkDist)) / deltaW
+		if sink := f.sinkDist.Dist(); sink != nil {
+			sens = (base - cfg.Objective.Eval(sink)) / deltaW
 		} else {
 			// The perturbation died out before the sink: the sensitivity
 			// is exactly zero and the front stopped early — count it with
@@ -452,7 +454,7 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 			if err := ctx.Err(); err != nil {
 				return ir, err
 			}
-			hintFront.propagateOneLevel(a, cfg, c, 0)
+			hintFront.propagateOneLevel(a, cfg, c.workers[0])
 			ir.nodesVisited += hintFront.visits
 			hintFront.visits = 0
 		}
@@ -507,8 +509,8 @@ rounds:
 			tau = h[0]
 		}
 		kth := top.kth()
-		err := c.pool.RunIndexed(ctx, len(batch), func(w, i int) error {
-			batch[i].advance(a, cfg, c, w, tau, kth, step)
+		err := c.pool.Run(ctx, len(batch), func(w *worker, i int) error {
+			batch[i].advance(a, cfg, w, tau, kth, step)
 			return nil
 		})
 		c.drain()

@@ -44,15 +44,18 @@ func TestAcceleratedFrontStorageAccounting(t *testing.T) {
 			var scratch []*ssta.Scratch
 			retained, foreign := 0, 0
 			inner := func(ctx context.Context, a *ssta.Analysis, cfg Config, base float64, hint netlist.GateID, c *crew) (innerResult, error) {
-				scratch = c.ws
-				ir, err := acceleratedIteration(ctx, a, cfg, base, hint, c)
-				for w, list := range c.foreign {
-					if len(list) != 0 {
-						t.Errorf("worker %d still lists %d consumed values another worker kept", w, len(list))
-					}
-					foreign = max(foreign, cap(list))
+				scratch = scratch[:0]
+				for _, w := range c.workers {
+					scratch = append(scratch, w.sc)
 				}
-				for w, sc := range c.ws {
+				ir, err := acceleratedIteration(ctx, a, cfg, base, hint, c)
+				for _, w := range c.workers {
+					if len(w.foreign) != 0 {
+						t.Errorf("worker %d still lists %d consumed values another worker kept", w.id, len(w.foreign))
+					}
+					foreign = max(foreign, cap(w.foreign))
+				}
+				for w, sc := range scratch {
 					if n := sc.Recycler().Held(); n != 0 {
 						t.Errorf("worker %d holds %d front values after the iteration", w, n)
 					}

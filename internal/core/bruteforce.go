@@ -59,20 +59,33 @@ func statisticalDescent(ctx context.Context, s *session.Session, cfg Config, met
 // accelerated.
 type innerFunc func(ctx context.Context, a *ssta.Analysis, cfg Config, base float64, hint netlist.GateID, c *crew) (innerResult, error)
 
-// crew is the session's workers as one optimizer run drives them: one
-// scratch each (Tx.Scratch), the pool that runs them, and per worker
-// the consumed front values another worker kept, which wait there for
-// the caller to drop them after a barrier (see crew.drop).
+// crew is the session's workers as one optimizer run drives them, and
+// the pool that runs them: the pool hands every sweep, front build and
+// level step the worker it runs on.
 type crew struct {
-	ws      []*ssta.Scratch
-	pool    *par.Pool
-	foreign [][]liveNode
+	workers []*worker
+	pool    *par.Pool[*worker]
+}
+
+// worker is one session worker in an optimizer run: its scratch
+// (element id of Tx.Scratch), and the consumed front values another
+// worker kept, which wait there for the caller to drop them after a
+// barrier (see worker.drop).
+type worker struct {
+	id      int32
+	sc      *ssta.Scratch
+	foreign []liveNode
 }
 
 // newCrew starts a pool with one worker per scratch in ws. The caller
 // must close it.
 func newCrew(ws []*ssta.Scratch) *crew {
-	return &crew{ws: ws, pool: par.NewPool(len(ws)), foreign: make([][]liveNode, len(ws))}
+	c := &crew{workers: make([]*worker, len(ws))}
+	for i, sc := range ws {
+		c.workers[i] = &worker{id: int32(i), sc: sc}
+	}
+	c.pool = par.NewPool(c.workers)
+	return c
 }
 
 // close stops the pool and releases every worker's recycler. Recycled
@@ -80,8 +93,8 @@ func newCrew(ws []*ssta.Scratch) *crew {
 // it.
 func (c *crew) close() {
 	c.pool.Close()
-	for _, sc := range c.ws {
-		sc.Recycler().Release()
+	for _, w := range c.workers {
+		w.sc.Recycler().Release()
 	}
 }
 
@@ -199,20 +212,20 @@ func bruteForceIteration(ctx context.Context, a *ssta.Analysis, cfg Config, base
 	var ir innerResult
 	cands := candidateGates(d)
 	type sweep struct {
-		sink    *dist.Dist
+		sink    dist.Owned
 		visited int
 	}
 	sweeps := make([]sweep, len(cands))
 	// Each candidate's full pass computes in its worker's scratch; only
 	// the persisted sink distribution escapes.
-	err := c.pool.RunIndexed(ctx, len(cands), func(w, i int) error {
+	err := c.pool.Run(ctx, len(cands), func(w *worker, i int) error {
 		x := cands[i]
 		var err error
-		sweeps[i].sink, sweeps[i].visited, err = a.WhatIfFull(x, d.Width(x)+d.Lib.DeltaW, c.ws[w])
+		sweeps[i].sink, sweeps[i].visited, err = a.WhatIfFull(x, d.Width(x)+d.Lib.DeltaW, w.sc)
 		return err
 	})
 	if err != nil {
-		// par.Run already prefers the lowest-index evaluation error over
+		// The pool already prefers the lowest-index evaluation error over
 		// a bare cancellation, matching the serial loop's reporting.
 		return ir, err
 	}
@@ -222,7 +235,7 @@ func bruteForceIteration(ctx context.Context, a *ssta.Analysis, cfg Config, base
 	for i, s := range sweeps {
 		ir.considered++
 		ir.nodesVisited += s.visited
-		top.offer(pick{gate: cands[i], sens: (base - cfg.Objective.Eval(s.sink)) / d.Lib.DeltaW})
+		top.offer(pick{gate: cands[i], sens: (base - cfg.Objective.Eval(s.sink.Dist())) / d.Lib.DeltaW})
 	}
 	ir.picks = top.sorted()
 	if len(ir.picks) > 0 {

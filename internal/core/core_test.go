@@ -153,7 +153,10 @@ func TestAcceleratedMatchesBruteForceTrajectories(t *testing.T) {
 			default:
 				db, da = smallDesign(t, 2), smallDesign(t, 2)
 			}
-			cfg := Config{MaxIterations: tc.iters}
+			// Three workers whatever the host, so a sweep or a front step
+			// that computes in another worker's scratch fails here (and
+			// races under -race) even on one CPU.
+			cfg := Config{MaxIterations: tc.iters, Parallelism: 3}
 			rb, err := runOn(t, db, cfg, BruteForce)
 			if err != nil {
 				t.Fatal(err)
@@ -244,7 +247,7 @@ func checkFrontBounds(t *testing.T, a *ssta.Analysis, cfg Config) {
 	defer c.close()
 	fronts, gaining, tight := 0, 0, 0
 	for _, gid := range candidateGates(d) {
-		f, err := newFront(a, cfg, gid, c, 0)
+		f, err := newFront(a, cfg, gid, c.workers[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +256,7 @@ func checkFrontBounds(t *testing.T, a *ssta.Analysis, cfg Config) {
 		// The bound of every live step, in whole grid steps.
 		steps := []float64{math.Round(f.smx / dt)}
 		for !f.dead() {
-			f.propagateOneLevel(a, cfg, c, 0)
+			f.propagateOneLevel(a, cfg, c.workers[0])
 			b := f.smx / d.Lib.DeltaW
 			if b > prevBound+pruneSlack {
 				t.Fatalf("gate %d: front bound grew from %v to %v", gid, prevBound, b)
@@ -264,8 +267,8 @@ func checkFrontBounds(t *testing.T, a *ssta.Analysis, cfg Config) {
 			}
 		}
 		sens, gain := 0.0, 0.0
-		if f.sinkDist != nil {
-			obj := cfg.Objective.Eval(f.sinkDist)
+		if sink := f.sinkDist.Dist(); sink != nil {
+			obj := cfg.Objective.Eval(sink)
 			sens = (base - obj) / d.Lib.DeltaW
 			gain = math.Round((base - obj) / dt)
 		}

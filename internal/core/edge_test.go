@@ -148,12 +148,12 @@ func TestFrontDrainsCompletely(t *testing.T) {
 	c := newCrew([]*ssta.Scratch{ssta.NewScratch()})
 	defer c.close()
 	for _, gid := range candidateGates(d)[:10] {
-		f, err := newFront(a, cfg, gid, c, 0)
+		f, err := newFront(a, cfg, gid, c.workers[0])
 		if err != nil {
 			t.Fatal(err)
 		}
 		for !f.dead() {
-			f.propagateOneLevel(a, cfg, c, 0)
+			f.propagateOneLevel(a, cfg, c.workers[0])
 		}
 		if len(f.live) != 0 {
 			t.Fatalf("gate %d: front leaked %d live nodes", gid, len(f.live))

@@ -17,10 +17,12 @@ const distHeaderSize = unsafe.Sizeof(Dist{})
 //
 //   - Every *Dist returned by an Into kernel called with an arena is a
 //     view into that arena and is invalidated by the arena's next
-//     Reset. Persist before storing one anywhere that outlives the
-//     reset (arrival slots, overlay maps, snapshots, results).
+//     Reset. Persist it (an Owned) before storing it anywhere that
+//     outlives the reset; the retained slots are typed Owned, so a
+//     raw view does not fit them.
 //   - An arena serves exactly one goroutine at a time. Parallel paths
-//     hold one arena per worker; nothing in an Arena is synchronized.
+//     hold one arena per worker, as par.Pool worker state; nothing in
+//     an Arena is synchronized.
 //   - Resetting is the caller's job, at whatever granularity bounds the
 //     live scratch set: per node for passes that persist each result,
 //     per candidate for sweeps whose overlays must survive a whole
@@ -156,9 +158,9 @@ func (k *Keeper) Reset() {
 // Persist returns d unchanged when it is already an immutable heap
 // value, or a compact keeper-backed copy when it is arena scratch —
 // same contract as Dist.Persist, amortized.
-func (k *Keeper) Persist(d *Dist) *Dist {
+func (k *Keeper) Persist(d *Dist) Owned {
 	if !d.scratch {
-		return d
+		return Owned{d}
 	}
 	n := len(d.p)
 	if n > len(k.slab) {
@@ -177,7 +179,7 @@ func (k *Keeper) Persist(d *Dist) *Dist {
 	h := &k.hdrs[0]
 	k.hdrs = k.hdrs[1:]
 	h.dt, h.i0, h.p = d.dt, d.i0, p
-	return h
+	return Owned{h}
 }
 
 // scratchFloats routes a mass-vector request to the arena, or to the

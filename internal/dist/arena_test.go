@@ -102,8 +102,8 @@ func TestIntoKernelsChainReuse(t *testing.T) {
 				acc = MaxIndepInto(ar, acc, term)
 			}
 		}
-		got := acc.Persist()
-		if got.IsScratch() {
+		got := acc.Persist().Dist()
+		if got.scratch {
 			t.Fatal("Persist returned a scratch view")
 		}
 		bitIdentical(t, fmt.Sprintf("round %d", round), want, got)
@@ -115,15 +115,15 @@ func TestIntoKernelsChainReuse(t *testing.T) {
 // that survives a Reset overwriting the arena.
 func TestPersistPassthrough(t *testing.T) {
 	a, b := mustGauss(t, 0.01, 0.5, 0.05), mustGauss(t, 0.01, 0.6, 0.05)
-	if a.Persist() != a {
+	if a.Persist().Dist() != a {
 		t.Error("Persist copied a heap distribution")
 	}
 	ar := NewArena()
 	v := ConvolveInto(ar, a, b)
-	if !v.IsScratch() {
+	if !v.scratch {
 		t.Fatal("arena kernel returned a non-scratch view")
 	}
-	kept := v.Persist()
+	kept := v.Persist().Dist()
 	want := Convolve(a, b)
 	ar.Reset()
 	// Scribble over the arena; the persisted copy must be unaffected.
@@ -396,8 +396,8 @@ func TestKeeperPersist(t *testing.T) {
 		b := randDist(rng, 0.01, 70)
 		ar.Reset()
 		v := ConvolveInto(ar, a, b)
-		g := kp.Persist(v)
-		if g.IsScratch() {
+		g := kp.Persist(v).Dist()
+		if g.scratch {
 			t.Fatal("keeper returned a scratch view")
 		}
 		all = append(all, kept{want: Convolve(a, b), got: g})
@@ -408,7 +408,7 @@ func TestKeeperPersist(t *testing.T) {
 		bitIdentical(t, fmt.Sprintf("kept %d", i), k.want, k.got)
 	}
 	h := mustGauss(t, 0.01, 0.3, 0.02)
-	if kp.Persist(h) != h {
+	if kp.Persist(h).Dist() != h {
 		t.Error("keeper copied a heap distribution")
 	}
 }
@@ -429,8 +429,8 @@ func TestKeeperReuseAfterReset(t *testing.T) {
 			b := randDist(rng, 0.01, 50)
 			ar.Reset()
 			v := MaxIndepInto(ar, a, b)
-			g := kp.Persist(v)
-			if g.IsScratch() {
+			g := kp.Persist(v).Dist()
+			if g.scratch {
 				t.Fatal("keeper returned a scratch view")
 			}
 			all = append(all, kept{want: MaxIndep(a, b), got: g})
@@ -450,7 +450,7 @@ func TestKeeperResetSeversSlabSharing(t *testing.T) {
 	ar, kp := NewArena(), NewKeeper()
 	mk := func() *Dist {
 		ar.Reset()
-		return kp.Persist(ConvolveInto(ar, mustGauss(t, 0.01, 0.5, 0.05), mustGauss(t, 0.01, 0.3, 0.03)))
+		return kp.Persist(ConvolveInto(ar, mustGauss(t, 0.01, 0.5, 0.05), mustGauss(t, 0.01, 0.3, 0.03))).Dist()
 	}
 	before := mk()
 	kp.Reset()

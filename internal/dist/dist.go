@@ -26,8 +26,13 @@
 // exactly like its allocating wrapper. A holder that keeps scratch
 // results for a while and drops them one by one (the optimizer's
 // perturbation fronts) copies them into a Recycler instead, which hands
-// the memory of dropped values to later ones. See DESIGN.md ("Memory
-// model") for the ownership rules the SSTA hot paths follow.
+// the memory of dropped values to later ones.
+//
+// The retained forms are types: Persist and Keeper.Persist return an
+// Owned, Recycler.Keep a Kept, and nothing else produces either, so a
+// slot typed Owned or Kept cannot take a raw scratch view. See
+// DESIGN.md ("Memory model") for the ownership rules the SSTA hot
+// paths follow.
 package dist
 
 import (
@@ -264,24 +269,32 @@ func (d *Dist) ShiftBins(n int) *Dist {
 	return &Dist{dt: d.dt, i0: d.i0 + n, p: d.p, scratch: d.scratch}
 }
 
+// Owned is a distribution in a retained slot: an immutable value that
+// outlives every arena and recycler. Only Persist and Keeper.Persist
+// produce one, so a slot typed Owned — an analysis's arrivals, edge
+// delays and required times, and their snapshots — cannot take an
+// arena view or a recycled value: storing a kernel result there
+// without persisting it does not compile. The zero Owned is an empty
+// slot.
+type Owned struct{ d *Dist }
+
+// Dist returns the owned distribution, nil for an empty slot. It is
+// immutable and safe to share.
+func (o Owned) Dist() *Dist { return o.d }
+
 // Persist returns d when it is an ordinary immutable value, or a
 // compact heap copy when d is an arena-backed scratch view or a
 // recycled value — the one operation that may move a kernel result out
-// of scratch memory into a retained structure (an arrival slot, an
-// overlay slot, a snapshot).
-func (d *Dist) Persist() *Dist {
-	if !d.scratch {
-		return d
+// of scratch memory into a retained slot (an arrival, an edge delay, a
+// snapshot). Persist of nil is the empty slot.
+func (d *Dist) Persist() Owned {
+	if d == nil || !d.scratch {
+		return Owned{d}
 	}
 	p := make([]float64, len(d.p))
 	copy(p, d.p)
-	return &Dist{dt: d.dt, i0: d.i0, p: p}
+	return Owned{&Dist{dt: d.dt, i0: d.i0, p: p}}
 }
-
-// IsScratch reports whether d is an arena-backed view (valid only until
-// its arena's next Reset) or a recycled value (valid only until its
-// holder drops it).
-func (d *Dist) IsScratch() bool { return d.scratch }
 
 // Convolve returns the distribution of the sum of two independent
 // variables — the arrival-plus-edge-delay step of SSTA. Exact on the

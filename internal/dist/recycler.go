@@ -14,7 +14,8 @@ const recyclerHdrChunk = 64
 //
 // Ownership rules (see DESIGN.md, "Memory model"):
 //
-//   - A kept value is valid until its holder drops it. Drop it exactly
+//   - A kept value is a Kept, which only Keep produces and only Drop
+//     accepts. It is valid until its holder drops it. Drop it exactly
 //     once, through the recycler that kept it; afterwards its memory
 //     serves the next Keep.
 //   - A recycler serves exactly one goroutine at a time; nothing in it
@@ -28,14 +29,25 @@ type Recycler struct {
 	held  int                        // kept values not yet dropped
 }
 
+// Kept is a value a Recycler holds for its holder: produced only by
+// Keep and accepted only by Drop, so a front's live arrivals and sink,
+// typed Kept, cannot hold a raw arena view. The zero Kept holds
+// nothing.
+type Kept struct{ d *Dist }
+
+// Dist returns the kept distribution, nil for the zero Kept. It is
+// scratch: read it while the holder keeps it, and Persist it to retain
+// it past the Drop.
+func (k Kept) Dist() *Dist { return k.d }
+
 // Keep returns a copy of d in recycled storage when d is scratch (an
 // arena view or another recycled value), or d itself when it is an
 // ordinary immutable value, which is held by pointer and never
 // recycled. The copy is bit-identical and is itself scratch: Persist
 // copies it out.
-func (r *Recycler) Keep(d *Dist) *Dist {
+func (r *Recycler) Keep(d *Dist) Kept {
 	if !d.scratch {
-		return d
+		return Kept{d}
 	}
 	n := len(d.p)
 	c := bits.Len(uint(n - 1))
@@ -61,14 +73,15 @@ func (r *Recycler) Keep(d *Dist) *Dist {
 	h.dt, h.i0, h.p, h.scratch, h.recycled = d.dt, d.i0, p, true, true
 	h.clearCum()
 	r.held++
-	return h
+	return Kept{h}
 }
 
 // Drop returns a value Keep copied into recycled storage; any other
-// value (one Keep returned as is) is left alone. The dropped value must
-// not be used again.
-func (r *Recycler) Drop(d *Dist) {
-	if !d.recycled {
+// value (one Keep returned as is, or the zero Kept) is left alone. The
+// dropped value must not be used again.
+func (r *Recycler) Drop(k Kept) {
+	d := k.d
+	if d == nil || !d.recycled {
 		return
 	}
 	if d.p == nil {

@@ -11,20 +11,23 @@ import (
 func TestRecyclerKeepCopiesScratchOnly(t *testing.T) {
 	a, b := mustGauss(t, 0.01, 0.5, 0.05), mustGauss(t, 0.01, 0.6, 0.05)
 	var r Recycler
-	if r.Keep(a) != a {
+	if r.Keep(a).Dist() != a {
 		t.Fatal("Keep copied an immutable heap value")
 	}
-	r.Drop(a) // a no-op: a was never recycled
+	r.Drop(r.Keep(a)) // a no-op: a was never recycled
+	r.Drop(Kept{})    // a no-op: the zero Kept holds nothing
 	if r.Held() != 0 {
 		t.Fatalf("holding %d values after keeping only a heap value", r.Held())
 	}
 	ar := NewArena()
 	v := ConvolveInto(ar, a, b)
-	kept := r.Keep(v)
-	if kept == v || !kept.IsScratch() {
+	k := r.Keep(v)
+	kept := k.Dist()
+	if kept == v || !kept.scratch {
 		t.Fatal("Keep must copy a scratch view into recycled (scratch) storage")
 	}
-	again := r.Keep(kept)
+	k2 := r.Keep(kept)
+	again := k2.Dist()
 	if again == kept {
 		t.Fatal("Keep must copy a recycled value, not share it")
 	}
@@ -33,14 +36,14 @@ func TestRecyclerKeepCopiesScratchOnly(t *testing.T) {
 	ConvolveInto(ar, b, b) // scribble over the arena
 	bitIdentical(t, "kept survives reset", want, kept)
 	bitIdentical(t, "kept of kept", want, again)
-	if p := kept.Persist(); p.IsScratch() || p == kept {
+	if p := kept.Persist().Dist(); p.scratch || p == kept {
 		t.Fatal("Persist of a recycled value must return a heap copy")
 	}
 	if r.Held() != 2 {
 		t.Fatalf("holding %d values, want 2", r.Held())
 	}
-	r.Drop(kept)
-	r.Drop(again)
+	r.Drop(k)
+	r.Drop(k2)
 	if r.Held() != 0 {
 		t.Fatalf("holding %d values after dropping all, want 0", r.Held())
 	}
@@ -49,7 +52,7 @@ func TestRecyclerKeepCopiesScratchOnly(t *testing.T) {
 			t.Error("a second Drop of one value did not panic")
 		}
 	}()
-	r.Drop(kept)
+	r.Drop(k)
 }
 
 // TestRecyclerReusesDroppedMemory: a dropped value's mass vector and
@@ -60,10 +63,11 @@ func TestRecyclerReusesDroppedMemory(t *testing.T) {
 	a, b := mustGauss(t, 0.01, 0.5, 0.05), mustGauss(t, 0.01, 0.6, 0.05)
 	ar := NewArena()
 	var r Recycler
-	big := r.Keep(ConvolveInto(ar, a, b))
+	kb := r.Keep(ConvolveInto(ar, a, b))
+	big := kb.Dist()
 	big.Percentile(0.5) // fill the quantile cache
 	n, first := big.NumBins(), &big.p[0]
-	r.Drop(big)
+	r.Drop(kb)
 	// The smallest bin count of big's capacity class: must reuse the
 	// vector and must show neither old bins nor the old cache.
 	m := 1<<(bits.Len(uint(n-1))-1) + 1
@@ -71,7 +75,7 @@ func TestRecyclerReusesDroppedMemory(t *testing.T) {
 	for k := range small.p {
 		small.p[k] = 1 / float64(m)
 	}
-	kept := r.Keep(small)
+	kept := r.Keep(small).Dist()
 	if kept != big || &kept.p[0] != first {
 		t.Fatal("Keep did not reuse the dropped header and mass vector")
 	}
@@ -110,7 +114,7 @@ func TestRecyclerSteadyStateAllocsZero(t *testing.T) {
 	if r.FootprintBytes() != 0 {
 		t.Errorf("recycler retains %d bytes after Release", r.FootprintBytes())
 	}
-	bitIdentical(t, "held across Release", Convolve(a, b), held)
+	bitIdentical(t, "held across Release", Convolve(a, b), held.Dist())
 	r.Drop(held)
 	if r.Held() != 0 {
 		t.Errorf("holding %d values, want 0", r.Held())

@@ -9,6 +9,10 @@
 // mutation-free evaluation contract documented in DESIGN.md is what
 // makes that distribution sound.
 //
+// A Pool owns one state per worker (an arena, a scratch set) and hands
+// each callback the state of the worker running it, so a callback
+// reaches its worker's state through a parameter rather than an index.
+//
 // Locked guards the shared mutable state those paths run against: its
 // value is reachable only under its mutex, through a scoped callback.
 // Session, Engine and the daemon's session pool keep their state in
@@ -48,44 +52,39 @@ func Workers(n int) int {
 // against. For a sequence of dependent batches (the SSTA levels), use a
 // Pool, which amortizes worker startup across batches.
 func Run(ctx context.Context, workers, n int, fn func(i int) error) error {
-	return RunIndexed(ctx, workers, n, func(_, i int) error { return fn(i) })
+	return RunWith(ctx, make([]struct{}, Workers(workers)), n, func(_ struct{}, i int) error { return fn(i) })
 }
 
-// RunIndexed is Run with the worker ordinal (in [0, workers)) passed to
-// fn alongside the index — the hook per-worker scratch state (arenas,
-// reusable maps) keys off. Which ordinal processes which index is
-// scheduling-dependent; everything else about the contract matches Run,
-// and the serial degenerate case always reports ordinal 0.
-func RunIndexed(ctx context.Context, workers, n int, fn func(worker, i int) error) error {
+// RunWith is Run on one worker per state, each handing its own state
+// to fn: a one-shot Pool over states, narrowed to n workers when n is
+// smaller.
+func RunWith[S any](ctx context.Context, states []S, n int, fn func(s S, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	p := NewPool(workers)
+	p := NewPool(states[:min(len(states), n)])
 	defer p.Close()
-	return p.RunIndexed(ctx, n, fn)
+	return p.Run(ctx, n, fn)
 }
 
 // Pool is a long-lived set of workers that process successive batches
-// with a barrier after each. It exists for batch sequences whose steps
-// are individually small — the forward SSTA pass runs one batch per
-// topological level, often dozens of nodes across hundreds of levels,
-// where spawning goroutines per level would rival the work itself.
-// A Pool is not safe for concurrent Run calls; it serves one caller.
-type Pool struct {
-	workers int
-	chans   []chan *batch
+// with a barrier after each, one worker per state it was built with.
+// It exists for batch sequences whose steps are individually small —
+// the forward SSTA pass runs one batch per topological level, often
+// dozens of nodes across hundreds of levels, where spawning goroutines
+// per level would rival the work itself. A Pool is not safe for
+// concurrent Run calls; it serves one caller.
+type Pool[S any] struct {
+	states []S
+	chans  []chan *batch[S]
 }
 
 // batch is one barrier-delimited unit of pool work: an index range, the
 // function, and the shared progress/failure state.
-type batch struct {
+type batch[S any] struct {
 	ctx  context.Context
 	n    int
-	fn   func(worker, i int) error
+	fn   func(s S, i int) error
 	next atomic.Int64
 	stop atomic.Bool
 	wg   sync.WaitGroup
@@ -95,22 +94,28 @@ type batch struct {
 	firstE error
 }
 
-// NewPool starts workers goroutines (none when the normalized count is
-// 1 — a serial pool runs batches on the caller's goroutine). Close must
-// be called to release the workers.
-func NewPool(workers int) *Pool {
-	p := &Pool{workers: Workers(workers)}
-	if p.workers <= 1 {
+// NewPool starts one worker per state, each owning its state for the
+// pool's lifetime: every fn call a worker makes receives that worker's
+// state, and no other worker's. A single state starts no goroutine —
+// a serial pool runs batches on the caller's goroutine with states[0].
+// states must not be empty. Close must be called to release the
+// workers.
+func NewPool[S any](states []S) *Pool[S] {
+	if len(states) == 0 {
+		panic("par: NewPool without worker states")
+	}
+	p := &Pool[S]{states: states}
+	if len(states) == 1 {
 		return p
 	}
-	p.chans = make([]chan *batch, p.workers)
+	p.chans = make([]chan *batch[S], len(states))
 	for i := range p.chans {
-		ch := make(chan *batch, 1)
+		ch := make(chan *batch[S], 1)
 		p.chans[i] = ch
-		worker := i
+		s := states[i]
 		go func() {
 			for b := range ch {
-				b.work(worker)
+				b.work(s)
 				b.wg.Done()
 			}
 		}()
@@ -118,43 +123,36 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// NumWorkers returns the pool's normalized worker count — the bound on
-// the worker ordinals RunIndexed reports.
-func (p *Pool) NumWorkers() int { return p.workers }
-
 // Close stops the pool's workers. The pool must not be used afterwards.
-func (p *Pool) Close() {
+func (p *Pool[S]) Close() {
 	for _, ch := range p.chans {
 		close(ch)
 	}
 }
 
 // Run processes one batch through the pool and waits for the barrier:
-// fn(i) for every i in [0, n), same contract as the package-level Run.
-func (p *Pool) Run(ctx context.Context, n int, fn func(i int) error) error {
-	return p.RunIndexed(ctx, n, func(_, i int) error { return fn(i) })
-}
-
-// RunIndexed is Run with the worker ordinal passed to fn (see the
-// package-level RunIndexed). A batch wakes only as many workers as it
-// has indices, so the ordinals lie in [0, min(NumWorkers, n)): a
-// narrow batch on a wide pool leaves the other workers asleep.
-func (p *Pool) RunIndexed(ctx context.Context, n int, fn func(worker, i int) error) error {
+// fn(s, i) for every i in [0, n), where s is the state of the worker
+// that draws i, under the package-level Run's contract. Which worker
+// draws which index is scheduling-dependent. A batch wakes only as many
+// workers as it has indices, so fn sees only the first min(len(states),
+// n) states: a narrow batch on a wide pool leaves the other workers
+// asleep.
+func (p *Pool[S]) Run(ctx context.Context, n int, fn func(s S, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
-	if p.workers <= 1 || n == 1 {
+	if len(p.chans) == 0 || n == 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(0, i); err != nil {
+			if err := fn(p.states[0], i); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	b := &batch{ctx: ctx, n: n, fn: fn, firstI: n}
+	b := &batch[S]{ctx: ctx, n: n, fn: fn, firstI: n}
 	chans := p.chans[:min(len(p.chans), n)]
 	b.wg.Add(len(chans))
 	for _, ch := range chans {
@@ -167,9 +165,9 @@ func (p *Pool) RunIndexed(ctx context.Context, n int, fn func(worker, i int) err
 	return ctx.Err()
 }
 
-// work drains indices from the batch until exhaustion, failure or
-// cancellation.
-func (b *batch) work(worker int) {
+// work drains indices from the batch with worker state s until
+// exhaustion, failure or cancellation.
+func (b *batch[S]) work(s S) {
 	for {
 		if b.stop.Load() {
 			return
@@ -182,7 +180,7 @@ func (b *batch) work(worker int) {
 		if i >= b.n {
 			return
 		}
-		if err := b.fn(worker, i); err != nil {
+		if err := b.fn(s, i); err != nil {
 			b.mu.Lock()
 			if i < b.firstI {
 				b.firstI, b.firstE = i, err

@@ -74,13 +74,13 @@ func TestRunCancellation(t *testing.T) {
 // must provide a full barrier between them — batch k+1 reads what batch
 // k wrote, the exact structure of the level-parallel SSTA pass.
 func TestPoolBarrierAcrossBatches(t *testing.T) {
-	p := NewPool(8)
+	p := NewPool(make([]struct{}, 8))
 	defer p.Close()
 	const n = 256
 	cur := make([]int, n)
 	next := make([]int, n)
 	for round := 1; round <= 50; round++ {
-		err := p.Run(context.Background(), n, func(i int) error {
+		err := p.Run(context.Background(), n, func(_ struct{}, i int) error {
 			// Read a neighbor from the previous round; any missing
 			// barrier shows up as a torn read under -race or as a wrong
 			// value here.
@@ -108,55 +108,66 @@ func TestWorkersNormalization(t *testing.T) {
 	}
 }
 
-// TestRunIndexedWorkerOrdinals: every index is processed exactly once
-// and every reported worker ordinal is within [0, workers) — the
-// contract per-worker scratch arenas key off.
-func TestRunIndexedWorkerOrdinals(t *testing.T) {
+// TestRunWithHandsEachWorkerItsState: every index is processed exactly
+// once, every state fn receives is one of the states passed in, and no
+// two goroutines ever hold the same state at once — the contract
+// per-worker scratch arenas rest on.
+func TestRunWithHandsEachWorkerItsState(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16} {
 		const n = 200
+		type state struct {
+			id   int
+			busy atomic.Bool
+			runs atomic.Int64
+		}
+		states := make([]*state, workers)
+		for w := range states {
+			states[w] = &state{id: w}
+		}
 		seen := make([]int32, n)
-		byWorker := make([]atomic.Int64, workers)
-		err := RunIndexed(context.Background(), workers, n, func(w, i int) error {
-			if w < 0 || w >= workers {
-				t.Errorf("worker ordinal %d out of [0,%d)", w, workers)
+		err := RunWith(context.Background(), states, n, func(s *state, i int) error {
+			if s != states[s.id] {
+				t.Errorf("index %d got a state the pool was not given", i)
+			}
+			if !s.busy.CompareAndSwap(false, true) {
+				t.Errorf("state %d handed to two goroutines at once", s.id)
 			}
 			atomic.AddInt32(&seen[i], 1)
-			byWorker[w].Add(1)
+			s.runs.Add(1)
+			s.busy.Store(false)
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		total := int64(0)
 		for i := range seen {
 			if seen[i] != 1 {
 				t.Fatalf("workers=%d: index %d processed %d times", workers, i, seen[i])
 			}
 		}
-		for w := range byWorker {
-			total += byWorker[w].Load()
+		total := int64(0)
+		for _, s := range states {
+			total += s.runs.Load()
 		}
 		if total != n {
 			t.Fatalf("workers=%d: %d total invocations, want %d", workers, total, n)
 		}
-		if workers == 1 && byWorker[0].Load() != n {
-			t.Error("serial path must report ordinal 0 for every index")
+		if workers == 1 && states[0].runs.Load() != n {
+			t.Error("serial path must hand states[0] to every index")
 		}
 	}
 }
 
-// TestPoolRunIndexedSerialOrdinal: a serial pool reports ordinal 0 and
-// runs on the calling goroutine in index order.
-func TestPoolRunIndexedSerialOrdinal(t *testing.T) {
-	p := NewPool(1)
+// TestPoolSerialRunsFirstStateInOrder: a one-state pool hands that
+// state to every index and runs on the calling goroutine in index
+// order.
+func TestPoolSerialRunsFirstStateInOrder(t *testing.T) {
+	p := NewPool([]string{"only"})
 	defer p.Close()
-	if p.NumWorkers() != 1 {
-		t.Fatalf("NumWorkers = %d, want 1", p.NumWorkers())
-	}
 	last := -1
-	err := p.RunIndexed(context.Background(), 10, func(w, i int) error {
-		if w != 0 {
-			t.Errorf("serial pool reported worker %d", w)
+	err := p.Run(context.Background(), 10, func(s string, i int) error {
+		if s != "only" {
+			t.Errorf("serial pool handed state %q", s)
 		}
 		if i != last+1 {
 			t.Errorf("serial pool ran index %d after %d", i, last)
@@ -170,17 +181,21 @@ func TestPoolRunIndexedSerialOrdinal(t *testing.T) {
 }
 
 // TestPoolNarrowBatchWakesFewWorkers: a batch with fewer indices than
-// the pool has workers goes to that many workers only, so every
-// ordinal fn sees stays below n however the pool schedules.
+// the pool has workers goes to that many workers only, so every state
+// fn sees is among the first n however the pool schedules.
 func TestPoolNarrowBatchWakesFewWorkers(t *testing.T) {
-	p := NewPool(16)
+	states := make([]int, 16)
+	for w := range states {
+		states[w] = w
+	}
+	p := NewPool(states)
 	defer p.Close()
 	const n = 2
 	for trial := 0; trial < 200; trial++ {
 		var ran atomic.Int32
-		err := p.RunIndexed(context.Background(), n, func(w, i int) error {
+		err := p.Run(context.Background(), n, func(w, i int) error {
 			if w >= n {
-				t.Errorf("trial %d: index %d ran on worker %d, want an ordinal below %d", trial, i, w, n)
+				t.Errorf("trial %d: index %d ran on worker %d, want one of the first %d", trial, i, w, n)
 			}
 			ran.Add(1)
 			return nil

@@ -28,8 +28,9 @@ type Tx struct {
 	// (kernel arena plus dense overlays) per worker. What-ifs, batches,
 	// resize commits, required-time passes and optimizer sweeps all
 	// compute through it, so a warm session allocates only what escapes
-	// (persisted sinks and committed arrivals). Worker w of a parallel
-	// sweep touches only scratch[w], and the serial paths use scratch[0].
+	// (persisted sinks and committed arrivals). A parallel sweep hands
+	// the set to a par.Pool as its worker states, so each worker
+	// computes in its own Scratch; the serial paths use scratch[0].
 	scratch []*ssta.Scratch
 
 	// deadline overrides the slack reference; when unset the current
@@ -66,8 +67,8 @@ func (t *Tx) Analysis() *ssta.Analysis { return t.a }
 
 // Scratch returns the session's evaluation working set, one Scratch per
 // worker: the optimizers sweep their candidates over it, so one set of
-// warm arenas and overlays serves every pass of the session. Worker w
-// of a parallel sweep uses only element w.
+// warm arenas and overlays serves every pass of the session. A
+// parallel sweep hands the set to a par.Pool as its worker states.
 func (t *Tx) Scratch() []*ssta.Scratch { return t.scratch }
 
 // Objective evaluates the session objective on the current sink
@@ -132,7 +133,7 @@ func (t *Tx) evalWhatIf(ctx context.Context, base float64, g netlist.GateID, w f
 	if err != nil {
 		return WhatIfResult{}, err
 	}
-	return t.finishWhatIf(base, g, wEff, sink, visited), nil
+	return t.finishWhatIf(base, g, wEff, sink.Dist(), visited), nil
 }
 
 // whatIfSink propagates one candidate's perturbation and returns the
@@ -143,11 +144,11 @@ func (t *Tx) evalWhatIf(ctx context.Context, base float64, g netlist.GateID, w f
 // Objective is deliberately NOT evaluated here: objectives carry no
 // thread-safety requirement, so their Eval runs only on the merging
 // goroutine (finishWhatIf).
-func (t *Tx) whatIfSink(ctx context.Context, g netlist.GateID, w float64, sc *ssta.Scratch) (float64, *dist.Dist, int, error) {
+func (t *Tx) whatIfSink(ctx context.Context, g netlist.GateID, w float64, sc *ssta.Scratch) (float64, dist.Owned, int, error) {
 	wEff := t.d.Lib.ClampWidth(w)
 	sink, visited, err := t.a.WhatIf(ctx, g, wEff, sc)
 	if err != nil {
-		return 0, nil, visited, err
+		return 0, dist.Owned{}, visited, err
 	}
 	return wEff, sink, visited, nil
 }
@@ -192,12 +193,12 @@ func (t *Tx) WhatIfBatch(ctx context.Context, candidates []Candidate) ([]WhatIfR
 	base := t.Objective()
 	type propagated struct {
 		wEff    float64
-		sink    *dist.Dist
+		sink    dist.Owned
 		visited int
 	}
 	props := make([]propagated, len(candidates))
-	err := par.RunIndexed(ctx, len(t.scratch), len(candidates), func(w, i int) error {
-		wEff, sink, visited, err := t.whatIfSink(ctx, candidates[i].Gate, candidates[i].Width, t.scratch[w])
+	err := par.RunWith(ctx, t.scratch, len(candidates), func(sc *ssta.Scratch, i int) error {
+		wEff, sink, visited, err := t.whatIfSink(ctx, candidates[i].Gate, candidates[i].Width, sc)
 		if err != nil {
 			return err
 		}
@@ -215,7 +216,7 @@ func (t *Tx) WhatIfBatch(ctx context.Context, candidates []Candidate) ([]WhatIfR
 	results := make([]WhatIfResult, len(candidates))
 	visited := 0
 	for i, p := range props {
-		results[i] = t.finishWhatIf(base, candidates[i].Gate, p.wEff, p.sink, p.visited)
+		results[i] = t.finishWhatIf(base, candidates[i].Gate, p.wEff, p.sink.Dist(), p.visited)
 		visited += p.visited
 	}
 	t.record(opWhatIf, len(results), visited)

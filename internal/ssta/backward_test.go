@@ -40,7 +40,7 @@ func TestComputeRequired(t *testing.T) {
 	}
 
 	deadline := a.Percentile(0.99)
-	if err := a.ComputeRequired(ctx, dist.Point(a.DT, deadline), nil); err != nil {
+	if err := a.ComputeRequired(ctx, dist.Point(a.DT, deadline), NewScratch()); err != nil {
 		t.Fatal(err)
 	}
 	if !a.HasRequired() {
@@ -91,7 +91,7 @@ func TestComputeRequired(t *testing.T) {
 
 	// Arrival mutation invalidates the cache.
 	a.D.SetWidth(0, a.D.Width(0)+0.5)
-	if _, err := a.ResizeCommit(ctx, 0, nil); err != nil {
+	if _, err := a.ResizeCommit(ctx, 0, NewScratch()); err != nil {
 		t.Fatal(err)
 	}
 	if a.HasRequired() {
@@ -112,7 +112,7 @@ func TestWhatIfMatchesCommit(t *testing.T) {
 		}
 		// What-if must not mutate anything.
 		before := a.SinkDist()
-		pert, visited, err := a.WhatIf(ctx, gid, w, nil)
+		pert, visited, err := a.WhatIf(ctx, gid, w, NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,11 +131,11 @@ func TestWhatIfMatchesCommit(t *testing.T) {
 			t.Fatal(err)
 		}
 		dc.SetWidth(gid, w)
-		recomputed, err := ac.ResizeCommit(ctx, gid, nil)
+		recomputed, err := ac.ResizeCommit(ctx, gid, NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !dist.ApproxEqual(pert, ac.SinkDist(), 0) {
+		if !dist.ApproxEqual(pert.Dist(), ac.SinkDist(), 0) {
 			t.Fatalf("gate %d: WhatIf sink differs from committed sink", gi)
 		}
 		if recomputed != visited {
@@ -152,7 +152,7 @@ func TestResizeCommitCanceledLeavesAnalysis(t *testing.T) {
 	a := c17Analysis(t)
 	d := a.D
 	g := d.E.G
-	if err := a.ComputeRequired(context.Background(), dist.Point(a.DT, a.Percentile(0.99)), nil); err != nil {
+	if err := a.ComputeRequired(context.Background(), dist.Point(a.DT, a.Percentile(0.99)), NewScratch()); err != nil {
 		t.Fatal(err)
 	}
 	arrivals := make([]*dist.Dist, g.NumNodes())
@@ -167,7 +167,7 @@ func TestResizeCommitCanceledLeavesAnalysis(t *testing.T) {
 	d.SetWidth(2, d.Width(2)+1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := a.ResizeCommit(ctx, 2, nil); !errors.Is(err, context.Canceled) {
+	if _, err := a.ResizeCommit(ctx, 2, NewScratch()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled commit returned %v, want context.Canceled", err)
 	}
 	for n, want := range arrivals {
@@ -190,7 +190,7 @@ func TestSnapshotRestore(t *testing.T) {
 	ctx := context.Background()
 	d := a.D
 
-	if err := a.ComputeRequired(ctx, dist.Point(a.DT, a.Percentile(0.99)), nil); err != nil {
+	if err := a.ComputeRequired(ctx, dist.Point(a.DT, a.Percentile(0.99)), NewScratch()); err != nil {
 		t.Fatal(err)
 	}
 	st := a.Snapshot()
@@ -199,7 +199,7 @@ func TestSnapshotRestore(t *testing.T) {
 	req0 := a.Required(d.E.G.Sink())
 
 	d.SetWidth(2, d.Width(2)+1)
-	if _, err := a.ResizeCommit(ctx, 2, nil); err != nil {
+	if _, err := a.ResizeCommit(ctx, 2, NewScratch()); err != nil {
 		t.Fatal(err)
 	}
 	if dist.ApproxEqual(sink0, a.SinkDist(), 0) {

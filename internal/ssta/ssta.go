@@ -32,29 +32,30 @@ import (
 // the serial incremental paths — propagate and ComputeRequired) pass
 // between context checks: frequent enough for sub-millisecond
 // cancellation latency, rare enough to stay invisible in profiles. The
-// parallel full pass checks through par.Run instead. Package montecarlo
-// keeps its own equivalent constant.
+// parallel full pass checks through its par.Pool instead, which stops
+// drawing nodes once the context dies. Package montecarlo keeps its own
+// equivalent constant.
 const cancelCheckStride = 64
 
 // Analysis is a completed SSTA pass over a design at fixed grid
 // resolution. Arrival distributions are indexed by graph node.
 //
 // Every distribution reachable through an Analysis (arrivals, edge
-// delays, required times) is an immutable shared heap value — never
-// arena scratch — so queries, snapshots and concurrent read-only
-// evaluations (WhatIf) can hold onto them freely; see DESIGN.md,
-// "Memory model".
+// delays, required times) sits in a dist.Owned slot: an immutable
+// shared heap value, never arena scratch, so queries, snapshots and
+// concurrent read-only evaluations (WhatIf) can hold onto them freely;
+// see DESIGN.md, "Memory model".
 type Analysis struct {
 	D  *design.Design
 	DT float64
 
-	arrival []*dist.Dist
-	edge    []*dist.Dist // cached delay dists; nil for source/sink arcs
+	arrival []dist.Owned
+	edge    []dist.Owned // cached delay dists; empty for source/sink arcs
 
 	// Backward required-time state, computed on demand by
 	// ComputeRequired and invalidated by every arrival mutation.
-	required []*dist.Dist
-	deadline *dist.Dist
+	required []dist.Owned
+	deadline dist.Owned
 }
 
 // Analyze runs a full statistical timing analysis on grid dt with one
@@ -84,50 +85,39 @@ func AnalyzeParallel(ctx context.Context, d *design.Design, dt float64, workers 
 	a := &Analysis{
 		D:       d,
 		DT:      dt,
-		arrival: make([]*dist.Dist, g.NumNodes()),
-		edge:    make([]*dist.Dist, g.NumEdges()),
+		arrival: make([]dist.Owned, g.NumNodes()),
+		edge:    make([]dist.Owned, g.NumEdges()),
 	}
 	// One pool serves the edge builds and every level of the forward
 	// pass: levels are numerous and individually small, so worker
 	// startup is paid once, not per level.
-	pool := par.NewPool(workers)
+	states := make([]passWorker, par.Workers(workers))
+	for i := range states {
+		states[i] = passWorker{ar: dist.NewArena(), keeper: dist.NewKeeper()}
+	}
+	pool := par.NewPool(states)
 	defer pool.Close()
-	err := pool.Run(ctx, g.NumEdges(), func(e int) error {
+	err := pool.Run(ctx, g.NumEdges(), func(_ passWorker, e int) error {
 		dd, err := d.EdgeDelayDist(dt, graph.EdgeID(e))
 		if err != nil {
 			return err
 		}
-		a.edge[e] = dd
+		a.edge[e] = dd.Persist()
 		return nil
 	})
 	if err != nil {
 		return nil, wrapAnalyzeErr(err)
 	}
-	// One kernel arena and one persist keeper per pool worker: a node's
-	// convolve/max intermediates live in its worker's arena and die at
-	// the next node's Reset; the final trimmed arrival is compacted
-	// into the worker's keeper (bulk heap slabs — O(1) amortized
-	// allocations per node). Workers never share either, so the hot
-	// path carries no synchronization. The keepers are dropped with
-	// this stack frame; their slabs live on exactly as long as the
-	// arrivals carved from them.
-	arenas := make([]*dist.Arena, pool.NumWorkers())
-	keepers := make([]*dist.Keeper, pool.NumWorkers())
-	for i := range arenas {
-		arenas[i] = dist.NewArena()
-		keepers[i] = dist.NewKeeper()
-	}
-	a.arrival[g.Source()] = dist.Point(dt, 0)
+	a.arrival[g.Source()] = dist.Point(dt, 0).Persist()
 	for _, level := range levelNodes(g) {
 		nodes := level
-		err := pool.RunIndexed(ctx, len(nodes), func(w, i int) error {
-			ar := arenas[w]
-			ar.Reset()
-			arr, err := a.arrivalOrErr(nodes[i], ar)
+		err := pool.Run(ctx, len(nodes), func(pw passWorker, i int) error {
+			pw.ar.Reset()
+			arr, err := a.arrivalOrErr(nodes[i], pw.ar)
 			if err != nil {
 				return err
 			}
-			a.arrival[nodes[i]] = keepers[w].Persist(arr)
+			a.arrival[nodes[i]] = pw.keeper.Persist(arr)
 			return nil
 		})
 		if err != nil {
@@ -135,6 +125,18 @@ func AnalyzeParallel(ctx context.Context, d *design.Design, dt float64, workers 
 		}
 	}
 	return a, nil
+}
+
+// passWorker is one forward-pass worker's state: a kernel arena, where
+// a node's convolve/max intermediates live until the next node's Reset,
+// and a persist keeper, which compacts the final trimmed arrival into
+// bulk heap slabs (O(1) amortized allocations per node). The pool hands
+// each worker only its own, so the hot path carries no synchronization.
+// The keepers are dropped with the pass; their slabs live on exactly as
+// long as the arrivals carved from them.
+type passWorker struct {
+	ar     *dist.Arena
+	keeper *dist.Keeper
 }
 
 // wrapAnalyzeErr dresses a pure cancellation in the analysis-canceled
@@ -194,13 +196,13 @@ func (a *Analysis) computeArrival(n graph.NodeID, arrOverlay, delayOverlay []*di
 	var acc *dist.Dist
 	for _, eid := range g.In(n) {
 		e := g.EdgeAt(eid)
-		from := a.arrival[e.From]
+		from := a.arrival[e.From].Dist()
 		if arrOverlay != nil {
 			if o := arrOverlay[e.From]; o != nil {
 				from = o
 			}
 		}
-		delay := a.edge[eid]
+		delay := a.edge[eid].Dist()
 		if delayOverlay != nil {
 			if o := delayOverlay[eid]; o != nil {
 				delay = o
@@ -222,24 +224,25 @@ func (a *Analysis) computeArrival(n graph.NodeID, arrOverlay, delayOverlay []*di
 // ArrivalWithOverlayInto evaluates node n's arrival against sc's dense
 // overlays (see Overlays), computing in sc's arena: the result is
 // scratch, valid until that arena's next Reset, unless it is one of the
-// base or overlay operands a dominance shortcut returns. This is how the
-// optimizer's perturbation fronts step: they load their live arrivals
-// and perturbed delays into the overlays, evaluate, and clear them.
+// base or overlay operands a dominance shortcut returns. The caller
+// owns sc, so it owns the result; retaining it takes Persist or a
+// Recycler's Keep. This is how the optimizer's perturbation fronts
+// step: they load their live arrivals and perturbed delays into the
+// overlays, evaluate, and clear them.
 func (a *Analysis) ArrivalWithOverlayInto(n graph.NodeID, sc *Scratch) *dist.Dist {
-	//lint:allow statlint/scratchescape returning scratch is this method's documented contract: the *Into suffix hands ownership to the caller, whose Scratch owns the arena
 	return a.computeArrival(n, sc.arr, sc.delay, sc.ar)
 }
 
 // Arrival returns the arrival distribution at a node.
-func (a *Analysis) Arrival(n graph.NodeID) *dist.Dist { return a.arrival[n] }
+func (a *Analysis) Arrival(n graph.NodeID) *dist.Dist { return a.arrival[n].Dist() }
 
 // EdgeDelay returns the cached delay distribution of an edge (nil for
 // the zero-delay source/sink arcs).
-func (a *Analysis) EdgeDelay(e graph.EdgeID) *dist.Dist { return a.edge[e] }
+func (a *Analysis) EdgeDelay(e graph.EdgeID) *dist.Dist { return a.edge[e].Dist() }
 
 // SinkDist returns the circuit-delay distribution (the DAC'03 upper
 // bound on the exact CDF).
-func (a *Analysis) SinkDist() *dist.Dist { return a.arrival[a.D.E.G.Sink()] }
+func (a *Analysis) SinkDist() *dist.Dist { return a.Arrival(a.D.E.G.Sink()) }
 
 // Percentile returns the p-percentile of the circuit-delay distribution
 // — the paper's optimization objective at p = 0.99.
@@ -306,7 +309,13 @@ func (a *Analysis) perturbedDelays(x netlist.GateID, w float64, set func(graph.E
 // "use the base", and a recycler for the optimizer's perturbation
 // fronts. Every evaluation pass computes through one, so a warm sweep
 // allocates only what escapes. One Scratch serves one goroutine at a
-// time; parallel sweeps hold one per worker.
+// time; parallel sweeps hold one per worker, as par.Pool worker state.
+//
+// The overlays hold scratch by contract: their entries are arena views
+// that the next perturb rewinds with the arena, which is why they are
+// plain *dist.Dist slices and not Owned slots. Whatever outlives the
+// evaluation leaves through Persist (WhatIf's sink, ResizeCommit's
+// arrivals).
 type Scratch struct {
 	ar    *dist.Arena
 	arr   []*dist.Dist
@@ -340,14 +349,6 @@ func (a *Analysis) Overlays(sc *Scratch) (arr, delay []*dist.Dist) {
 		sc.delay = make([]*dist.Dist, g.NumEdges())
 	}
 	return sc.arr, sc.delay
-}
-
-// orTransient returns sc, or a fresh Scratch when the caller passed nil.
-func orTransient(sc *Scratch) *Scratch {
-	if sc == nil {
-		return NewScratch()
-	}
-	return sc
 }
 
 // perturb rewinds sc and loads gate x's perturbation at width w into
@@ -384,8 +385,7 @@ func (a *Analysis) propagate(ctx context.Context, sc *Scratch) (int, error) {
 		}
 		pert := a.computeArrival(n, sc.arr, sc.delay, sc.ar)
 		visited++
-		if !dist.ApproxEqual(pert, a.arrival[n], 0) {
-			//lint:allow statlint/scratchescape the overlay is scratch-scoped: rewound with sc.ar by the next perturb, and callers persist whatever they keep
+		if !dist.ApproxEqual(pert, a.arrival[n].Dist(), 0) {
 			sc.arr[n] = pert
 		}
 	}
@@ -397,19 +397,17 @@ func (a *Analysis) propagate(ctx context.Context, sc *Scratch) (int, error) {
 // design nor the analysis is mutated. It returns the perturbed sink
 // distribution, persisted and safe to retain, and the number of nodes
 // whose arrival was recomputed — the true perturbation cone (see
-// propagate). The overlays live in sc until its next use; nil means a
-// transient Scratch, identical but not amortized. WhatIf only reads the
-// analysis, so concurrent calls with distinct Scratches on one
-// quiescent Analysis are safe — the property Session.WhatIfBatch fans
-// candidate evaluations out on.
-func (a *Analysis) WhatIf(ctx context.Context, x netlist.GateID, w float64, sc *Scratch) (*dist.Dist, int, error) {
-	sc = orTransient(sc)
+// propagate). The overlays live in sc until its next use. WhatIf only
+// reads the analysis, so concurrent calls with distinct Scratches on
+// one quiescent Analysis are safe — the property Session.WhatIfBatch
+// fans candidate evaluations out on.
+func (a *Analysis) WhatIf(ctx context.Context, x netlist.GateID, w float64, sc *Scratch) (dist.Owned, int, error) {
 	if err := a.perturb(sc, x, w); err != nil {
-		return nil, 0, err
+		return dist.Owned{}, 0, err
 	}
 	visited, err := a.propagate(ctx, sc)
 	if err != nil {
-		return nil, visited, fmt.Errorf("ssta: what-if canceled: %w", err)
+		return dist.Owned{}, visited, fmt.Errorf("ssta: what-if canceled: %w", err)
 	}
 	sink := a.D.E.G.Sink()
 	if o := sc.arr[sink]; o != nil {
@@ -420,16 +418,15 @@ func (a *Analysis) WhatIf(ctx context.Context, x netlist.GateID, w float64, sc *
 
 // WhatIfFull is WhatIf without pruning — the full SSTA propagation per
 // candidate of the brute-force optimizer (Section 3.1). It loads the
-// same perturbation into sc (nil means a transient Scratch) but
-// recomputes every node except the source, without elision, so its
-// visit count is the full-pass reference Table 2 measures the
-// accelerated optimizer against. Every perturbed arrival stays live in
-// the arena until the sink; only the persisted sink escapes. It takes
-// no context: a sweep checks cancellation between candidates.
-func (a *Analysis) WhatIfFull(x netlist.GateID, w float64, sc *Scratch) (*dist.Dist, int, error) {
-	sc = orTransient(sc)
+// same perturbation into sc but recomputes every node except the
+// source, without elision, so its visit count is the full-pass
+// reference Table 2 measures the accelerated optimizer against. Every
+// perturbed arrival stays live in the arena until the sink; only the
+// persisted sink escapes. It takes no context: a sweep checks
+// cancellation between candidates.
+func (a *Analysis) WhatIfFull(x netlist.GateID, w float64, sc *Scratch) (dist.Owned, int, error) {
 	if err := a.perturb(sc, x, w); err != nil {
-		return nil, 0, err
+		return dist.Owned{}, 0, err
 	}
 	g := a.D.E.G
 	visited := 0
@@ -437,7 +434,6 @@ func (a *Analysis) WhatIfFull(x netlist.GateID, w float64, sc *Scratch) (*dist.D
 		if n == g.Source() {
 			continue
 		}
-		//lint:allow statlint/scratchescape the overlay is scratch-scoped: rewound with sc.ar by the next perturb, and only the persisted sink below escapes
 		sc.arr[n] = a.computeArrival(n, sc.arr, sc.delay, sc.ar)
 		visited++
 	}
@@ -446,15 +442,14 @@ func (a *Analysis) WhatIfFull(x netlist.GateID, w float64, sc *Scratch) (*dist.D
 
 // ResizeCommit makes the analysis consistent after gate x has been
 // resized in the design. It propagates x's perturbation at the
-// committed width through sc (nil means a transient Scratch) exactly as
-// WhatIf does, and only once the propagation completes writes the new
-// pin-edge delays and the persisted overlay arrivals into the analysis
-// and drops the cached required times. At the committed width the
-// perturbed delays equal EdgeDelayDist's, so the result is bit-identical
-// to a full pass. Returns the number of nodes recomputed; on any error,
-// cancellation included, the analysis is unchanged.
+// committed width through sc exactly as WhatIf does, and only once the
+// propagation completes writes the new pin-edge delays and the
+// persisted overlay arrivals into the analysis and drops the cached
+// required times. At the committed width the perturbed delays equal
+// EdgeDelayDist's, so the result is bit-identical to a full pass.
+// Returns the number of nodes recomputed; on any error, cancellation
+// included, the analysis is unchanged.
 func (a *Analysis) ResizeCommit(ctx context.Context, x netlist.GateID, sc *Scratch) (int, error) {
-	sc = orTransient(sc)
 	if err := a.perturb(sc, x, a.D.Width(x)); err != nil {
 		return 0, err
 	}
@@ -464,7 +459,7 @@ func (a *Analysis) ResizeCommit(ctx context.Context, x netlist.GateID, sc *Scrat
 	}
 	for e, dd := range sc.delay {
 		if dd != nil {
-			a.edge[e] = dd
+			a.edge[e] = dd.Persist()
 		}
 	}
 	for n, arr := range sc.arr {
@@ -484,14 +479,12 @@ func (a *Analysis) ResizeCommit(ctx context.Context, x netlist.GateID, sc *Scrat
 // hand, statistical slack and gate criticality become O(1) queries.
 //
 // Required times are cached until the next arrival mutation
-// (ResizeCommit) invalidates them. The kernels compute in sc's arena
-// (nil means a transient Scratch).
+// (ResizeCommit) invalidates them. The kernels compute in sc's arena.
 func (a *Analysis) ComputeRequired(ctx context.Context, deadline *dist.Dist, sc *Scratch) error {
-	sc = orTransient(sc)
 	g := a.D.E.G
-	req := make([]*dist.Dist, g.NumNodes())
+	req := make([]dist.Owned, g.NumNodes())
 	topo := g.Topo()
-	req[g.Sink()] = deadline
+	req[g.Sink()] = deadline.Persist()
 	// Pass-scoped persist keeper, like the forward pass's (see
 	// AnalyzeParallel); the backward pass is serial, so one suffices.
 	keeper := dist.NewKeeper()
@@ -510,8 +503,8 @@ func (a *Analysis) ComputeRequired(ctx context.Context, deadline *dist.Dist, sc 
 		sc.ar.Reset()
 		var acc *dist.Dist
 		for _, eid := range g.Out(n) {
-			t := req[g.EdgeAt(eid).To]
-			if dd := a.edge[eid]; dd != nil {
+			t := req[g.EdgeAt(eid).To].Dist()
+			if dd := a.edge[eid].Dist(); dd != nil {
 				t = dist.SubConvolveInto(sc.ar, t, dd)
 			}
 			if acc == nil {
@@ -521,12 +514,11 @@ func (a *Analysis) ComputeRequired(ctx context.Context, deadline *dist.Dist, sc 
 			}
 		}
 		if acc != nil {
-			acc = keeper.Persist(acc)
+			req[n] = keeper.Persist(acc)
 		}
-		req[n] = acc
 	}
 	a.required = req
-	a.deadline = deadline
+	a.deadline = req[g.Sink()]
 	return nil
 }
 
@@ -536,7 +528,7 @@ func (a *Analysis) HasRequired() bool { return a.required != nil }
 
 // Deadline returns the sink deadline distribution of the cached
 // required-time pass, or nil when none is cached.
-func (a *Analysis) Deadline() *dist.Dist { return a.deadline }
+func (a *Analysis) Deadline() *dist.Dist { return a.deadline.Dist() }
 
 // Required returns the required-time distribution at a node, or nil
 // when no required-time pass is cached (call ComputeRequired first).
@@ -544,7 +536,7 @@ func (a *Analysis) Required(n graph.NodeID) *dist.Dist {
 	if a.required == nil {
 		return nil
 	}
-	return a.required[n]
+	return a.required[n].Dist()
 }
 
 // Slack returns the statistical slack distribution at a node: the
@@ -558,35 +550,35 @@ func (a *Analysis) Slack(n graph.NodeID) *dist.Dist {
 	if a.required == nil {
 		return nil
 	}
-	return dist.SubConvolve(a.required[n], a.arrival[n])
+	return dist.SubConvolve(a.required[n].Dist(), a.arrival[n].Dist())
 }
 
 // InvalidateRequired drops the cached backward pass; arrival mutations
 // call it internally, and sessions call it when the deadline changes.
 func (a *Analysis) InvalidateRequired() {
 	a.required = nil
-	a.deadline = nil
+	a.deadline = dist.Owned{}
 }
 
 // State is an O(nodes) snapshot of the analysis for checkpoint/rollback:
-// distributions are immutable once computed, so the snapshot shares them
-// and only copies the index slices.
+// the slots are Owned, immutable once computed, so the snapshot shares
+// them and only copies the index slices.
 type State struct {
-	arrival  []*dist.Dist
-	edge     []*dist.Dist
-	required []*dist.Dist
-	deadline *dist.Dist
+	arrival  []dist.Owned
+	edge     []dist.Owned
+	required []dist.Owned
+	deadline dist.Owned
 }
 
 // Snapshot captures the current analysis state.
 func (a *Analysis) Snapshot() *State {
 	st := &State{
-		arrival:  append([]*dist.Dist(nil), a.arrival...),
-		edge:     append([]*dist.Dist(nil), a.edge...),
+		arrival:  append([]dist.Owned(nil), a.arrival...),
+		edge:     append([]dist.Owned(nil), a.edge...),
 		deadline: a.deadline,
 	}
 	if a.required != nil {
-		st.required = append([]*dist.Dist(nil), a.required...)
+		st.required = append([]dist.Owned(nil), a.required...)
 	}
 	return st
 }

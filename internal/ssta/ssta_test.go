@@ -155,44 +155,45 @@ func TestBoundIsConservativeOnReconvergentCircuit(t *testing.T) {
 	}
 }
 
+// TestResizeCommitMatchesFullReanalysis: commits through one reused
+// Scratch, with a what-if between them, leave every arrival
+// bit-identical to a fresh full pass. Each use of the scratch rewinds
+// its arena and overwrites it, so an arrival a commit stored without
+// persisting it would read back the what-if's values here.
 func TestResizeCommitMatchesFullReanalysis(t *testing.T) {
+	ctx := context.Background()
 	d := newDesign(t, "c432")
 	a := analyze(t, d, 400)
+	g := d.E.G
+	sc := NewScratch()
 	// Resize a handful of gates spread across the circuit.
-	for _, gid := range []netlist.GateID{0, 5, 17, 42, 99} {
+	gates := []netlist.GateID{0, 5, 17, 42, 99}
+	for i, gid := range gates {
 		d.SetWidth(gid, d.Width(gid)+d.Lib.DeltaW)
-		n, err := a.ResizeCommit(context.Background(), gid, nil)
+		n, err := a.ResizeCommit(ctx, gid, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n == 0 {
 			t.Fatalf("gate %d: nothing recomputed", gid)
 		}
-		full, err := Analyze(context.Background(), d, a.DT)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := d.E.G
-		for node := 0; node < g.NumNodes(); node++ {
-			if !distEqual(a.arrival[node], full.arrival[node]) {
-				t.Fatalf("gate %d: arrival at node %d diverged after incremental commit", gid, node)
-			}
-		}
 		if n >= g.NumNodes() {
 			t.Errorf("gate %d: incremental recompute touched every node", gid)
 		}
-	}
-}
-
-func distEqual(a, b interface {
-	Percentile(float64) float64
-}) bool {
-	for _, p := range []float64{0.01, 0.25, 0.5, 0.75, 0.99} {
-		if math.Abs(a.Percentile(p)-b.Percentile(p)) > 1e-12 {
-			return false
+		next := gates[(i+1)%len(gates)]
+		if _, _, err := a.WhatIf(ctx, next, d.Width(next)+2*d.Lib.DeltaW, sc); err != nil {
+			t.Fatal(err)
+		}
+		full, err := AnalyzeParallel(ctx, d, a.DT, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for node := range graph.NodeID(g.NumNodes()) {
+			if !dist.ApproxEqual(a.Arrival(node), full.Arrival(node), 0) {
+				t.Fatalf("gate %d: arrival at node %d diverged from a full pass after an incremental commit", gid, node)
+			}
 		}
 	}
-	return true
 }
 
 func TestOverlayFallsBackToBase(t *testing.T) {

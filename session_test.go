@@ -627,13 +627,13 @@ func TestOptimizeSessionInterleaved(t *testing.T) {
 // check: WhatIfBatch over every candidate gate must return, in
 // candidate order, results bit-identical to the equivalent serial
 // WhatIf loop — same sensitivities, same objectives, same visit counts
-// — and the stats accounting must aggregate identically. Runs at full
-// engine parallelism, so any completion-order dependence or shared
-// state in the fan-out would show up as a diff (or as a race under
-// -race).
+// — and the stats accounting must aggregate identically. The batch
+// runs on four workers whatever the host, so any completion-order
+// dependence or shared state in the fan-out would show up as a diff (or
+// as a race under -race).
 func TestWhatIfBatchMatchesSerial(t *testing.T) {
 	_, serialS := openSession(t, "c880", WithConfig(Config{Bins: 400, Parallelism: 1}))
-	_, batchS := openSession(t, "c880", WithConfig(Config{Bins: 400}))
+	_, batchS := openSession(t, "c880", WithConfig(Config{Bins: 400, Parallelism: 4}))
 	ctx := context.Background()
 
 	numGates := sessionNumGates(t, serialS)
@@ -693,9 +693,10 @@ func TestWhatIfBatchMatchesSerial(t *testing.T) {
 // frozen snapshot regardless of the surrounding mutations; the per-batch
 // checks (results in candidate order, every candidate evaluated) hold
 // under any interleaving, and the post-storm check proves the analysis
-// ends exactly consistent with the design.
+// ends exactly consistent with the design. The session has four workers
+// whatever the host, so each batch fans out.
 func TestWhatIfBatchConcurrent(t *testing.T) {
-	_, s := openSession(t, "c432")
+	_, s := openSession(t, "c432", WithConfig(Config{Parallelism: 4}))
 	ctx := context.Background()
 	numGates := sessionNumGates(t, s)
 
