@@ -399,24 +399,38 @@ func BenchmarkHeuristicMode(b *testing.B) {
 // runs the historical one-lock-per-candidate loop on a
 // parallelism-1 engine; "batch4" is the acceptance configuration
 // (4 workers, expected ≥1.5x over serial); "batch" uses every core.
-// Results are bit-identical across all modes — only wall time moves.
+// The c6288 row is the explore workload's batch: 32 candidates, spread
+// evenly over the gates, on a 1600-bin grid, every core. Results are
+// bit-identical across all modes — only wall time moves.
 func BenchmarkWhatIfBatch(b *testing.B) {
 	modes := []struct {
-		name  string
-		par   int
-		batch bool
+		name    string
+		circuit string
+		bins    int // 0 keeps the engine default
+		cands   int // 0 sweeps every gate
+		par     int
+		batch   bool
 	}{
-		{"serial", 1, false},
-		{"batch4", 4, true},
-		{"batch", 0, true},
+		{"serial", "c1908", 0, 0, 1, false},
+		{"batch4", "c1908", 0, 0, 4, true},
+		{"batch", "c1908", 0, 0, 0, true},
+		{"batch", "c6288", 1600, 32, 0, true},
 	}
 	for _, mode := range modes {
-		b.Run(mode.name+"/c1908", func(b *testing.B) {
-			eng, err := New(WithParallelism(mode.par))
+		label := mode.name + "/" + mode.circuit
+		if mode.bins > 0 {
+			label += fmt.Sprintf("/bins%d/cands%d", mode.bins, mode.cands)
+		}
+		b.Run(label, func(b *testing.B) {
+			opts := []Option{WithParallelism(mode.par)}
+			if mode.bins > 0 {
+				opts = append(opts, WithBins(mode.bins))
+			}
+			eng, err := New(opts...)
 			if err != nil {
 				b.Fatal(err)
 			}
-			d, err := eng.Benchmark("c1908")
+			d, err := eng.Benchmark(mode.circuit)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -430,9 +444,13 @@ func BenchmarkWhatIfBatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			cands := make([]Candidate, 0, numGates)
-			for g := 0; g < numGates; g++ {
-				gid := GateID(g)
+			n := numGates
+			if mode.cands > 0 {
+				n = mode.cands
+			}
+			cands := make([]Candidate, 0, n)
+			for i := 0; i < n; i++ {
+				gid := GateID(i * numGates / n)
 				w, err := s.Width(gid)
 				if err != nil {
 					b.Fatal(err)

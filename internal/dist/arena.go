@@ -24,9 +24,9 @@ const distHeaderSize = unsafe.Sizeof(Dist{})
 //     hold one arena per worker, as par.Pool worker state; nothing in
 //     an Arena is synchronized.
 //   - Resetting is the caller's job, at whatever granularity bounds the
-//     live scratch set: per node for passes that persist each result,
-//     per candidate for sweeps whose overlays must survive a whole
-//     propagation.
+//     live scratch set: per node for the kernel arena of every pass,
+//     per candidate for the arena that holds a propagation's surviving
+//     overlay arrivals (see Copy).
 type Arena struct {
 	slabs [][]float64
 	slab  int // index of the slab currently being carved
@@ -105,6 +105,22 @@ func (ar *Arena) newDist(dt float64, i0 int, p []float64) *Dist {
 	h.dt, h.i0, h.p, h.scratch = dt, i0, p, true
 	h.clearCum()
 	return h
+}
+
+// Copy returns a copy of d in ar when d is scratch (a view of any arena
+// or a recycled value), or d itself when it is nil or an ordinary
+// immutable value. The copy is bit-identical and is a scratch view of
+// ar, valid until ar's next Reset. It lets a result outlive the Reset
+// of the arena its kernels ran in: a propagation rewinds its kernel
+// arena per node and copies each node's surviving arrival into a
+// second arena that lives as long as the candidate.
+func (ar *Arena) Copy(d *Dist) *Dist {
+	if d == nil || !d.scratch {
+		return d
+	}
+	p := ar.carve(len(d.p))
+	copy(p, d.p)
+	return ar.newDist(d.dt, d.i0, p)
 }
 
 // clearCum drops a reused header's cached cumulative sums. Most reused
@@ -192,7 +208,8 @@ func scratchFloats(ar *Arena, n int) []float64 {
 }
 
 // overwrittenFloats is scratchFloats for kernels that write every
-// element (max, min, neg): arena memory skips the clear.
+// element (max, min, neg, the vector convolution): arena memory skips
+// the clear.
 func overwrittenFloats(ar *Arena, n int) []float64 {
 	if ar == nil {
 		return make([]float64, n)

@@ -465,3 +465,37 @@ func TestKeeperResetSeversSlabSharing(t *testing.T) {
 	}
 	bitIdentical(t, "before vs after", before, after)
 }
+
+// TestArenaCopy pins Copy's contract: an immutable value comes back as
+// is; a scratch view comes back as a bit-identical view of the copying
+// arena, which outlives the Reset and reuse of the arena the view was
+// computed in; and a warm copy allocates nothing.
+func TestArenaCopy(t *testing.T) {
+	a, b := mustGauss(t, 0.01, 0.5, 0.05), mustGauss(t, 0.01, 0.6, 0.04)
+	held := NewArena()
+	if got := held.Copy(a); got != a {
+		t.Fatal("Copy of an immutable value returned a copy, want the value itself")
+	}
+	if got := held.Copy(nil); got != nil {
+		t.Fatal("Copy of nil returned a distribution")
+	}
+	kernel := NewArena()
+	kept := held.Copy(ConvolveInto(kernel, a, b))
+	if !kept.scratch {
+		t.Fatal("Copy of a scratch view is not scratch")
+	}
+	kernel.Reset()
+	ConvolveInto(kernel, b, b) // reuse the memory the original view sat in
+	MaxIndepInto(kernel, a, b)
+	bitIdentical(t, "copy after the kernel arena's reset", Convolve(a, b), kept)
+
+	cycle := func() {
+		kernel.Reset()
+		held.Reset()
+		held.Copy(ConvolveInto(kernel, a, b))
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("warm Copy cycle allocates %.1f times per run, want 0", allocs)
+	}
+}

@@ -108,6 +108,28 @@ func BenchmarkDistKernels(b *testing.B) {
 			})
 		}
 	}
+	// Each direct-convolution kernel on its own, at the edge-delay ×
+	// arrival shapes of the explore workload's 1600-bin c6288 grid
+	// (delays of 6–16 bins against arrivals of 148–200): the portable
+	// loop on every CPU, the AVX2 kernel where the CPU has it. Both
+	// give the same bits; only the time differs.
+	for _, s := range []struct{ delay, arr int }{{6, 148}, {8, 200}, {16, 200}} {
+		delay := bell(dt, 3, s.delay)
+		arr := bell(dt, 40, s.arr)
+		for _, k := range directKernels() {
+			ar := NewArena()
+			b.Run(fmt.Sprintf("Convolve/%s/delay%dxarr%d/into", k.name, s.delay, s.arr), func(b *testing.B) {
+				b.ReportAllocs()
+				ar.Reset()
+				k.run(ar, delay, arr) // warm the arena before timing
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ar.Reset()
+					k.run(ar, delay, arr)
+				}
+			})
+		}
+	}
 }
 
 // bell returns an n-bin discretized bell curve starting at grid index

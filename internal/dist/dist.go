@@ -322,6 +322,52 @@ func ConvolveInto(ar *Arena, a, b *Dist) *Dist {
 // kernel, so it must stay reachable without going through the
 // dispatching ConvolveInto.
 //
+// Two kernels compute it, bit for bit alike. The AVX2 kernel
+// (convolveVectorInto) runs where the CPU and OS support AVX2
+// (vectorKernel) and an arena holds its padded operand. The portable
+// blocked loop (convolvePortableInto) runs everywhere else: on other
+// architectures, on older CPUs, and in the allocating wrappers, whose
+// allocation counts it keeps.
+func convolveDirectInto(ar *Arena, a, b *Dist) *Dist {
+	if vectorKernel && ar != nil {
+		return convolveVectorInto(ar, a, b)
+	}
+	return convolvePortableInto(ar, a, b)
+}
+
+// convolveVectorInto is the output-stationary form of the direct
+// kernel. The shorter operand x gives the rows; the longer one y is
+// copied into an arena buffer between nx-1 zeros on each side, so
+// every output k reads the same window of rows:
+// out[k] = Σ_i x[i]·ypad[k+nx-1-i], summed for i ascending from +0.
+// convolveAVX2 computes 16 outputs at a time in vector registers (see
+// convolve_amd64.s). Bit identity with the one-row loop (refConvolve
+// in the tests) follows from the order argument of
+// convolvePortableInto: the nonzero products reach each sum in the
+// same order, and the extra terms x[i]·0 are +0, which leaves a sum
+// that is +0 or positive unchanged because masses are finite and ≥ 0.
+// A nil arena allocates both buffers; convolveDirectInto never passes
+// one.
+func convolveVectorInto(ar *Arena, a, b *Dist) *Dist {
+	x, y := a.p, b.p
+	if len(x) > len(y) {
+		x, y = y, x
+	}
+	nx, m := len(x), len(y)
+	out := overwrittenFloats(ar, nx+m-1)
+	ypad := y
+	if nx > 1 {
+		ypad = overwrittenFloats(ar, m+2*(nx-1))
+		clear(ypad[:nx-1])
+		copy(ypad[nx-1:], y)
+		clear(ypad[nx-1+m:])
+	}
+	convolveAVX2(out, x, ypad)
+	return trimInto(ar, a.dt, a.i0+b.i0, out)
+}
+
+// convolvePortableInto is the direct kernel in plain Go.
+//
 // The shorter operand x indexes the rows, and rows run in blocks of
 // four, each block adding its four products to one output in a single
 // pass; the last 1–3 rows run one at a time. Bit identity with the
@@ -331,7 +377,7 @@ func ConvolveInto(ar *Arena, a, b *Dist) *Dist {
 // row by row — which is exactly the sequence of roundings the one-row
 // loop performs. Zero rows are not skipped: their products are +0, and
 // adding +0 to a sum that is +0 or positive returns it unchanged.
-func convolveDirectInto(ar *Arena, a, b *Dist) *Dist {
+func convolvePortableInto(ar *Arena, a, b *Dist) *Dist {
 	out := scratchFloats(ar, len(a.p)+len(b.p)-1)
 	x, y := a.p, b.p
 	if len(x) > len(y) {

@@ -156,13 +156,45 @@ func refMaxPercentileGap(a, b *Dist) float64 {
 	return gap
 }
 
+// directKernel is one implementation of the direct convolution.
+type directKernel struct {
+	name string
+	run  func(ar *Arena, a, b *Dist) *Dist
+}
+
+// directKernels lists the direct-convolution kernels this CPU can run,
+// each checked on its own against refConvolve: the portable blocked
+// loop everywhere, and the AVX2 kernel where the CPU and OS support it.
+func directKernels() []directKernel {
+	ks := []directKernel{{"portable", convolvePortableInto}}
+	if vectorKernel {
+		ks = append(ks, directKernel{"vector", convolveVectorInto})
+	}
+	return ks
+}
+
+// logVectorSkip notes in the test log when the vector kernel goes
+// unchecked because the CPU lacks AVX2.
+func logVectorSkip(tb testing.TB) {
+	tb.Helper()
+	if !vectorKernel {
+		tb.Log("no AVX2 on this CPU: the vector convolution kernel is skipped")
+	}
+}
+
 // checkKernelsBitExact runs every production kernel on (a, b), with a
-// nil arena and with ar, against its reference loop.
+// nil arena and with ar, against its reference loop; each direct
+// convolution kernel runs separately, as does the dispatching one.
 func checkKernelsBitExact(t *testing.T, label string, ar *Arena, a, b *Dist) {
 	t.Helper()
 	ar.Reset()
-	bitIdentical(t, label+" convolve", refConvolve(a, b), convolveDirectInto(nil, a, b))
-	bitIdentical(t, label+" convolve/arena", refConvolve(a, b), convolveDirectInto(ar, a, b))
+	want := refConvolve(a, b)
+	for _, k := range directKernels() {
+		bitIdentical(t, label+" convolve/"+k.name, want, k.run(nil, a, b))
+		bitIdentical(t, label+" convolve/"+k.name+"/arena", want, k.run(ar, a, b))
+	}
+	bitIdentical(t, label+" convolve/dispatch", want, convolveDirectInto(nil, a, b))
+	bitIdentical(t, label+" convolve/dispatch/arena", want, convolveDirectInto(ar, a, b))
 	bitIdentical(t, label+" max", refMaxIndep(a, b), MaxIndep(a, b))
 	bitIdentical(t, label+" max/arena", refMaxIndep(a, b), MaxIndepInto(ar, a, b))
 	bitIdentical(t, label+" min", refMinIndep(a, b), MinIndep(a, b))
@@ -211,11 +243,17 @@ func nearOneDist(dt float64, i0, n int, off float64) *Dist {
 }
 
 // TestKernelsMatchReferenceLoops is the seeded table of shapes the
-// blocked and segmented kernels must reproduce bit for bit: one-bin
-// operands, the edge-delay × arrival shapes the optimizer feeds (4–9
-// bins against 50–130), supports ending on the same bin, and last bins
-// within probEps of 1.
+// blocked, vector and segmented kernels must reproduce bit for bit:
+// one-bin operands; the edge-delay × arrival shapes the SSTA passes
+// feed, a shorter operand of 1–19 bins (and 24 and 34, c880's widest
+// delays at 600 bins) against a longer one of up to 300, so output
+// lengths take every residue modulo 4 and 16; supports ending on the
+// same bin; and last bins within probEps of 1. At minimum widths c1908
+// at 600 bins convolves delays of 4–16 bins with arrivals of 76 (the
+// median; 141 at most), c6288 at 1600 bins delays of 4–19 with
+// arrivals of 148 (212 at most).
 func TestKernelsMatchReferenceLoops(t *testing.T) {
+	logVectorSkip(t)
 	rng := rand.New(rand.NewSource(16))
 	ar := NewArena()
 	const dt = 0.01
@@ -232,17 +270,19 @@ func TestKernelsMatchReferenceLoops(t *testing.T) {
 			pair{fmt.Sprintf("%d x one-bin", n), d, one},
 			pair{fmt.Sprintf("one-bin inside %d", n), &Dist{dt: dt, i0: n / 2, p: []float64{1}}, d})
 	}
-	for dn := 4; dn <= 9; dn++ {
-		for _, an := range []int{50, 77, 100, 125, 130} {
+	for _, dn := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 24, 34} {
+		for _, an := range []int{19, 20, 33, 50, 77, 84, 100, 125, 130, 148, 150, 200, 255, 300} {
 			delay := shapedDist(rng, dt, rng.Intn(5), dn, 0)
 			arr := shapedDist(rng, dt, 40+rng.Intn(20), an, 0)
 			zeroed := shapedDist(rng, dt, 40, an, 3)
 			cases = append(cases,
 				pair{fmt.Sprintf("delay%d x arrival%d", dn, an), delay, arr},
 				pair{fmt.Sprintf("arrival%d x delay%d", an, dn), arr, delay},
-				pair{fmt.Sprintf("zero-rows delay%d x arrival%d", dn, an), shapedDist(rng, dt, 2, dn, 2), zeroed},
+				pair{fmt.Sprintf("zero-rows delay%d x arrival%d", dn, an), shapedDist(rng, dt, 2, dn, 2), zeroed})
+			if an > dn {
 				// Overlapping arrivals: the max/min merge shapes.
-				pair{fmt.Sprintf("arrival%d vs shifted", an), arr, shapedDist(rng, dt, arr.i0+dn, an-dn, 0)})
+				cases = append(cases, pair{fmt.Sprintf("arrival%d vs shifted", an), arr, shapedDist(rng, dt, arr.i0+dn, an-dn, 0)})
+			}
 		}
 	}
 	for _, n := range []int{2, 5, 8, 77} {
@@ -303,10 +343,17 @@ func fuzzDist(data []byte, off float64) *Dist {
 	return trim(0.01, i0, p)
 }
 
-// FuzzKernelsBitExact demands that the blocked convolution, the
-// segmented max/min merges and the integer-gap MaxPercentileGap match
-// their reference loops bit for bit on arbitrary operands.
+// FuzzKernelsBitExact demands that the blocked and vector
+// convolutions, the segmented max/min merges and the integer-gap
+// MaxPercentileGap match their reference loops bit for bit on
+// arbitrary operands.
 func FuzzKernelsBitExact(f *testing.F) {
+	logVectorSkip(f)
+	long := make([]byte, 41)
+	for k := range long {
+		long[k] = byte(3 + 7*k)
+	}
+	f.Add([]byte{2, 9, 40, 90, 200, 90, 40, 9, 4, 2, 1, 1, 3, 5, 8, 13, 21, 34, 55, 89}, long, uint16(20000))
 	f.Add([]byte{0, 10, 200, 40, 1}, []byte{3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint16(0))
 	f.Add([]byte{250, 255}, []byte{0, 1, 0, 0, 1}, uint16(3))
 	f.Add([]byte{5, 9, 9, 9, 9, 9, 9, 9}, []byte{5, 9, 9, 9, 9, 9, 9, 9}, uint16(40000))

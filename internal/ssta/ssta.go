@@ -304,31 +304,36 @@ func (a *Analysis) perturbedDelays(x netlist.GateID, w float64, set func(graph.E
 }
 
 // Scratch is the reusable working set of one candidate evaluation: a
-// kernel arena plus two dense overlays on the base analysis, perturbed
-// arrivals by NodeID and perturbed delays by EdgeID, where nil means
-// "use the base", and a recycler for the optimizer's perturbation
-// fronts. Every evaluation pass computes through one, so a warm sweep
-// allocates only what escapes. One Scratch serves one goroutine at a
-// time; parallel sweeps hold one per worker, as par.Pool worker state.
+// kernel arena, rewound per node; a candidate arena, which holds the
+// arrivals a propagation keeps; two dense overlays on the base
+// analysis, perturbed arrivals by NodeID and perturbed delays by
+// EdgeID, where nil means "use the base"; and a recycler for the
+// optimizer's perturbation fronts. Every evaluation pass computes
+// through one, so a warm sweep allocates only what escapes. One
+// Scratch serves one goroutine at a time; parallel sweeps hold one per
+// worker, as par.Pool worker state.
 //
-// The overlays hold scratch by contract: their entries are arena views
-// that the next perturb rewinds with the arena, which is why they are
-// plain *dist.Dist slices and not Owned slots. Whatever outlives the
-// evaluation leaves through Persist (WhatIf's sink, ResizeCommit's
-// arrivals).
+// The overlays hold scratch by contract: their entries are
+// candidate-arena views that the next perturb rewinds with that arena
+// (or, for a perturbation front, values its recycler keeps), which is
+// why they are plain *dist.Dist slices and not Owned slots. Whatever
+// outlives the evaluation leaves through Persist (WhatIf's sink,
+// ResizeCommit's arrivals).
 type Scratch struct {
 	ar    *dist.Arena
+	held  *dist.Arena
 	arr   []*dist.Dist
 	delay []*dist.Dist
 	rec   dist.Recycler
 }
 
 // NewScratch returns an empty Scratch; its overlays are sized to the
-// graph on first use and its arena grows with use.
-func NewScratch() *Scratch { return &Scratch{ar: dist.NewArena()} }
+// graph on first use and its arenas grow with use.
+func NewScratch() *Scratch { return &Scratch{ar: dist.NewArena(), held: dist.NewArena()} }
 
 // Arena returns the scratch's kernel arena, for callers that evaluate
-// through it (the optimizer's perturbation fronts).
+// through it and rewind it per node (the optimizer's perturbation
+// fronts).
 func (sc *Scratch) Arena() *dist.Arena { return sc.ar }
 
 // Recycler returns the scratch's front storage: the recycler the
@@ -351,11 +356,12 @@ func (a *Analysis) Overlays(sc *Scratch) (arr, delay []*dist.Dist) {
 	return sc.arr, sc.delay
 }
 
-// perturb rewinds sc and loads gate x's perturbation at width w into
-// it: the perturbed pin-edge delays in the delay overlay, every arrival
-// at its base.
+// perturb rewinds sc's candidate arena and loads gate x's perturbation
+// at width w into sc: the perturbed pin-edge delays in the delay
+// overlay, every arrival at its base. The kernel arena needs no rewind
+// here; the propagation loops rewind it per node.
 func (a *Analysis) perturb(sc *Scratch, x netlist.GateID, w float64) error {
-	sc.ar.Reset()
+	sc.held.Reset()
 	arr, delay := a.Overlays(sc)
 	clear(arr)
 	clear(delay)
@@ -369,8 +375,10 @@ func (a *Analysis) perturb(sc *Scratch, x netlist.GateID, w float64) error {
 // overlay) and keeps the result in the arrival overlay only when it
 // differs from the base: a node whose perturbed arrival matches bit for
 // bit ends the perturbation on that branch (exact elision), so the cost
-// is the true perturbation cone. Overlay arrivals stay arena scratch
-// until the caller persists what it keeps. Returns the number of nodes
+// is the true perturbation cone. Each node's kernel intermediates live
+// in the kernel arena until the next node rewinds it; a kept arrival is
+// copied into the candidate arena and stays scratch there until the
+// caller persists what it keeps. Returns the number of nodes
 // recomputed.
 func (a *Analysis) propagate(ctx context.Context, sc *Scratch) (int, error) {
 	g := a.D.E.G
@@ -383,10 +391,11 @@ func (a *Analysis) propagate(ctx context.Context, sc *Scratch) (int, error) {
 		if visited%cancelCheckStride == 0 && ctx.Err() != nil {
 			return visited, ctx.Err()
 		}
+		sc.ar.Reset()
 		pert := a.computeArrival(n, sc.arr, sc.delay, sc.ar)
 		visited++
 		if !dist.ApproxEqual(pert, a.arrival[n].Dist(), 0) {
-			sc.arr[n] = pert
+			sc.arr[n] = sc.held.Copy(pert)
 		}
 	}
 	return visited, nil
@@ -420,9 +429,10 @@ func (a *Analysis) WhatIf(ctx context.Context, x netlist.GateID, w float64, sc *
 // candidate of the brute-force optimizer (Section 3.1). It loads the
 // same perturbation into sc but recomputes every node except the
 // source, without elision, so its visit count is the full-pass
-// reference Table 2 measures the accelerated optimizer against. Every
-// perturbed arrival stays live in the arena until the sink; only the
-// persisted sink escapes. It takes no context: a sweep checks
+// reference Table 2 measures the accelerated optimizer against. The
+// kernel arena is rewound per node, and every perturbed arrival is
+// copied into the candidate arena, where it stays live until the sink;
+// only the persisted sink escapes. It takes no context: a sweep checks
 // cancellation between candidates.
 func (a *Analysis) WhatIfFull(x netlist.GateID, w float64, sc *Scratch) (dist.Owned, int, error) {
 	if err := a.perturb(sc, x, w); err != nil {
@@ -434,7 +444,8 @@ func (a *Analysis) WhatIfFull(x netlist.GateID, w float64, sc *Scratch) (dist.Ow
 		if n == g.Source() {
 			continue
 		}
-		sc.arr[n] = a.computeArrival(n, sc.arr, sc.delay, sc.ar)
+		sc.ar.Reset()
+		sc.arr[n] = sc.held.Copy(a.computeArrival(n, sc.arr, sc.delay, sc.ar))
 		visited++
 	}
 	return sc.arr[g.Sink()].Persist(), visited, nil

@@ -394,3 +394,50 @@ func TestPerturbedDelaysMutationFree(t *testing.T) {
 		}
 	}
 }
+
+// TestPropagationRewindsKernelArenaPerNode pins the memory shape of a
+// candidate evaluation. The kernel arena holds one node's convolutions
+// and maxes at a time; only the arrivals a propagation keeps
+// accumulate, copied into the candidate arena. On a large cone the
+// kernel arena therefore ends smaller than the candidate arena, where
+// without the per-node rewind it would hold every intermediate of the
+// cone, several distributions per node. WhatIfFull, which keeps every
+// node, has the same shape.
+func TestPropagationRewindsKernelArenaPerNode(t *testing.T) {
+	d := newDesign(t, "c880")
+	a := analyze(t, d, 400)
+	ctx := context.Background()
+	// The gate with the largest what-if cone among the first few.
+	best, most := netlist.GateID(0), 0
+	for gi := 0; gi < 40; gi++ {
+		gid := netlist.GateID(gi)
+		_, visited, err := a.WhatIf(ctx, gid, d.Width(gid)+d.Lib.DeltaW, NewScratch())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if visited > most {
+			best, most = gid, visited
+		}
+	}
+	if most < 100 {
+		t.Fatalf("largest cone among the first gates visits %d nodes; the test needs a large one", most)
+	}
+	w := d.Width(best) + d.Lib.DeltaW
+	for _, c := range []struct {
+		name string
+		run  func(sc *Scratch) error
+	}{
+		{"WhatIf", func(sc *Scratch) error { _, _, err := a.WhatIf(ctx, best, w, sc); return err }},
+		{"WhatIfFull", func(sc *Scratch) error { _, _, err := a.WhatIfFull(best, w, sc); return err }},
+	} {
+		sc := NewScratch()
+		if err := c.run(sc); err != nil {
+			t.Fatal(err)
+		}
+		kernel, held := sc.ar.FootprintBytes(), sc.held.FootprintBytes()
+		if kernel >= held {
+			t.Errorf("%s on gate %d (%d-node cone): kernel arena %d B, candidate arena %d B; the kernel arena should hold one node at a time",
+				c.name, best, most, kernel, held)
+		}
+	}
+}
