@@ -56,13 +56,6 @@ func (ar *Arena) Reset() {
 	ar.slab, ar.off, ar.nh = 0, 0, 0
 }
 
-// floats carves a zeroed n-float slice out of the arena.
-func (ar *Arena) floats(n int) []float64 {
-	s := ar.carve(n)
-	clear(s)
-	return s
-}
-
 // carve hands out an n-float slice of the arena whose contents are
 // left over from before the last Reset — for kernels that write every
 // element before reading any.
@@ -198,18 +191,9 @@ func (k *Keeper) Persist(d *Dist) Owned {
 	return Owned{h}
 }
 
-// scratchFloats routes a mass-vector request to the arena, or to the
-// heap when ar is nil (the allocating wrappers' path).
-func scratchFloats(ar *Arena, n int) []float64 {
-	if ar == nil {
-		return make([]float64, n)
-	}
-	return ar.floats(n)
-}
-
-// overwrittenFloats is scratchFloats for kernels that write every
-// element (max, min, neg, the vector convolution): arena memory skips
-// the clear.
+// overwrittenFloats routes a mass-vector request to the arena, or to
+// the heap when ar is nil (the allocating wrappers' path). Arena memory
+// is not cleared, so the kernel writes every element before reading it.
 func overwrittenFloats(ar *Arena, n int) []float64 {
 	if ar == nil {
 		return make([]float64, n)

@@ -23,25 +23,7 @@ func kernelOperands(b *testing.B, bins int) (*Dist, *Dist) {
 // edge-delay × arrival shapes the optimizer runs — the machine-readable
 // perf trajectory cmd/benchreport records per PR.
 // Run with -benchmem: the Into forms must show 0 allocs/op warm.
-//
-// Convolve rows dispatch on FFTMinSupport (wide shapes take the FFT);
-// ConvolveFFT rows force the FFT route so its own trajectory is
-// visible even at widths the dispatcher would serve directly.
 func BenchmarkDistKernels(b *testing.B) {
-	for _, bins := range []int{400, 1600, 6400} {
-		x, y := kernelOperands(b, bins)
-		ar := NewArena()
-		b.Run(fmt.Sprintf("ConvolveFFT/bins%d/into", bins), func(b *testing.B) {
-			b.ReportAllocs()
-			ar.Reset()
-			convolveFFTInto(ar, x, y) // warm the arena and twiddle tables
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ar.Reset()
-				convolveFFTInto(ar, x, y)
-			}
-		})
-	}
 	for _, bins := range []int{100, 400, 1600} {
 		x, y := kernelOperands(b, bins)
 		ar := NewArena()

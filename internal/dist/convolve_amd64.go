@@ -1,6 +1,6 @@
 package dist
 
-// vectorKernel reports whether convolveDirectInto runs the AVX2 kernel
+// vectorKernel reports whether ConvolveInto runs the AVX2 kernel
 // (convolveVectorInto). It is read from the CPU once, at start-up, and
 // nothing else sets it: no option, build tag or environment variable
 // selects a kernel, and both kernels give every bin bit for bit.

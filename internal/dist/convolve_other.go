@@ -2,11 +2,11 @@
 
 package dist
 
-// vectorKernel is false off amd64: convolveDirectInto always runs the
+// vectorKernel is false off amd64: ConvolveInto always runs the
 // portable blocked loop there.
 const vectorKernel = false
 
-// convolveAVX2 exists only on amd64; convolveDirectInto never reaches
+// convolveAVX2 exists only on amd64; ConvolveInto never reaches
 // this stub, and the tests skip the vector kernel where vectorKernel is
 // false.
 func convolveAVX2(out, x, ypad []float64) {

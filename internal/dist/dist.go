@@ -5,7 +5,9 @@
 // convolution (delay addition along an edge) and the independence
 // maximum (fanin merge) are exact lattice operations — which is what
 // lets the accelerated optimizer reproduce brute-force results bit for
-// bit.
+// bit. Convolution runs one direct O(n·m) algorithm at every support
+// width: an AVX2 kernel where the CPU has it and a portable loop
+// elsewhere, bit-identical to each other and to the one-row loop.
 //
 // The package also provides the perturbation machinery of Section 3:
 // PerturbationBound computes Δ, the largest leftward shift of a
@@ -305,30 +307,15 @@ func Convolve(a, b *Dist) *Dist { return ConvolveInto(nil, a, b) }
 // from ar; a nil arena allocates, making it identical to Convolve. The
 // result values are bit-identical either way.
 //
-// Wide convolutions — both operand supports at least FFTMinSupport
-// bins (see fft.go) — take an O(n log n) FFT route whose per-bin
-// values agree with the direct kernel to ~1e-15 of mass; everything
-// narrower runs the direct kernel bit for bit.
-func ConvolveInto(ar *Arena, a, b *Dist) *Dist {
-	if useFFT(len(a.p), len(b.p)) {
-		return convolveFFTInto(ar, a, b)
-	}
-	return convolveDirectInto(ar, a, b)
-}
-
-// convolveDirectInto is the exact O(n·m) kernel: every output bin is
-// the correctly-rounded sum of its contributing products, accumulated
-// in index order. The FFT route's results are validated against this
-// kernel, so it must stay reachable without going through the
-// dispatching ConvolveInto.
-//
-// Two kernels compute it, bit for bit alike. The AVX2 kernel
+// It is the exact O(n·m) kernel at every support width: each output
+// bin is the sum of its contributing products, accumulated in index
+// order. Two kernels compute it, bit for bit alike. The AVX2 kernel
 // (convolveVectorInto) runs where the CPU and OS support AVX2
 // (vectorKernel) and an arena holds its padded operand. The portable
 // blocked loop (convolvePortableInto) runs everywhere else: on other
 // architectures, on older CPUs, and in the allocating wrappers, whose
 // allocation counts it keeps.
-func convolveDirectInto(ar *Arena, a, b *Dist) *Dist {
+func ConvolveInto(ar *Arena, a, b *Dist) *Dist {
 	if vectorKernel && ar != nil {
 		return convolveVectorInto(ar, a, b)
 	}
@@ -346,8 +333,7 @@ func convolveDirectInto(ar *Arena, a, b *Dist) *Dist {
 // convolvePortableInto: the nonzero products reach each sum in the
 // same order, and the extra terms x[i]·0 are +0, which leaves a sum
 // that is +0 or positive unchanged because masses are finite and ≥ 0.
-// A nil arena allocates both buffers; convolveDirectInto never passes
-// one.
+// A nil arena allocates both buffers; ConvolveInto never passes one.
 func convolveVectorInto(ar *Arena, a, b *Dist) *Dist {
 	x, y := a.p, b.p
 	if len(x) > len(y) {
@@ -378,7 +364,8 @@ func convolveVectorInto(ar *Arena, a, b *Dist) *Dist {
 // loop performs. Zero rows are not skipped: their products are +0, and
 // adding +0 to a sum that is +0 or positive returns it unchanged.
 func convolvePortableInto(ar *Arena, a, b *Dist) *Dist {
-	out := scratchFloats(ar, len(a.p)+len(b.p)-1)
+	out := overwrittenFloats(ar, len(a.p)+len(b.p)-1)
+	clear(out) // the rows accumulate into it
 	x, y := a.p, b.p
 	if len(x) > len(y) {
 		x, y = y, x

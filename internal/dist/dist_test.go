@@ -266,3 +266,30 @@ func TestCDFQuantileRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestPercentileCDFDomain pins the out-of-domain contract: NaN in, NaN
+// out — never a silently in-range answer.
+func TestPercentileCDFDomain(t *testing.T) {
+	d := trim(0.5, 2, []float64{0.25, 0.5, 0.25})
+	for _, p := range []float64{math.NaN(), -0.01, 1.01, math.Inf(1), math.Inf(-1)} {
+		if q := d.Percentile(p); !math.IsNaN(q) {
+			t.Errorf("Percentile(%v) = %v, want NaN", p, q)
+		}
+	}
+	// The closed domain endpoints stay answered.
+	if q := d.Percentile(0); q != d.MinTime() {
+		t.Errorf("Percentile(0) = %v, want MinTime %v", q, d.MinTime())
+	}
+	if q := d.Percentile(1); q != d.MaxTime() {
+		t.Errorf("Percentile(1) = %v, want MaxTime %v", q, d.MaxTime())
+	}
+	if c := d.CDF(math.NaN()); !math.IsNaN(c) {
+		t.Errorf("CDF(NaN) = %v, want NaN", c)
+	}
+	if c := d.CDF(math.Inf(-1)); c != 0 {
+		t.Errorf("CDF(-Inf) = %v, want 0", c)
+	}
+	if c := d.CDF(math.Inf(1)); math.Abs(c-1) > probEps {
+		t.Errorf("CDF(+Inf) = %v, want 1", c)
+	}
+}

@@ -184,7 +184,8 @@ func logVectorSkip(tb testing.TB) {
 
 // checkKernelsBitExact runs every production kernel on (a, b), with a
 // nil arena and with ar, against its reference loop; each direct
-// convolution kernel runs separately, as does the dispatching one.
+// convolution kernel runs separately, as do the public ConvolveInto,
+// which picks between them, and SubConvolveInto.
 func checkKernelsBitExact(t *testing.T, label string, ar *Arena, a, b *Dist) {
 	t.Helper()
 	ar.Reset()
@@ -193,8 +194,11 @@ func checkKernelsBitExact(t *testing.T, label string, ar *Arena, a, b *Dist) {
 		bitIdentical(t, label+" convolve/"+k.name, want, k.run(nil, a, b))
 		bitIdentical(t, label+" convolve/"+k.name+"/arena", want, k.run(ar, a, b))
 	}
-	bitIdentical(t, label+" convolve/dispatch", want, convolveDirectInto(nil, a, b))
-	bitIdentical(t, label+" convolve/dispatch/arena", want, convolveDirectInto(ar, a, b))
+	bitIdentical(t, label+" convolve/dispatch", want, ConvolveInto(nil, a, b))
+	bitIdentical(t, label+" convolve/dispatch/arena", want, ConvolveInto(ar, a, b))
+	wantSub := refConvolve(a, b.Neg())
+	bitIdentical(t, label+" subconvolve", wantSub, SubConvolveInto(nil, a, b))
+	bitIdentical(t, label+" subconvolve/arena", wantSub, SubConvolveInto(ar, a, b))
 	bitIdentical(t, label+" max", refMaxIndep(a, b), MaxIndep(a, b))
 	bitIdentical(t, label+" max/arena", refMaxIndep(a, b), MaxIndepInto(ar, a, b))
 	bitIdentical(t, label+" min", refMinIndep(a, b), MinIndep(a, b))
@@ -248,7 +252,8 @@ func nearOneDist(dt float64, i0, n int, off float64) *Dist {
 // feed, a shorter operand of 1–19 bins (and 24 and 34, c880's widest
 // delays at 600 bins) against a longer one of up to 300, so output
 // lengths take every residue modulo 4 and 16; supports ending on the
-// same bin; and last bins within probEps of 1. At minimum widths c1908
+// same bin; last bins within probEps of 1; and wide pairs of 768 to
+// 1600 bins, the widths wide grids reach. At minimum widths c1908
 // at 600 bins convolves delays of 4–16 bins with arrivals of 76 (the
 // median; 141 at most), c6288 at 1600 bins delays of 4–19 with
 // arrivals of 148 (212 at most).
@@ -302,6 +307,11 @@ func TestKernelsMatchReferenceLoops(t *testing.T) {
 				pair{fmt.Sprintf("near-one %g n%d same end", off, n), a, nearOneDist(dt, 5+n-2, 2, off)},
 				pair{fmt.Sprintf("near-one %g n%d nested", off, n), a, c})
 		}
+	}
+	for _, w := range [][2]int{{768, 768}, {769, 1234}, {1600, 1600}} {
+		a := shapedDist(rng, dt, rng.Intn(41)-20, w[0], 0)
+		b := shapedDist(rng, dt, rng.Intn(41)-20, w[1], 0)
+		cases = append(cases, pair{fmt.Sprintf("wide %d x %d", w[0], w[1]), a, b})
 	}
 	for _, c := range cases {
 		checkKernelsBitExact(t, c.name, ar, c.a, c.b)

@@ -35,6 +35,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"statsize/internal/design"
 	"statsize/internal/dist"
@@ -103,7 +104,7 @@ type ResizeStats struct {
 
 // Candidate names one hypothetical resize for WhatIfBatch: gate g at
 // width w (clamped to the library range during evaluation, like every
-// width the session accepts).
+// width the session accepts; a NaN width fails the batch).
 type Candidate struct {
 	Gate  netlist.GateID
 	Width float64
@@ -374,8 +375,12 @@ func (s *Session) Criticality(ctx context.Context, g netlist.GateID) (float64, e
 }
 
 // SetDeadline fixes the sink deadline the slack queries measure against
-// and invalidates any cached required-time pass.
+// and invalidates any cached required-time pass. The deadline must be
+// finite.
 func (s *Session) SetDeadline(t float64) error {
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return fmt.Errorf("session: deadline %v is not finite", t)
+	}
 	return s.Do(func(tx *Tx) error {
 		tx.deadline = t
 		tx.hasDeadline = true

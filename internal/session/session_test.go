@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -532,5 +533,79 @@ func TestWhatIfBatchValidation(t *testing.T) {
 	res, err := s.WhatIfBatch(ctx, nil)
 	if err != nil || len(res) != 0 {
 		t.Errorf("empty batch: %v results, err %v", res, err)
+	}
+}
+
+// TestNonFiniteInputsRejected: a NaN width and a non-finite deadline
+// fail with an error and leave the session as it was. A NaN width once
+// reached the delay model, whose grid index for it walked about 2^63
+// bins under the session lock; each call therefore runs on a goroutine
+// with a 5 s watchdog, so a hang fails the test instead of the run.
+func TestNonFiniteInputsRejected(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct {
+		name string
+		call func(context.Context, *Session) error
+	}{
+		{"WhatIf", func(ctx context.Context, s *Session) error {
+			_, err := s.WhatIf(ctx, 0, nan)
+			return err
+		}},
+		{"WhatIfBatch", func(ctx context.Context, s *Session) error {
+			_, err := s.WhatIfBatch(ctx, []Candidate{{Gate: 0, Width: 2}, {Gate: 1, Width: nan}})
+			return err
+		}},
+		{"Resize", func(ctx context.Context, s *Session) error {
+			_, err := s.Resize(ctx, 0, nan)
+			return err
+		}},
+		{"SetDeadline/NaN", func(_ context.Context, s *Session) error { return s.SetDeadline(nan) }},
+		{"SetDeadline/+Inf", func(_ context.Context, s *Session) error { return s.SetDeadline(math.Inf(1)) }},
+		{"SetDeadline/-Inf", func(_ context.Context, s *Session) error { return s.SetDeadline(math.Inf(-1)) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// Unclosed: a session that hangs stays locked, and a cleanup
+			// Close would hang with it.
+			s := openUnclosed(t)
+			ctx := context.Background()
+			n, err := s.NumGates()
+			if err != nil {
+				t.Fatal(err)
+			}
+			widths := func() []float64 {
+				ws := make([]float64, n)
+				for g := range ws {
+					if ws[g], err = s.Width(netlist.GateID(g)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return ws
+			}
+			w0 := widths()
+			obj0, err := s.Objective()
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- c.call(ctx, s) }()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("non-finite input accepted")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("did not return within 5s")
+			}
+			if w := widths(); !reflect.DeepEqual(w, w0) {
+				t.Errorf("widths changed: %v, want %v", w, w0)
+			}
+			if obj, err := s.Objective(); err != nil || obj != obj0 {
+				t.Errorf("objective %v (err %v), want %v", obj, err, obj0)
+			}
+			if _, err := s.WhatIf(ctx, 0, 2); err != nil {
+				t.Errorf("finite what-if after the rejected call: %v", err)
+			}
+			s.Close()
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"statsize/internal/design"
 	"statsize/internal/dist"
@@ -76,13 +77,13 @@ func (t *Tx) Scratch() []*ssta.Scratch { return t.scratch }
 func (t *Tx) Objective() float64 { return t.obj.Eval(t.a.SinkDist()) }
 
 // Resize commits gate g at width w: the design width changes (clamped
-// to the library range) and the perturbation propagates incrementally —
-// recomputing only the nodes it actually reaches — before the analysis
-// takes the new delays and arrivals. On error, including cancellation
-// mid commit, the design width is restored and the analysis was never
-// touched, so a resize is all-or-nothing.
+// to the library range; NaN is an error) and the perturbation
+// propagates incrementally — recomputing only the nodes it reaches —
+// before the analysis takes the new delays and arrivals. On error,
+// including cancellation mid commit, the design width is restored and
+// the analysis was never touched, so a resize is all-or-nothing.
 func (t *Tx) Resize(ctx context.Context, g netlist.GateID, w float64) (ResizeStats, error) {
-	if err := t.checkGate(g); err != nil {
+	if err := t.checkMove(g, w); err != nil {
 		return ResizeStats{}, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -114,7 +115,7 @@ func (t *Tx) Resize(ctx context.Context, g netlist.GateID, w float64) (ResizeSta
 // the graph with overlays, pruned where the perturbation dies out.
 // Neither the design nor the analysis changes.
 func (t *Tx) WhatIf(ctx context.Context, g netlist.GateID, w float64) (WhatIfResult, error) {
-	if err := t.checkGate(g); err != nil {
+	if err := t.checkMove(g, w); err != nil {
 		return WhatIfResult{}, err
 	}
 	res, err := t.evalWhatIf(ctx, t.Objective(), g, w)
@@ -183,7 +184,7 @@ func (t *Tx) finishWhatIf(base float64, g netlist.GateID, wEff float64, sink *di
 // returned (nothing was committed, so nothing needs undoing).
 func (t *Tx) WhatIfBatch(ctx context.Context, candidates []Candidate) ([]WhatIfResult, error) {
 	for i, c := range candidates {
-		if err := t.checkGate(c.Gate); err != nil {
+		if err := t.checkMove(c.Gate, c.Width); err != nil {
 			return nil, fmt.Errorf("session: what-if batch candidate %d: %w", i, err)
 		}
 	}
@@ -286,4 +287,14 @@ func (t *Tx) checkGate(g netlist.GateID) error {
 		return fmt.Errorf("session: gate %d out of range [0,%d)", g, t.d.NL.NumGates())
 	}
 	return nil
+}
+
+// checkMove validates a resize or what-if of gate g to width w. A NaN
+// width is rejected: ClampWidth passes it through, and a NaN delay has
+// no grid index. ±Inf clamps to the library range like any width.
+func (t *Tx) checkMove(g netlist.GateID, w float64) error {
+	if math.IsNaN(w) {
+		return fmt.Errorf("session: gate %d width is NaN", g)
+	}
+	return t.checkGate(g)
 }

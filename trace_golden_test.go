@@ -8,10 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"statsize/internal/dist"
-	"statsize/internal/graph"
-	"statsize/internal/ssta"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/traces golden files from the current implementation")
@@ -62,51 +58,22 @@ func TestGoldenTraces(t *testing.T) {
 
 // TestGoldenTracesWideGrid pins accelerated trajectories on grids wider
 // than the default budget: c17 at 8192 bins convolves supports of about
-// 1200 bins and so runs the FFT route, while c432 at 1600 bins (the
-// explore benchmark's grid) stays on the direct kernel. Each case first
-// checks which route its grid reaches.
+// 1200 bins, and c432 runs at 1600 bins, the explore benchmark's grid.
+// Both run the same exact convolution kernel as every narrower grid.
 func TestGoldenTracesWideGrid(t *testing.T) {
 	eng := newEngine(t)
 	for _, tc := range []struct {
 		circuit string
 		bins    int
-		fft     bool
 	}{
-		{"c17", 8192, true},
-		{"c432", 1600, false},
+		{"c17", 8192},
+		{"c432", 1600},
 	} {
 		t.Run(fmt.Sprintf("%s/bins%d", tc.circuit, tc.bins), func(t *testing.T) {
-			d, err := eng.Benchmark(tc.circuit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a, err := ssta.Analyze(context.Background(), d, d.SuggestDT(tc.bins))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if w := widestConvolution(a); (w >= dist.FFTMinSupport) != tc.fft {
-				t.Fatalf("widest forward convolution has a %d-bin smaller operand; FFT route expected %v (threshold %d bins)",
-					w, tc.fft, dist.FFTMinSupport)
-			}
 			checkGolden(t, eng, tc.circuit, "accelerated", tc.bins,
 				fmt.Sprintf("%s_accelerated_bins%d.txt", tc.circuit, tc.bins))
 		})
 	}
-}
-
-// widestConvolution returns the largest smaller-operand support, in
-// bins, over the analysis's forward convolutions (arrival ⊕ edge
-// delay) — the width the FFT dispatch keys on.
-func widestConvolution(a *Analysis) int {
-	g := a.D.E.G
-	widest := 0
-	for e := range g.NumEdges() {
-		eid := graph.EdgeID(e)
-		if delay := a.EdgeDelay(eid); delay != nil {
-			widest = max(widest, min(a.Arrival(g.EdgeAt(eid).From).NumBins(), delay.NumBins()))
-		}
-	}
-	return widest
 }
 
 // checkGolden runs one optimizer for 10 iterations at the given grid and
