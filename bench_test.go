@@ -1,5 +1,5 @@
 // Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation, plus ablations of the design choices called out in
+// paper's evaluation, plus benchmarks of the design choices called out in
 // DESIGN.md. Each benchmark runs a scaled-down but shape-preserving
 // version of the corresponding experiment; the cmd/ tools run the full
 // protocols (see EXPERIMENTS.md for recorded paper-vs-measured results).
@@ -13,7 +13,6 @@ import (
 	"sort"
 	"testing"
 
-	"statsize/internal/core"
 	"statsize/internal/experiments"
 	"statsize/internal/ssta"
 )
@@ -140,71 +139,6 @@ func BenchmarkSizingIteration(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// runAccelerated drives one accelerated run over a session on d — the
-// ablation benchmarks reach past the facade to toggle Config knobs the
-// RunOptions intentionally do not expose.
-func runAccelerated(b *testing.B, d *Design, cfg Config) {
-	b.Helper()
-	s, err := core.OpenSession(context.Background(), d, cfg, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := core.Accelerated(context.Background(), s, cfg); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkAblationPruning quantifies the value of the paper's pruning
-// bound: the same accelerated machinery with pruning disabled.
-func BenchmarkAblationPruning(b *testing.B) {
-	for _, pruning := range []bool{true, false} {
-		name := "on"
-		if !pruning {
-			name = "off"
-		}
-		b.Run(name, func(b *testing.B) {
-			d, err := newEngine(b).Benchmark("c432")
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := Config{MaxIterations: 2, Bins: 400, DisablePruning: !pruning}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				fresh := d.Clone()
-				b.StartTimer()
-				runAccelerated(b, fresh, cfg)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationElision quantifies the dead-front elision (an
-// exactness-preserving engineering addition on top of the paper).
-func BenchmarkAblationElision(b *testing.B) {
-	for _, elision := range []bool{true, false} {
-		name := "on"
-		if !elision {
-			name = "off"
-		}
-		b.Run(name, func(b *testing.B) {
-			d, err := newEngine(b).Benchmark("c432")
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := Config{MaxIterations: 2, Bins: 400, DisableDeadFrontElision: !elision}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				fresh := d.Clone()
-				b.StartTimer()
-				runAccelerated(b, fresh, cfg)
-			}
-		})
 	}
 }
 

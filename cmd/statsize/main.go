@@ -29,19 +29,10 @@ import (
 	"statsize/internal/report"
 )
 
-// legacyMethods maps the pre-registry -method shorthands to registry
-// names so existing invocations keep working.
-var legacyMethods = map[string]string{
-	"det":   "deterministic",
-	"brute": "brute-force",
-	"accel": "accelerated",
-}
-
 func main() {
 	circuit := flag.String("circuit", "", "benchmark name (c17, c432 .. c7552)")
 	bench := flag.String("bench", "", "path to an ISCAS .bench netlist (alternative to -circuit)")
 	optimizer := flag.String("optimizer", "accelerated", "registered optimizer name (see -list)")
-	method := flag.String("method", "", "deprecated alias of -optimizer (det | brute | accel)")
 	list := flag.Bool("list", false, "list registered optimizers and exit")
 	iters := flag.Int("iters", 100, "maximum sizing iterations")
 	bins := flag.Int("bins", 600, "SSTA grid bins")
@@ -60,15 +51,7 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	name := *optimizer
-	if *method != "" {
-		if mapped, ok := legacyMethods[*method]; ok {
-			name = mapped
-		} else {
-			name = *method
-		}
-	}
-	if err := run(ctx, *circuit, *bench, name, *iters, *bins, *areaCap, *percentile,
+	if err := run(ctx, *circuit, *bench, *optimizer, *iters, *bins, *areaCap, *percentile,
 		*multi, *heuristic, *trace, *whatif, *mcSamples); err != nil {
 		fmt.Fprintln(os.Stderr, "statsize:", err)
 		os.Exit(1)

@@ -266,8 +266,8 @@ func OnIteration(fn func(IterRecord)) RunOption { return func(c *Config) { c.OnI
 
 // WithConfig replaces the run configuration wholesale; later options
 // still apply on top, and unset fields still inherit engine defaults.
-// It reaches the Config knobs no other RunOption exposes, such as an
-// explicit grid (Bins or DT) for one run.
+// It reaches the Config knobs no other RunOption exposes, such as the
+// grid resolution (Bins) or the worker count for one session.
 func WithConfig(cfg Config) RunOption { return func(c *Config) { *c = cfg } }
 
 // buildConfig resolves one run's Config: run options over a zero
@@ -280,7 +280,7 @@ func (e *Engine) buildConfig(opts []RunOption) Config {
 	if cfg.Objective == nil {
 		cfg.Objective = e.objective
 	}
-	if cfg.Bins <= 0 && cfg.DT <= 0 {
+	if cfg.Bins <= 0 {
 		cfg.Bins = e.bins
 	}
 	if cfg.Parallelism <= 0 {
@@ -337,10 +337,10 @@ func (e *Engine) Optimize(ctx context.Context, d *Design, optimizer string, opts
 // keeps mutating afterwards.
 //
 // The run uses the analysis grid and the worker count the session was
-// opened with: grid options (WithConfig's Bins or DT) and WithConfig's
-// Parallelism are construction-time parameters and are ignored here —
-// pass them to Engine.Open instead. All other run options (iterations,
-// area cap, objective, ...) apply normally.
+// opened with: WithConfig's Bins and Parallelism are construction-time
+// parameters and are ignored here — pass them to Engine.Open instead.
+// All other run options (iterations, area cap, objective, ...) apply
+// normally.
 func (e *Engine) OptimizeSession(ctx context.Context, s *Session, optimizer string, opts ...RunOption) (*Result, error) {
 	o, err := lookupOptimizer(optimizer)
 	if err != nil {

@@ -1,7 +1,9 @@
 package statsize
 
 import (
+	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -46,5 +48,28 @@ func TestGenerateCircuitRejectsBadSpec(t *testing.T) {
 	_, err := newEngine(t).GenerateCircuit(CircuitSpec{Name: "bad", Nodes: 10, Edges: 2, PIs: 20, POs: 1, Depth: 3})
 	if err == nil {
 		t.Error("inconsistent spec accepted")
+	}
+}
+
+// A NaN width set through Design.SetWidth turns into a non-finite gate
+// delay, so every analysis entry must fail instead of reporting the
+// timing from before the call.
+func TestNaNWidthFailsAnalysis(t *testing.T) {
+	eng := newEngine(t)
+	d, err := eng.Benchmark("c17")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetWidth(0, math.NaN())
+	ctx := context.Background()
+	if a, err := eng.AnalyzeSSTA(ctx, d); err == nil {
+		t.Errorf("AnalyzeSSTA succeeded, p99 %v", a.Percentile(0.99))
+	}
+	if s, err := eng.Open(ctx, d); err == nil {
+		s.Close()
+		t.Error("Open succeeded")
+	}
+	if res, err := eng.Optimize(ctx, d, "accelerated", MaxIterations(1)); err == nil {
+		t.Errorf("Optimize succeeded from initial width %v", res.InitialWidth)
 	}
 }

@@ -34,7 +34,7 @@ import (
 // to the lower ID. The surviving argmax is identical to the brute-force
 // result.
 func Accelerated(ctx context.Context, s *session.Session, cfg Config) (*Result, error) {
-	return statisticalDescent(ctx, s, cfg, "accelerated", acceleratedIteration)
+	return descend(ctx, s, cfg, "accelerated", sinkObjective, acceleratedIteration)
 }
 
 // roundSize bounds the fronts one round of the heap loop steps at once.
@@ -86,7 +86,7 @@ type liveNode struct {
 // newFront builds and initializes a candidate's front on worker w,
 // propagating through the candidate gate's own level exactly as
 // Initialize does.
-func newFront(a *ssta.Analysis, cfg Config, x netlist.GateID, w *worker) (*front, error) {
+func newFront(a *ssta.Analysis, x netlist.GateID, w *worker) (*front, error) {
 	d := a.D
 	delays, err := a.PerturbedDelays(x, d.Width(x)+d.Lib.DeltaW)
 	if err != nil {
@@ -102,7 +102,7 @@ func newFront(a *ssta.Analysis, cfg Config, x netlist.GateID, w *worker) (*front
 	// steps 4–6).
 	ownLevel := g.Level(d.E.NodeOf[d.NL.Gate(x).Out])
 	for !f.dead() && f.nextLevel(g) <= ownLevel {
-		f.propagateOneLevel(a, cfg, w)
+		f.propagateOneLevel(a, w)
 	}
 	return f, nil
 }
@@ -143,7 +143,7 @@ func (f *front) queue(g *graph.Graph, n graph.NodeID) {
 // through w's arena per node; what the front retains (live arrivals,
 // the sink) is kept in w's recycler with keeper w, and a retired node's
 // storage goes back through worker.drop.
-func (f *front) propagateOneLevel(a *ssta.Analysis, cfg Config, w *worker) {
+func (f *front) propagateOneLevel(a *ssta.Analysis, w *worker) {
 	g := a.D.E.G
 	sink := g.Sink()
 	sc := w.sc
@@ -169,14 +169,11 @@ func (f *front) propagateOneLevel(a *ssta.Analysis, cfg Config, w *worker) {
 		pert := a.ArrivalWithOverlayInto(n, sc)
 		f.visits++
 		base := a.Arrival(n)
-		alive := true
-		if !cfg.DisableDeadFrontElision && dist.ApproxEqual(pert, base, 0) {
-			// The perturbation cancelled exactly on this node (an
-			// unperturbed fanin dominates the max); nothing downstream
-			// of it can ever differ. All perturbed parents are at lower
-			// levels and final, so this elision is exact.
-			alive = false
-		}
+		// When the perturbation cancelled exactly on this node (an
+		// unperturbed fanin dominates the max), nothing downstream of it
+		// can ever differ. All perturbed parents are at lower levels and
+		// final, so this elision is exact.
+		alive := !dist.ApproxEqual(pert, base, 0)
 		if n == sink {
 			f.sinkDist, f.sinkKeeper = rec.Keep(pert), w.id
 			alive = false
@@ -235,8 +232,8 @@ func (f *front) propagateOneLevel(a *ssta.Analysis, cfg Config, w *worker) {
 // because it needs one. No worker steps tau, so reading it is safe.
 func (f *front) advance(a *ssta.Analysis, cfg Config, w *worker, tau *front, kth pick, step float64) {
 	for {
-		f.propagateOneLevel(a, cfg, w)
-		if f.dead() || f.prunable(cfg, a.D.Lib.DeltaW, step, kth) || f.atCutoff(cfg) || (tau != nil && !f.above(tau)) {
+		f.propagateOneLevel(a, w)
+		if f.dead() || f.prunable(a.D.Lib.DeltaW, step, kth) || f.atCutoff(cfg) || (tau != nil && !f.above(tau)) {
 			return
 		}
 	}
@@ -251,10 +248,7 @@ func (f *front) advance(a *ssta.Analysis, cfg Config, w *worker, tau *front, kth
 // better hands the tie to kth. Both rules rest on pruneSlack's
 // whole-step premise. Mean and user objectives pass step 0 and keep the
 // strict rule alone.
-func (f *front) prunable(cfg Config, deltaW, step float64, kth pick) bool {
-	if cfg.DisablePruning {
-		return false
-	}
+func (f *front) prunable(deltaW, step float64, kth pick) bool {
 	if f.smx/deltaW < kth.sens-pruneSlack {
 		return true
 	}
@@ -354,15 +348,11 @@ func (h *frontHeap) Pop() any {
 // merges them back in pop order. Which fronts a round takes and how far
 // each steps depend on the heap alone, never on the worker count, so the
 // trace is the same at every parallelism, and a round of one is exactly
-// the serial one-pop-one-level loop. The picks are exact at any round size: a
-// front is discarded only once the heap maximum is prunable.
-//
-// The warm-start hint (the previous iteration's winner) is propagated to
-// the sink before anything else, so Max_S starts high and prunes from
-// the first round; this only reorders evaluation and cannot change the
-// result. Cancellation is observed per level of the hint front and per
-// round, so its latency is one round: at most one front run to the sink.
-func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, base float64, hint netlist.GateID, c *crew) (innerResult, error) {
+// the serial one-pop-one-level loop. The picks are exact at any round
+// size: a front is discarded only once the heap maximum is prunable.
+// Cancellation is observed before every round, so its latency is one
+// round.
+func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, base float64, c *crew) (innerResult, error) {
 	d := a.D
 	deltaW := d.Lib.DeltaW
 	var ir innerResult
@@ -397,7 +387,7 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 		}
 	}()
 	err := c.pool.Run(ctx, len(cands), func(w *worker, i int) error {
-		f, err := newFront(a, cfg, cands[i], w)
+		f, err := newFront(a, cands[i], w)
 		if err != nil {
 			return err
 		}
@@ -410,15 +400,10 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 		return ir, err
 	}
 	h := make(frontHeap, 0, len(cands))
-	var hintFront *front
-	for i, f := range fronts {
+	for _, f := range fronts {
 		ir.considered++
 		ir.nodesVisited += f.visits
 		f.visits = 0
-		if cands[i] == hint {
-			hintFront = f
-			continue
-		}
 		heap.Push(&h, f)
 	}
 
@@ -445,23 +430,6 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 		f.release(c)
 	}
 
-	if hintFront != nil {
-		// The hint front runs to the sink outside the rounds and their
-		// pruning checks, on this goroutine as worker 0 while no other
-		// worker steps, so cancellation must be observed here: one level
-		// of one front is the latency bound.
-		for !hintFront.dead() {
-			if err := ctx.Err(); err != nil {
-				return ir, err
-			}
-			hintFront.propagateOneLevel(a, cfg, c.workers[0])
-			ir.nodesVisited += hintFront.visits
-			hintFront.visits = 0
-		}
-		c.drain()
-		finish(hintFront)
-	}
-
 	batch := make([]*front, 0, roundSize)
 rounds:
 	for h.Len() > 0 {
@@ -477,7 +445,7 @@ rounds:
 			// sensitivity, or can at best tie it and lose the tie, nothing
 			// left can win. Fronts this round already took rank above it
 			// and step first.
-			if f.prunable(cfg, deltaW, step, top.kth()) {
+			if f.prunable(deltaW, step, top.kth()) {
 				if len(batch) == 0 {
 					ir.pruned += 1 + h.Len()
 					break rounds
@@ -528,8 +496,5 @@ rounds:
 		}
 	}
 	ir.picks = top.sorted()
-	if len(ir.picks) > 0 {
-		ir.bestSens = ir.picks[0].sens
-	}
 	return ir, nil
 }

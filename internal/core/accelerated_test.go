@@ -2,11 +2,11 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"testing"
 	"unsafe"
 
-	"statsize/internal/netlist"
 	"statsize/internal/session"
 	"statsize/internal/ssta"
 )
@@ -15,17 +15,14 @@ import (
 // front storage: after every accelerated iteration no worker's
 // recycler holds a value, no worker's foreign list still waits to drop
 // one, and every overlay is nil again; once the run returns no
-// recycler retains a free list. It covers pruning, each ablation that
-// keeps fronts alive longer, the MultiSize and heuristic round shapes,
-// and three workers stepping one round's fronts.
+// recycler retains a free list. It covers pruning, the MultiSize and
+// heuristic round shapes, and three workers stepping one round's fronts.
 func TestAcceleratedFrontStorageAccounting(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"default", Config{}},
-		{"no-pruning", Config{DisablePruning: true}},
-		{"no-elision", Config{DisableDeadFrontElision: true}},
 		{"multi-size", Config{MultiSize: 3}},
 		{"heuristic-levels", Config{HeuristicLevels: 4}},
 		{"three-workers", Config{Parallelism: 3}},
@@ -43,12 +40,12 @@ func TestAcceleratedFrontStorageAccounting(t *testing.T) {
 			defer s.Close()
 			var scratch []*ssta.Scratch
 			retained, foreign := 0, 0
-			inner := func(ctx context.Context, a *ssta.Analysis, cfg Config, base float64, hint netlist.GateID, c *crew) (innerResult, error) {
+			inner := func(ctx context.Context, a *ssta.Analysis, cfg Config, base float64, c *crew) (innerResult, error) {
 				scratch = scratch[:0]
 				for _, w := range c.workers {
 					scratch = append(scratch, w.sc)
 				}
-				ir, err := acceleratedIteration(ctx, a, cfg, base, hint, c)
+				ir, err := acceleratedIteration(ctx, a, cfg, base, c)
 				for _, w := range c.workers {
 					if len(w.foreign) != 0 {
 						t.Errorf("worker %d still lists %d consumed values another worker kept", w.id, len(w.foreign))
@@ -74,7 +71,7 @@ func TestAcceleratedFrontStorageAccounting(t *testing.T) {
 				}
 				return ir, err
 			}
-			res, err := statisticalDescent(context.Background(), s, cfg, "accelerated", inner)
+			res, err := descend(context.Background(), s, cfg, "accelerated", sinkObjective, inner)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,6 +85,54 @@ func TestAcceleratedFrontStorageAccounting(t *testing.T) {
 			for w, sc := range scratch {
 				if b := sc.Recycler().FootprintBytes(); b != 0 {
 					t.Errorf("worker %d retains %d bytes of front storage after the run", w, b)
+				}
+			}
+		})
+	}
+}
+
+// TestIterationsMemoryless pins that an accelerated run carries no
+// state from one iteration to the next: on one session, ten
+// one-iteration runs must record exactly what one ten-iteration run
+// records from the same design — gates, sensitivity, objective, width
+// and the considered, pruned and visited counts — apart from the
+// iteration number and the elapsed time. A one-iteration run, such as
+// perfbench's optimize op, then costs exactly what the same iteration
+// costs inside a long run. The name keeps it out of CI's repeated
+// race runs of every Front and Accelerated test, where its three
+// circuits would dominate the step.
+func TestIterationsMemoryless(t *testing.T) {
+	const iters = 10
+	for _, name := range []string{"c432", "c880", "c1908"} {
+		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
+			cfg := Config{Bins: 400, MaxIterations: iters}
+			long, err := runOn(t, newDesign(t, name), cfg, Accelerated)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if long.Iterations != iters {
+				t.Fatalf("long run stopped after %d iterations, want %d", long.Iterations, iters)
+			}
+			s, err := OpenSession(ctx, newDesign(t, name), cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			one := cfg
+			one.MaxIterations = 1
+			for i, want := range long.Records {
+				res, err := Accelerated(ctx, s, one)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Iterations != 1 {
+					t.Fatalf("one-iteration run %d sized nothing", i)
+				}
+				got := res.Records[0]
+				got.Iter, got.Elapsed = want.Iter, want.Elapsed
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("iteration %d: the one-iteration run recorded %+v, the long run %+v", i, got, want)
 				}
 			}
 		})
@@ -118,7 +163,7 @@ func TestWarmIterationAllocsC1908(t *testing.T) {
 		defer c.close()
 		base := cfg.Objective.Eval(a.SinkDist())
 		iterate := func() {
-			if _, err := acceleratedIteration(context.Background(), a, cfg, base, netlist.NoGate, c); err != nil {
+			if _, err := acceleratedIteration(context.Background(), a, cfg, base, c); err != nil {
 				t.Fatal(err)
 			}
 		}

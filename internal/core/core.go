@@ -1,6 +1,7 @@
 // Package core implements the paper's contribution: sensitivity-based
-// statistical gate sizing by coordinate descent, in three variants that
-// share one framework —
+// statistical gate sizing by coordinate descent. One descent loop
+// (descend) serves three sizers that differ only in the objective they
+// minimize and in how one iteration scores its candidates —
 //
 //   - Deterministic: the Section 4 baseline. Nominal (corner) delays,
 //     candidates restricted to the critical path, sensitivity = change
@@ -30,7 +31,9 @@ import (
 	"statsize/internal/design"
 	"statsize/internal/dist"
 	"statsize/internal/netlist"
+	"statsize/internal/par"
 	"statsize/internal/session"
+	"statsize/internal/ssta"
 )
 
 // Objective maps the circuit-delay distribution at the sink to the
@@ -77,34 +80,30 @@ const pruneSlack = 1e-8
 
 // Config controls one optimization run. The zero value selects the
 // paper's protocol: 99-percentile objective, 600-bin grid, single gate
-// per iteration, pruning and dead-front elision enabled.
+// per iteration.
 type Config struct {
 	// Objective to minimize; default Percentile(0.99).
 	Objective Objective
-	// Bins sets the SSTA grid resolution when DT is zero; default 600.
+	// Bins sets the SSTA grid resolution; default 600.
 	Bins int
-	// DT overrides the grid bin width directly (ns).
-	DT float64
 	// MaxIterations bounds the sizing iterations; default 1000 (the
 	// paper sized for "over 1000 iterations").
 	MaxIterations int
 	// MaxAreaIncrease stops when TotalWidth exceeds the initial total by
 	// this fraction (e.g. 0.25 = +25%); non-positive means unlimited.
 	MaxAreaIncrease float64
-	// Tolerance is the minimum sensitivity worth sizing; default 1e-9.
-	Tolerance float64
 	// MultiSize sizes the top-k gates per iteration (the paper notes the
 	// algorithm "can be easily modified to size multiple gates");
-	// default 1.
+	// default 1. The deterministic sizer ignores it and sizes one gate.
 	MultiSize int
 	// Parallelism bounds the worker pools of the parallel evaluation
 	// paths: the session-opening SSTA pass, what-if batches, the
 	// per-candidate sweeps inside the brute-force and accelerated inner
 	// loops, and the accelerated heap loop's rounds, which step up to
-	// eight perturbation fronts at once. Like Bins and DT it is fixed
-	// when the session opens (OpenSession): a run on an already-open
-	// session sweeps with that session's workers. Candidate evaluation
-	// is mutation-free, results merge in candidate (or heap pop) order,
+	// eight perturbation fronts at once. Like Bins it is fixed when the
+	// session opens (OpenSession): a run on an already-open session
+	// sweeps with that session's workers. Candidate evaluation is
+	// mutation-free, results merge in candidate (or heap pop) order,
 	// a round's fronts are chosen from the heap alone, and
 	// distributions are exact lattice operations, so the worker count
 	// never changes any result — trajectories, visited and pruned
@@ -117,17 +116,6 @@ type Config struct {
 	// sensitivity — the fast heuristic the paper names as future work.
 	// The exactness guarantee no longer applies.
 	HeuristicLevels int
-	// DisablePruning propagates every front to the sink (ablation).
-	DisablePruning bool
-	// DisableDeadFrontElision keeps propagating fronts whose perturbed
-	// arrivals have collapsed onto the base analysis (ablation).
-	DisableDeadFrontElision bool
-	// DisableWarmStart skips evaluating the previous iteration's winner
-	// first (ablation). The warm start only reorders the inner loop and
-	// never changes results; measurements show the best-first Smx order
-	// already establishes Max_S almost as quickly, so the effect on
-	// visited nodes is within noise (~0.1% on c880).
-	DisableWarmStart bool
 	// OnIteration, when non-nil, observes each completed iteration (used
 	// to trace Figure 10 area-delay curves).
 	OnIteration func(IterRecord)
@@ -142,9 +130,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxIterations <= 0 {
 		c.MaxIterations = 1000
-	}
-	if c.Tolerance <= 0 {
-		c.Tolerance = 1e-9
 	}
 	if c.MultiSize <= 0 {
 		c.MultiSize = 1
@@ -218,14 +203,6 @@ func candidateGates(d *design.Design) []netlist.GateID {
 	return out
 }
 
-// gridFor resolves the analysis grid from the config.
-func gridFor(d *design.Design, cfg Config) float64 {
-	if cfg.DT > 0 {
-		return cfg.DT
-	}
-	return d.SuggestDT(cfg.Bins)
-}
-
 // OpenSession opens an incremental timing session over d at the grid,
 // objective and worker count the config resolves to — the single
 // construction path shared by the Engine facade, the experiment harness
@@ -235,11 +212,239 @@ func gridFor(d *design.Design, cfg Config) float64 {
 // Engine pass nil.
 func OpenSession(ctx context.Context, d *design.Design, cfg Config, rollup *session.Counters) (*session.Session, error) {
 	cfg = cfg.withDefaults()
-	return session.Open(ctx, d, gridFor(d, cfg), cfg.Objective, cfg.Parallelism, rollup)
+	return session.Open(ctx, d, d.SuggestDT(cfg.Bins), cfg.Objective, cfg.Parallelism, rollup)
 }
 
 // areaCapReached reports whether the configured relative area budget is
 // exhausted.
 func areaCapReached(cfg Config, initial, current float64) bool {
 	return cfg.MaxAreaIncrease > 0 && current >= initial*(1+cfg.MaxAreaIncrease)
+}
+
+// minSensitivity is the smallest sensitivity worth a width step: a pick
+// at or below it is not sized, and an iteration that sizes nothing
+// ends the descent.
+const minSensitivity = 1e-9
+
+// descend is the coordinate-descent loop all three sizers share. Per
+// iteration it runs search over the session's live analysis to find the
+// most sensitive gates, then sizes each up one width step through the
+// session's incremental commit. objective is the quantity the descent
+// minimizes — cfg.Objective on the sink for the statistical sizers, the
+// nominal circuit delay for the deterministic one — read before every
+// search as its base and after every commit for the trace. Nothing but
+// the design and its analysis carries over from one iteration to the
+// next, so a run of n iterations equals n runs of one.
+//
+// The run is one Session.Do: it holds the session for its whole
+// duration, so concurrent session calls block until it finishes. The
+// run uses the analysis grid and the worker set the session was opened
+// with: cfg.Bins and cfg.Parallelism are construction-time parameters
+// (see OpenSession) and are ignored here. Every candidate sweep of the
+// run computes through the session's per-worker scratch (Tx.Scratch),
+// one warm working set, on one pool of workers (crew).
+//
+// The context is checked between iterations and between candidate
+// evaluations inside search. On cancellation the Result built so far —
+// every committed iteration, a consistent session state, the partial
+// trace — is returned alongside an error wrapping context.Canceled (or
+// DeadlineExceeded), so a canceled run is still a usable, smaller run.
+func descend(ctx context.Context, s *session.Session, cfg Config, method string,
+	objective func(*ssta.Analysis, Config) float64, search innerFunc) (*Result, error) {
+	start := time.Now()
+	var res *Result
+	err := s.Do(func(tx *session.Tx) (err error) {
+		res, err = descendHeld(ctx, tx, cfg.withDefaults(), method, objective, search, start)
+		return err
+	})
+	return res, err
+}
+
+// innerFunc is one iteration's sensitivity search over the analysis a,
+// whose objective value is base.
+type innerFunc func(ctx context.Context, a *ssta.Analysis, cfg Config, base float64, c *crew) (innerResult, error)
+
+// sinkObjective is the statistical sizers' objective: cfg.Objective on
+// the circuit-delay distribution at the sink.
+func sinkObjective(a *ssta.Analysis, cfg Config) float64 { return cfg.Objective.Eval(a.SinkDist()) }
+
+// descendHeld is descend's run over the held session.
+func descendHeld(ctx context.Context, tx *session.Tx, cfg Config, method string,
+	objective func(*ssta.Analysis, Config) float64, search innerFunc, start time.Time) (*Result, error) {
+	a := tx.Analysis()
+	d := tx.Design()
+	c := newCrew(tx.Scratch())
+	defer c.close()
+	res := &Result{
+		Method:           method,
+		InitialWidth:     d.TotalWidth(),
+		InitialObjective: objective(a, cfg),
+		Design:           d,
+	}
+	res.FinalObjective = res.InitialObjective
+
+	partial := func(cause error) (*Result, error) {
+		res.FinalWidth = d.TotalWidth()
+		res.Elapsed = time.Since(start)
+		return res, fmt.Errorf("core: %s optimization interrupted after %d iterations: %w",
+			method, res.Iterations, cause)
+	}
+
+	for iter := 0; iter < cfg.MaxIterations; iter++ {
+		if err := ctx.Err(); err != nil {
+			return partial(err)
+		}
+		if areaCapReached(cfg, res.InitialWidth, d.TotalWidth()) {
+			break
+		}
+		iterStart := time.Now()
+		ir, err := search(ctx, a, cfg, objective(a, cfg), c)
+		if err != nil {
+			if ctx.Err() != nil {
+				return partial(ctx.Err())
+			}
+			return nil, err
+		}
+		var sized []netlist.GateID
+		for _, p := range ir.picks {
+			if p.sens <= minSensitivity {
+				continue
+			}
+			if _, err := tx.Resize(ctx, p.gate, d.Width(p.gate)+d.Lib.DeltaW); err != nil {
+				if ctx.Err() != nil {
+					return partial(ctx.Err())
+				}
+				return nil, err
+			}
+			sized = append(sized, p.gate)
+		}
+		if len(sized) == 0 {
+			break
+		}
+		after := objective(a, cfg)
+		rec := IterRecord{
+			Iter:                 iter,
+			Gates:                sized,
+			Sensitivity:          ir.picks[0].sens,
+			Objective:            after,
+			TotalWidth:           d.TotalWidth(),
+			CandidatesConsidered: ir.considered,
+			CandidatesPruned:     ir.pruned,
+			NodesVisited:         ir.nodesVisited,
+			Elapsed:              time.Since(iterStart),
+		}
+		res.Records = append(res.Records, rec)
+		res.Iterations++
+		res.FinalObjective = after
+		if cfg.OnIteration != nil {
+			cfg.OnIteration(rec)
+		}
+	}
+	res.FinalWidth = d.TotalWidth()
+	res.Elapsed = time.Since(start)
+	return res, nil
+}
+
+// pick is one gate selected for sizing with its exact sensitivity.
+type pick struct {
+	gate netlist.GateID
+	sens float64
+}
+
+// innerResult is what one iteration's sensitivity search reports.
+type innerResult struct {
+	picks        []pick // best gates in descending sensitivity
+	considered   int
+	pruned       int
+	nodesVisited int
+}
+
+// topK keeps the k best picks by (sensitivity desc, gate ID asc) — the
+// deterministic tie-break every optimizer variant shares.
+type topK struct {
+	k     int
+	items []pick
+}
+
+func newTopK(k int) *topK { return &topK{k: k} }
+
+func (t *topK) offer(p pick) {
+	pos := len(t.items)
+	for pos > 0 && better(p, t.items[pos-1]) {
+		pos--
+	}
+	if pos >= t.k {
+		return
+	}
+	t.items = append(t.items, pick{})
+	copy(t.items[pos+1:], t.items[pos:])
+	t.items[pos] = p
+	if len(t.items) > t.k {
+		t.items = t.items[:t.k]
+	}
+}
+
+func (t *topK) sorted() []pick { return t.items }
+
+// full reports whether k candidates have finished, so that kth is a
+// threshold to prune against.
+func (t *topK) full() bool { return len(t.items) >= t.k }
+
+// kth returns the k-th best pick so far — the one a candidate must beat
+// to enter the picks, and so the pruning threshold — or a pick of
+// negative-infinity sensitivity while fewer than k candidates have
+// finished.
+func (t *topK) kth() pick {
+	if !t.full() {
+		return pick{gate: netlist.NoGate, sens: negInf}
+	}
+	return t.items[len(t.items)-1]
+}
+
+const negInf = -1e308
+
+func better(a, b pick) bool {
+	if a.sens != b.sens {
+		return a.sens > b.sens
+	}
+	return a.gate < b.gate
+}
+
+// crew is the session's workers as one optimizer run drives them, and
+// the pool that runs them: the pool hands every sweep, front build and
+// level step the worker it runs on.
+type crew struct {
+	workers []*worker
+	pool    *par.Pool[*worker]
+}
+
+// worker is one session worker in an optimizer run: its scratch
+// (element id of Tx.Scratch), and the consumed front values another
+// worker kept, which wait there for the caller to drop them after a
+// barrier (see worker.drop).
+type worker struct {
+	id      int32
+	sc      *ssta.Scratch
+	foreign []liveNode
+}
+
+// newCrew starts a pool with one worker per scratch in ws. The caller
+// must close it.
+func newCrew(ws []*ssta.Scratch) *crew {
+	c := &crew{workers: make([]*worker, len(ws))}
+	for i, sc := range ws {
+		c.workers[i] = &worker{id: int32(i), sc: sc}
+	}
+	c.pool = par.NewPool(c.workers)
+	return c
+}
+
+// close stops the pool and releases every worker's recycler. Recycled
+// front storage lives for one run, so an idle session retains none of
+// it.
+func (c *crew) close() {
+	c.pool.Close()
+	for _, w := range c.workers {
+		w.sc.Recycler().Release()
+	}
 }

@@ -194,8 +194,8 @@ func TestAcceleratedMatchesBruteForceTrajectories(t *testing.T) {
 }
 
 // Smx must bound the exact sensitivity for every candidate (Theorem 4):
-// run one inner iteration with pruning disabled and compare each front's
-// initial bound against its final exact sensitivity. On the p99
+// step every candidate's front to the sink and compare its initial
+// bound against its final exact sensitivity. On the p99
 // objective both prune rules rest on the bound in whole grid steps, so
 // at every level step the candidate's improvement in steps,
 // round((base − obj)/dt), must not exceed the bound's, round(smx/dt),
@@ -211,7 +211,7 @@ func TestFrontBoundDominatesSensitivity(t *testing.T) {
 		{"c880-sized", func(t *testing.T) *design.Design { return newDesign(t, "c880") }, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{DisablePruning: true}.withDefaults()
+			cfg := Config{}.withDefaults()
 			s, err := OpenSession(context.Background(), tc.d(t), cfg, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -247,7 +247,7 @@ func checkFrontBounds(t *testing.T, a *ssta.Analysis, cfg Config) {
 	defer c.close()
 	fronts, gaining, tight := 0, 0, 0
 	for _, gid := range candidateGates(d) {
-		f, err := newFront(a, cfg, gid, c.workers[0])
+		f, err := newFront(a, gid, c.workers[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func checkFrontBounds(t *testing.T, a *ssta.Analysis, cfg Config) {
 		// The bound of every live step, in whole grid steps.
 		steps := []float64{math.Round(f.smx / dt)}
 		for !f.dead() {
-			f.propagateOneLevel(a, cfg, c.workers[0])
+			f.propagateOneLevel(a, c.workers[0])
 			b := f.smx / d.Lib.DeltaW
 			if b > prevBound+pruneSlack {
 				t.Fatalf("gate %d: front bound grew from %v to %v", gid, prevBound, b)
@@ -356,38 +356,6 @@ func TestMeanObjective(t *testing.T) {
 	}
 }
 
-func TestDisableAblationsStillExact(t *testing.T) {
-	// With pruning and elision disabled the algorithm degenerates to a
-	// front-based brute force; results must be unchanged.
-	d1 := smallDesign(t, 7)
-	d2 := smallDesign(t, 7)
-	r1, err := runOn(t, d1, Config{MaxIterations: 6}, Accelerated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := runOn(t, d2, Config{MaxIterations: 6, DisablePruning: true, DisableDeadFrontElision: true}, Accelerated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Iterations != r2.Iterations || math.Abs(r1.FinalObjective-r2.FinalObjective) > 1e-12 {
-		t.Error("ablation flags changed optimization results")
-	}
-	for i := range r1.Records {
-		if r1.Records[i].Gates[0] != r2.Records[i].Gates[0] {
-			t.Fatalf("iter %d: ablation changed gate choice", i)
-		}
-	}
-	// Pruning must make the inner loop cheaper.
-	v1, v2 := 0, 0
-	for i := range r1.Records {
-		v1 += r1.Records[i].NodesVisited
-		v2 += r2.Records[i].NodesVisited
-	}
-	if v1 >= v2 {
-		t.Errorf("pruned run visited %d nodes, unpruned %d — pruning saved nothing", v1, v2)
-	}
-}
-
 func TestTopK(t *testing.T) {
 	top := newTopK(2)
 	top.offer(pick{gate: 5, sens: 1.0})
@@ -427,12 +395,10 @@ func TestTraceCallback(t *testing.T) {
 	}
 }
 
-// TestAcceleratedCancelMidRun: regression for the unchecked hint-front
-// drain ctxflow flagged in acceleratedIteration — cancellation raised
-// mid-run (here from the OnIteration hook, after warm-start hints
-// exist) must stop the run at the next observation point and return the
-// partial result wrapped around context.Canceled, per the Engine
-// contract.
+// TestAcceleratedCancelMidRun: cancellation raised mid-run (here from
+// the OnIteration hook, after the first commit) must stop the run at
+// the next observation point and return the partial result wrapped
+// around context.Canceled, per the Engine contract.
 func TestAcceleratedCancelMidRun(t *testing.T) {
 	d := newDesign(t, "c432")
 	s, err := OpenSession(context.Background(), d, Config{MaxIterations: 50}, nil)

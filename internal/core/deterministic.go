@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"time"
 
-	"statsize/internal/netlist"
 	"statsize/internal/session"
+	"statsize/internal/ssta"
 	"statsize/internal/sta"
 )
 
@@ -24,93 +22,36 @@ import (
 // session, so its statistical view (sink distribution, slack queries)
 // stays live while this nominal-only baseline runs.
 func Deterministic(ctx context.Context, s *session.Session, cfg Config) (*Result, error) {
-	start := time.Now()
-	var res *Result
-	err := s.Do(func(tx *session.Tx) (err error) {
-		res, err = deterministic(ctx, tx, cfg.withDefaults(), start)
-		return err
-	})
-	return res, err
+	return descend(ctx, s, cfg, "deterministic", nominalDelay, deterministicIteration)
 }
 
-// deterministic is Deterministic's run over the held session.
-func deterministic(ctx context.Context, tx *session.Tx, cfg Config, start time.Time) (*Result, error) {
-	d := tx.Design()
-	res := &Result{
-		Method:       "deterministic",
-		InitialWidth: d.TotalWidth(),
-		Design:       d,
-	}
-	res.InitialObjective = sta.Analyze(d).CircuitDelay()
-	res.FinalObjective = res.InitialObjective
+// nominalDelay is the deterministic sizer's objective: the nominal
+// circuit delay of the analysis' design.
+func nominalDelay(a *ssta.Analysis, _ Config) float64 { return sta.Analyze(a.D).CircuitDelay() }
 
-	for iter := 0; iter < cfg.MaxIterations; iter++ {
-		if err := ctx.Err(); err != nil {
-			res.FinalWidth = d.TotalWidth()
-			res.Elapsed = time.Since(start)
-			return res, fmt.Errorf("core: deterministic optimization interrupted after %d iterations: %w",
-				res.Iterations, err)
+// deterministicIteration scores every gate on the nominal critical path
+// that can still grow by the nominal delay change of one width step from
+// base, and picks the best one; MultiSize does not apply.
+//
+// Each trial width is written, analyzed and rolled back. Restore
+// rewrites the snapshot verbatim, so no load keeps the rounding residue
+// that undoing the width with SetWidth would leave.
+func deterministicIteration(_ context.Context, a *ssta.Analysis, _ Config, base float64, _ *crew) (innerResult, error) {
+	d := a.D
+	var ir innerResult
+	top := newTopK(1)
+	pre := d.Snapshot()
+	for _, gid := range sta.Analyze(d).CriticalGates() {
+		next := d.Width(gid) + d.Lib.DeltaW
+		if next > d.Lib.WMax {
+			continue
 		}
-		if areaCapReached(cfg, res.InitialWidth, d.TotalWidth()) {
-			break
-		}
-		iterStart := time.Now()
-		r := sta.Analyze(d)
-		base := r.CircuitDelay()
-
-		// Each trial width is written, analyzed and rolled back. Restore
-		// rewrites the snapshot verbatim, so no load keeps the rounding
-		// residue that undoing the width with SetWidth would leave.
-		bestGate, bestSens := -1, 0.0
-		candidates := 0
-		pre := d.Snapshot()
-		for _, gid := range r.CriticalGates() {
-			w := d.Width(gid)
-			next := w + d.Lib.DeltaW
-			if next > d.Lib.WMax {
-				continue
-			}
-			candidates++
-			d.SetWidth(gid, next)
-			after := sta.Analyze(d).CircuitDelay()
-			d.Restore(pre)
-			sens := (base - after) / d.Lib.DeltaW
-			if sens > bestSens || (sens == bestSens && bestGate >= 0 && int(gid) < bestGate) {
-				bestGate, bestSens = int(gid), sens
-			}
-		}
-		if bestGate < 0 || bestSens <= cfg.Tolerance {
-			break
-		}
-		gid := netlist.GateID(bestGate)
-		if _, err := tx.Resize(ctx, gid, d.Width(gid)+d.Lib.DeltaW); err != nil {
-			if ctx.Err() != nil {
-				res.FinalWidth = d.TotalWidth()
-				res.Elapsed = time.Since(start)
-				return res, fmt.Errorf("core: deterministic optimization interrupted after %d iterations: %w",
-					res.Iterations, ctx.Err())
-			}
-			return nil, err
-		}
+		ir.considered++
+		d.SetWidth(gid, next)
 		after := sta.Analyze(d).CircuitDelay()
-
-		rec := IterRecord{
-			Iter:                 iter,
-			Gates:                []netlist.GateID{gid},
-			Sensitivity:          bestSens,
-			Objective:            after,
-			TotalWidth:           d.TotalWidth(),
-			CandidatesConsidered: candidates,
-			Elapsed:              time.Since(iterStart),
-		}
-		res.Records = append(res.Records, rec)
-		res.Iterations++
-		res.FinalObjective = after
-		if cfg.OnIteration != nil {
-			cfg.OnIteration(rec)
-		}
+		d.Restore(pre)
+		top.offer(pick{gate: gid, sens: (base - after) / d.Lib.DeltaW})
 	}
-	res.FinalWidth = d.TotalWidth()
-	res.Elapsed = time.Since(start)
-	return res, nil
+	ir.picks = top.sorted()
+	return ir, nil
 }

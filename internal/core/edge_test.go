@@ -54,18 +54,6 @@ func TestSaturationMidRun(t *testing.T) {
 	}
 }
 
-// With a huge tolerance nothing is ever worth sizing.
-func TestToleranceStopsImmediately(t *testing.T) {
-	d := newDesign(t, "c17")
-	res, err := runOn(t, d, Config{MaxIterations: 10, Tolerance: 1e9}, Accelerated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations != 0 {
-		t.Error("huge tolerance should stop before the first sizing")
-	}
-}
-
 // Deterministic optimizer on a saturated design.
 func TestDeterministicSaturated(t *testing.T) {
 	d := newDesign(t, "c17")
@@ -100,19 +88,6 @@ func TestZeroSigmaStatisticalRun(t *testing.T) {
 	}
 }
 
-// Explicit DT override must be honored over Bins.
-func TestExplicitGridOverride(t *testing.T) {
-	d := newDesign(t, "c17")
-	cfg := Config{MaxIterations: 1, DT: 0.004}.withDefaults()
-	a, err := ssta.Analyze(context.Background(), d, gridFor(d, cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.DT != 0.004 {
-		t.Errorf("grid %v, want 0.004", a.DT)
-	}
-}
-
 // Sensitivities can legitimately be negative (upsizing a gate whose
 // fanin load penalty dominates); the optimizer must never commit one.
 func TestNeverCommitsNegativeSensitivity(t *testing.T) {
@@ -140,61 +115,24 @@ func TestNeverCommitsNegativeSensitivity(t *testing.T) {
 // front is propagated to the end (no leaked nodes).
 func TestFrontDrainsCompletely(t *testing.T) {
 	d := smallDesign(t, 8)
-	cfg := Config{DisablePruning: true}.withDefaults()
-	a, err := ssta.Analyze(context.Background(), d, gridFor(d, cfg))
+	a, err := ssta.Analyze(context.Background(), d, d.SuggestDT(Config{}.withDefaults().Bins))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := newCrew([]*ssta.Scratch{ssta.NewScratch()})
 	defer c.close()
 	for _, gid := range candidateGates(d)[:10] {
-		f, err := newFront(a, cfg, gid, c.workers[0])
+		f, err := newFront(a, gid, c.workers[0])
 		if err != nil {
 			t.Fatal(err)
 		}
 		for !f.dead() {
-			f.propagateOneLevel(a, cfg, c.workers[0])
+			f.propagateOneLevel(a, c.workers[0])
 		}
 		if len(f.live) != 0 {
 			t.Fatalf("gate %d: front leaked %d live nodes", gid, len(f.live))
 		}
 		f.release(c)
-	}
-}
-
-// The warm start only reorders inner-loop evaluation; disabling it must
-// leave the entire trajectory unchanged.
-func TestWarmStartExactness(t *testing.T) {
-	d1 := smallDesign(t, 14)
-	d2 := smallDesign(t, 14)
-	r1, err := runOn(t, d1, Config{MaxIterations: 12}, Accelerated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := runOn(t, d2, Config{MaxIterations: 12, DisableWarmStart: true}, Accelerated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Iterations != r2.Iterations {
-		t.Fatalf("iterations differ: %d vs %d", r1.Iterations, r2.Iterations)
-	}
-	for i := range r1.Records {
-		if r1.Records[i].Gates[0] != r2.Records[i].Gates[0] ||
-			r1.Records[i].Sensitivity != r2.Records[i].Sensitivity {
-			t.Fatalf("iter %d: warm start changed the choice", i)
-		}
-	}
-	// On tiny circuits a stale hint can cost a little extra work (its
-	// front is propagated fully even when mediocre); the win appears on
-	// large circuits where crowded sensitivities make pruning hard. The
-	// overhead must stay bounded either way.
-	v1, v2 := 0, 0
-	for i := range r1.Records {
-		v1 += r1.Records[i].NodesVisited
-		v2 += r2.Records[i].NodesVisited
-	}
-	if float64(v1) > 1.25*float64(v2) {
-		t.Errorf("warm start visited %d nodes vs cold %d (>25%% overhead)", v1, v2)
 	}
 }
 

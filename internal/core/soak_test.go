@@ -117,8 +117,8 @@ func TestTieBreakExactnessC1908(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Brute force steps one iteration per run, so the what-if
-			// batch reads the design each step starts from; it ignores the
-			// warm-start hint, so this is the same trajectory as one run.
+			// batch reads the design each step starts from; iterations carry
+			// no state, so this is the same trajectory as one run.
 			s, err := OpenSession(ctx, newDesign(t, "c1908"), cfg, nil)
 			if err != nil {
 				t.Fatal(err)

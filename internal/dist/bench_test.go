@@ -20,8 +20,7 @@ func kernelOperands(b *testing.B, bins int) (*Dist, *Dist) {
 
 // BenchmarkDistKernels measures the numeric core at representative bin
 // counts, in both the allocating and the arena (Into) forms, and at the
-// edge-delay × arrival shapes the optimizer runs — the machine-readable
-// perf trajectory cmd/benchreport records per PR.
+// edge-delay × arrival shapes the optimizer runs.
 // Run with -benchmem: the Into forms must show 0 allocs/op warm.
 func BenchmarkDistKernels(b *testing.B) {
 	for _, bins := range []int{100, 400, 1600} {

@@ -117,10 +117,15 @@ func Point(dt, v float64) *Dist {
 
 // TruncGauss discretizes a Gaussian with the given mean and standard
 // deviation, truncated at ±k·sigma and renormalized — the paper's
-// intra-die delay variation model. A zero sigma yields a point mass.
+// intra-die delay variation model. A zero sigma yields a point mass; a
+// non-finite mean or sigma, such as the delay of a NaN gate width, is an
+// error.
 func TruncGauss(dt, mean, sigma, k float64) (*Dist, error) {
 	if dt <= 0 {
 		return nil, fmt.Errorf("dist: non-positive dt %v", dt)
+	}
+	if math.IsNaN(mean) || math.IsInf(mean, 0) || math.IsNaN(sigma) || math.IsInf(sigma, 0) {
+		return nil, fmt.Errorf("dist: non-finite mean %v or sigma %v", mean, sigma)
 	}
 	if sigma < 0 {
 		return nil, fmt.Errorf("dist: negative sigma %v", sigma)

@@ -104,6 +104,14 @@ func TestTruncGaussDegenerate(t *testing.T) {
 	if _, err := TruncGauss(0.001, 0.5, 0.1, 0); err == nil {
 		t.Error("zero truncation accepted")
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := TruncGauss(0.001, v, 0.1, 3); err == nil {
+			t.Errorf("mean %v accepted", v)
+		}
+		if _, err := TruncGauss(0.001, 0.5, v, 3); err == nil {
+			t.Errorf("sigma %v accepted", v)
+		}
+	}
 }
 
 func TestConvolveExactOnPoints(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 // WhatIfBatch, JSON encode — against a pooled c880 session. The
 // saturation curve lives in cmd/statload; this benchmark pins the
 // single-request cost so service-layer regressions show up in the
-// benchreport trajectory.
+// benchmark smoke run.
 func BenchmarkWhatIfBatchHTTP(b *testing.B) {
 	_, ts := newHTTP(b, Config{SweepEvery: time.Hour})
 	sess := openSession(b, ts.URL, &OpenSessionRequest{Design: "c880", Client: "bench", Bins: 400})

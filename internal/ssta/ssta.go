@@ -187,10 +187,8 @@ func (a *Analysis) arrivalOrErr(n graph.NodeID, ar *dist.Arena) (*dist.Dist, err
 // max/conv step shared by the full pass, incremental recompute, and the
 // optimizer's perturbation-front propagation.
 //
-// With a non-nil arena the result (and every intermediate) is arena
-// scratch — the caller decides when to Reset and must Persist anything
-// it retains. A nil arena reproduces the historical allocating
-// behavior. Either way the values are bit-identical.
+// The result (and every intermediate) is scratch in the arena ar — the
+// caller decides when to Reset and must Persist anything it retains.
 func (a *Analysis) computeArrival(n graph.NodeID, arrOverlay, delayOverlay []*dist.Dist, ar *dist.Arena) *dist.Dist {
 	g := a.D.E.G
 	var acc *dist.Dist

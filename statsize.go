@@ -68,7 +68,8 @@ type (
 	// Netlist is a combinational gate-level circuit.
 	Netlist = netlist.Netlist
 	// Config controls an optimization run; its zero value follows the
-	// paper's protocol (99-percentile objective, Δw steps, pruning on).
+	// paper's protocol (99-percentile objective, 600 bins, one Δw step
+	// on one gate per iteration).
 	Config = core.Config
 	// Result summarizes an optimization run; Result.Design is the sized
 	// design (a private clone when the run went through an Engine).
