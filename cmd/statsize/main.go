@@ -20,6 +20,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -51,14 +52,14 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if err := run(ctx, *circuit, *bench, *optimizer, *iters, *bins, *areaCap, *percentile,
+	if err := run(ctx, os.Stdout, *circuit, *bench, *optimizer, *iters, *bins, *areaCap, *percentile,
 		*multi, *heuristic, *trace, *whatif, *mcSamples); err != nil {
 		fmt.Fprintln(os.Stderr, "statsize:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, circuit, bench, optimizer string, iters, bins int,
+func run(ctx context.Context, w io.Writer, circuit, bench, optimizer string, iters, bins int,
 	areaCap, percentile float64, multi, heuristic int, trace bool, whatif, mcSamples int) error {
 	eng, err := statsize.New(
 		statsize.WithBins(bins),
@@ -89,8 +90,8 @@ func run(ctx context.Context, circuit, bench, optimizer string, iters, bins int,
 	}
 
 	nominal := eng.AnalyzeSTA(d).CircuitDelay()
-	fmt.Printf("circuit: %v\n", d.NL)
-	fmt.Printf("nominal delay (min size): %.4f ns\n", nominal)
+	fmt.Fprintf(w, "circuit: %v\n", d.NL)
+	fmt.Fprintf(w, "nominal delay (min size): %.4f ns\n", nominal)
 
 	// One session serves the what-if ranking and the optimizer run: the
 	// initial SSTA pass is paid once, everything after is incremental.
@@ -101,7 +102,7 @@ func run(ctx context.Context, circuit, bench, optimizer string, iters, bins int,
 	defer s.Close()
 
 	if whatif > 0 {
-		if err := rankWhatIf(ctx, s, whatif); err != nil {
+		if err := rankWhatIf(ctx, w, s, whatif); err != nil {
 			return err
 		}
 	}
@@ -114,18 +115,27 @@ func run(ctx context.Context, circuit, bench, optimizer string, iters, bins int,
 	)
 	canceled := errors.Is(err, context.Canceled) && res != nil
 	if canceled {
-		fmt.Printf("canceled; reporting the partial run\n")
+		fmt.Fprintf(w, "canceled; reporting the partial run\n")
 	} else if err != nil {
 		return err
 	}
 
-	fmt.Printf("optimizer: %s, %d iterations in %v\n", res.Method, res.Iterations, res.Elapsed.Round(1000000))
-	fmt.Printf("objective (p%g): %.4f -> %.4f ns  (%.2f%% improvement)\n",
-		100*percentile, res.InitialObjective, res.FinalObjective, res.Improvement())
-	fmt.Printf("total gate size: %.1f -> %.1f  (+%.1f%%)\n",
+	fmt.Fprintf(w, "optimizer: %s, %d iterations in %v\n", res.Method, res.Iterations, res.Elapsed.Round(1000000))
+	// The deterministic sizer minimizes the nominal delay, not the
+	// session objective, and its Result reports that delay.
+	objective, err := s.ObjectiveName()
+	if err != nil {
+		return err
+	}
+	if res.Method == "deterministic" {
+		objective = "nominal delay"
+	}
+	fmt.Fprintf(w, "objective (%s): %.4f -> %.4f ns  (%.2f%% improvement)\n",
+		objective, res.InitialObjective, res.FinalObjective, res.Improvement())
+	fmt.Fprintf(w, "total gate size: %.1f -> %.1f  (+%.1f%%)\n",
 		res.InitialWidth, res.FinalWidth, res.AreaIncrease())
 	if st, err := s.Stats(); err == nil && st.Resizes > 0 {
-		fmt.Printf("incremental commits: %d resizes touching %.0f nodes each on average (full SSTA pass = %d nodes)\n",
+		fmt.Fprintf(w, "incremental commits: %d resizes touching %.0f nodes each on average (full SSTA pass = %d nodes)\n",
 			st.Resizes, float64(st.NodesRecomputed)/float64(st.Resizes), st.TotalNodes)
 	}
 
@@ -143,7 +153,7 @@ func run(ctx context.Context, circuit, bench, optimizer string, iters, bins int,
 				fmt.Sprintf("%.1f", float64(r.Elapsed.Microseconds())/1000),
 			)
 		}
-		if err := t.Render(os.Stdout); err != nil {
+		if err := t.Render(w); err != nil {
 			return err
 		}
 	}
@@ -153,9 +163,13 @@ func run(ctx context.Context, circuit, bench, optimizer string, iters, bins int,
 		if err != nil {
 			return err
 		}
+		bound, err := s.Percentile(percentile)
+		if err != nil {
+			return err
+		}
 		p := mc.Percentile(percentile)
-		fmt.Printf("Monte Carlo p%g (%d samples): %.4f ns (bound error %+.2f%%)\n",
-			percentile*100, mcSamples, p, 100*(res.FinalObjective-p)/p)
+		fmt.Fprintf(w, "Monte Carlo p%g (%d samples): %.4f ns (bound error %+.2f%%)\n",
+			percentile*100, mcSamples, p, 100*(bound-p)/p)
 	}
 	return nil
 }
@@ -164,7 +178,7 @@ func run(ctx context.Context, circuit, bench, optimizer string, iters, bins int,
 // step for every candidate gate — one WhatIfBatch call fans the whole
 // sweep out across the engine's worker pool under a single session
 // lock acquisition — and prints the top n.
-func rankWhatIf(ctx context.Context, s *statsize.Session, n int) error {
+func rankWhatIf(ctx context.Context, w io.Writer, s *statsize.Session, n int) error {
 	numGates, err := s.NumGates()
 	if err != nil {
 		return err
@@ -211,5 +225,5 @@ func rankWhatIf(ctx context.Context, s *statsize.Session, n int) error {
 			fmt.Sprint(r.r.NodesVisited),
 		)
 	}
-	return t.Render(os.Stdout)
+	return t.Render(w)
 }

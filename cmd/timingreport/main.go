@@ -103,20 +103,7 @@ func run(ctx context.Context, circuit, bench string, paths, samples, bins int, c
 	pt := report.NewTable(fmt.Sprintf("\ntop %d nominal paths", paths),
 		"rank", "delay (ns)", "gates")
 	for i, p := range statsize.TopPaths(d, paths) {
-		names := ""
-		//lint:allow statlint/ctxflow formatting a handful of already-computed paths, bounded by the -paths flag, not a propagation loop
-		for _, eid := range p.Edges {
-			gid := d.E.EdgeGate[eid]
-			if gid == netlist.NoGate {
-				continue
-			}
-			g := d.NL.Gate(gid)
-			names += fmt.Sprintf("%s:%s ", g.Kind, d.NL.NetName(g.Out))
-		}
-		if len(names) > 70 {
-			names = names[:67] + "..."
-		}
-		pt.AddRowStrings(fmt.Sprint(i+1), fmt.Sprintf("%.4f", p.Delay), names)
+		pt.AddRowStrings(fmt.Sprint(i+1), fmt.Sprintf("%.4f", p.Delay), pathGates(d, p))
 	}
 	if err := pt.Render(os.Stdout); err != nil {
 		return err
@@ -219,6 +206,24 @@ func run(ctx context.Context, circuit, bench string, paths, samples, bins int, c
 			100*(cmc.Percentile(0.99)-mc.Percentile(0.99))/mc.Percentile(0.99))
 	}
 	return nil
+}
+
+// pathGates lists a path's gates as kind:output-net pairs, cut to fit
+// the top-paths table.
+func pathGates(d *statsize.Design, p statsize.TimingPath) string {
+	names := ""
+	for _, eid := range p.Edges {
+		gid := d.E.EdgeGate[eid]
+		if gid == netlist.NoGate {
+			continue
+		}
+		g := d.NL.Gate(gid)
+		names += fmt.Sprintf("%s:%s ", g.Kind, d.NL.NetName(g.Out))
+	}
+	if len(names) > 70 {
+		names = names[:67] + "..."
+	}
+	return names
 }
 
 func countZero(xs []float64) int {

@@ -1,7 +1,6 @@
 package statsize
 
 import (
-	"context"
 	"errors"
 	"math"
 	"strings"
@@ -51,25 +50,34 @@ func TestGenerateCircuitRejectsBadSpec(t *testing.T) {
 	}
 }
 
-// A NaN width set through Design.SetWidth turns into a non-finite gate
-// delay, so every analysis entry must fail instead of reporting the
-// timing from before the call.
-func TestNaNWidthFailsAnalysis(t *testing.T) {
-	eng := newEngine(t)
-	d, err := eng.Benchmark("c17")
+// A NaN width set through Design.SetWidth is refused at the call, so
+// no analysis ever sees it: SetWidth panics and leaves the width, every
+// net load and the total width as they were.
+func TestSetWidthNaNPanics(t *testing.T) {
+	d, err := newEngine(t).Benchmark("c17")
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetWidth(0, math.NaN())
-	ctx := context.Background()
-	if a, err := eng.AnalyzeSSTA(ctx, d); err == nil {
-		t.Errorf("AnalyzeSSTA succeeded, p99 %v", a.Percentile(0.99))
+	d.SetWidth(0, 2)
+	width, total := d.Width(0), d.TotalWidth()
+	loads := make([]float64, d.NL.NumNets())
+	for n := range loads {
+		loads[n] = d.Load(NetID(n))
 	}
-	if s, err := eng.Open(ctx, d); err == nil {
-		s.Close()
-		t.Error("Open succeeded")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("SetWidth(0, NaN) did not panic")
+			}
+		}()
+		d.SetWidth(0, math.NaN())
+	}()
+	if d.Width(0) != width || d.TotalWidth() != total {
+		t.Errorf("width %v, total %v after the panic; want %v, %v", d.Width(0), d.TotalWidth(), width, total)
 	}
-	if res, err := eng.Optimize(ctx, d, "accelerated", MaxIterations(1)); err == nil {
-		t.Errorf("Optimize succeeded from initial width %v", res.InitialWidth)
+	for n, want := range loads {
+		if got := d.Load(NetID(n)); got != want {
+			t.Errorf("net %d load %v after the panic, want %v", n, got, want)
+		}
 	}
 }

@@ -1,149 +1,10 @@
 package analysis_test
 
 import (
-	"go/ast"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"statsize/internal/analyzers/analysis"
 )
-
-// marker is a test-only analyzer with a trivially predictable finding
-// set: every function whose name starts with Bad. The framework tests
-// care about loading, suppression filtering and validation — not about
-// any real invariant.
-var marker = &analysis.Analyzer{
-	Name: "marker",
-	Doc:  "flags every function whose name starts with Bad (test-only)",
-	Run: func(pass *analysis.Pass) error {
-		for _, f := range pass.Files {
-			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && strings.HasPrefix(fd.Name.Name, "Bad") {
-					pass.Reportf(fd.Name.Pos(), "function %s is bad", fd.Name.Name)
-				}
-			}
-		}
-		return nil
-	},
-}
-
-func load(t *testing.T, corpus string) *analysis.Package {
-	t.Helper()
-	pkg, err := analysis.NewLoader("").LoadDir(filepath.Join("testdata", "src", corpus), "statlint/testdata/"+corpus)
-	if err != nil {
-		t.Fatalf("loading corpus %s: %v", corpus, err)
-	}
-	return pkg
-}
-
-func run(t *testing.T, corpus string) ([]analysis.Diagnostic, error) {
-	t.Helper()
-	return analysis.Run([]*analysis.Package{load(t, corpus)}, []*analysis.Analyzer{marker})
-}
-
-// TestSuppressionWindow: a valid //lint:allow on the flagged line or
-// the line directly above removes the finding; one line further away
-// does not, and uncovered findings always survive.
-func TestSuppressionWindow(t *testing.T) {
-	diags, err := run(t, "suppressed")
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	var got []string
-	audits := 0
-	for _, d := range diags {
-		if d.Analyzer == analysis.SuppressAuditName {
-			// The deliberately-detached directive covers nothing, so the
-			// audit must flag it as stale.
-			audits++
-			continue
-		}
-		if !strings.HasPrefix(d.Message, "function ") {
-			t.Fatalf("unexpected message %q", d.Message)
-		}
-		got = append(got, strings.TrimSuffix(strings.TrimPrefix(d.Message, "function "), " is bad"))
-	}
-	if audits != 1 {
-		t.Fatalf("suppressaudit findings = %d, want 1 for the out-of-window directive", audits)
-	}
-	want := []string{"BadUncovered", "BadWrongLine"}
-	if len(got) != len(want) {
-		t.Fatalf("surviving findings = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("surviving findings = %v, want %v", got, want)
-		}
-	}
-}
-
-// TestUnknownAnalyzerNameErrors: a suppression naming a nonexistent
-// analyzer is a validation error, not a silent no-op.
-func TestUnknownAnalyzerNameErrors(t *testing.T) {
-	_, err := run(t, "unknown")
-	if err == nil || !strings.Contains(err.Error(), `unknown analyzer "nosuch"`) {
-		t.Fatalf("Run error = %v, want unknown-analyzer validation failure", err)
-	}
-}
-
-// TestReasonRequired: a suppression without a justification is a
-// validation error.
-func TestReasonRequired(t *testing.T) {
-	_, err := run(t, "noreason")
-	if err == nil || !strings.Contains(err.Error(), "needs a reason") {
-		t.Fatalf("Run error = %v, want missing-reason validation failure", err)
-	}
-}
-
-// TestNamespaceRequired: the analyzer name must live under statlint/ so
-// the directive cannot collide with staticcheck's //lint:ignore.
-func TestNamespaceRequired(t *testing.T) {
-	_, err := run(t, "badns")
-	if err == nil || !strings.Contains(err.Error(), "must name a statlint/<analyzer> check") {
-		t.Fatalf("Run error = %v, want namespace validation failure", err)
-	}
-}
-
-// TestStaleSuppressionBecomesFinding: a well-formed suppression whose
-// finding no longer fires is reported under the reserved suppressaudit
-// name, while a live suppression both eats its finding and stays
-// silent — the waiver list can only shrink.
-func TestStaleSuppressionBecomesFinding(t *testing.T) {
-	diags, err := run(t, "stale")
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(diags) != 1 {
-		t.Fatalf("diagnostics = %v, want exactly the stale-suppression audit finding", diags)
-	}
-	d := diags[0]
-	if d.Analyzer != analysis.SuppressAuditName {
-		t.Fatalf("finding analyzer = %q, want %q", d.Analyzer, analysis.SuppressAuditName)
-	}
-	if !strings.Contains(d.Message, "stale suppression") || !strings.Contains(d.Message, "statlint/marker") {
-		t.Fatalf("audit message = %q, want stale-suppression wording naming the analyzer", d.Message)
-	}
-	if !strings.HasSuffix(d.Pos.Filename, "stale.go") || d.Pos.Line == 0 {
-		t.Fatalf("audit finding position = %v, want the directive's own line in stale.go", d.Pos)
-	}
-}
-
-// TestSuppressAuditCannotBeWaived: the reserved audit name is not a
-// real analyzer, so trying to //lint:allow it is the unknown-name hard
-// error — an audit finding cannot be suppressed away.
-func TestSuppressAuditCannotBeWaived(t *testing.T) {
-	known := map[string]bool{"marker": true}
-	if known[analysis.SuppressAuditName] {
-		t.Fatal("test invariant broken")
-	}
-	// The unknown corpus exercises the error path generically; here we
-	// only pin the design property that SuppressAuditName is reserved
-	// out of the analyzer namespace.
-	if analysis.SuppressAuditName != "suppressaudit" {
-		t.Fatalf("SuppressAuditName = %q, want the documented reserved name", analysis.SuppressAuditName)
-	}
-}
 
 // TestLoadModulePackage: the loader resolves module-import-path
 // patterns through `go list` and returns fully type-checked packages.

@@ -3,9 +3,9 @@
 // golang.org/x/tools/go/analysis/analysistest convention.
 //
 // A corpus is a directory testdata/src/<name> next to the calling test,
-// loaded through the same loader cmd/statlint uses (so corpus packages
+// loaded through the same loader TestRepoClean uses (so corpus packages
 // may import real statsize packages — testdata directories are
-// invisible to the go tool and never flagged by `statlint ./...`).
+// invisible to the go tool, so TestRepoClean's ./... never loads them).
 // Every line that must be flagged carries a trailing comment
 //
 //	code() // want `regexp`

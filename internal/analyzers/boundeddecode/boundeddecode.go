@@ -1,29 +1,23 @@
 // Package boundeddecode implements the statlint check for the service
 // tier's ingress discipline: HTTP bodies are attacker-sized input and
-// must only be consumed through a bounded reader. The server side has
-// exactly one sanctioned entry point — decodeJSON in wire.go, which
-// stacks http.MaxBytesReader under a DisallowUnknownFields decoder —
-// and clients must cap their reads with io.LimitReader. Everything
-// else is a finding:
+// must only be consumed through a bounded reader. The server decodes
+// every request through decodeJSON in internal/server/wire.go, which
+// hands json.NewDecoder an http.MaxBytesReader, and clients cap their
+// reads with io.LimitReader. Everything else is a finding:
 //
 //   - json.NewDecoder(x.Body) — unbounded decode straight off the wire
 //   - io.ReadAll(x.Body)      — unbounded buffering
 //   - io.Copy(dst, x.Body)    — unbounded draining
 //
-// where x.Body is the Body of a net/http Request or Response. Files
-// named wire.go are exempt: that is where the bounded decoder itself
-// is built, and hiding its internals behind a suppression would just
-// move the trust boundary into a comment.
-//
-// When the file already imports io, the finding carries a suggested
-// fix wrapping the body in io.LimitReader(body, 1<<20) — a safe cap
-// an order of magnitude above any legitimate statsized payload; call
-// sites with tighter budgets can lower it by hand.
+// where x.Body is the Body of a net/http Request or Response. No file
+// is exempt. The check reads only the call's argument, so the cap goes
+// in the call itself: a body reassigned to a bounded reader beforehand
+// (r.Body = http.MaxBytesReader(…)) is still flagged, and a body read
+// through a local alias is not.
 package boundeddecode
 
 import (
 	"go/ast"
-	"path/filepath"
 
 	"statsize/internal/analyzers/analysis"
 	"statsize/internal/analyzers/typeutil"
@@ -32,22 +26,11 @@ import (
 // Analyzer is the boundeddecode pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "boundeddecode",
-	Doc:  "HTTP bodies must be read through a bounded decoder (wire.decodeJSON, MaxBytesReader, or io.LimitReader)",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		file := pass.Fset.Position(f.Pos()).Filename
-		if filepath.Base(file) == "wire.go" {
-			continue
-		}
-		importsIO := false
-		for _, imp := range f.Imports {
-			if imp.Path.Value == `"io"` {
-				importsIO = true
-			}
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -57,7 +40,7 @@ func run(pass *analysis.Pass) error {
 			if fn == nil || fn.Pkg() == nil {
 				return true
 			}
-			var body ast.Expr
+			var body bool
 			switch {
 			case fn.Pkg().Path() == "encoding/json" && fn.Name() == "NewDecoder" && len(call.Args) == 1:
 				body = httpBody(pass, call.Args[0])
@@ -66,20 +49,10 @@ func run(pass *analysis.Pass) error {
 			case fn.Pkg().Path() == "io" && fn.Name() == "Copy" && len(call.Args) == 2:
 				body = httpBody(pass, call.Args[1])
 			}
-			if body == nil {
+			if !body {
 				return true
 			}
-			var fix *analysis.SuggestedFix
-			if importsIO {
-				fix = &analysis.SuggestedFix{
-					Message: "wrap the body in io.LimitReader(body, 1<<20)",
-					Edits: []analysis.TextEdit{
-						{Pos: body.Pos(), NewText: "io.LimitReader("},
-						{Pos: body.End(), NewText: ", 1<<20)"},
-					},
-				}
-			}
-			pass.ReportfFix(call.Pos(), fix, "%s.%s reads an HTTP body unbounded: a hostile peer can hold the connection and exhaust memory; decode through wire.decodeJSON (server) or cap with io.LimitReader (client)",
+			pass.Reportf(call.Pos(), "%s.%s reads an HTTP body unbounded: a hostile peer can hold the connection and exhaust memory; decode through wire.decodeJSON (server) or cap with io.LimitReader (client)",
 				fn.Pkg().Name(), fn.Name())
 			return true
 		})
@@ -87,19 +60,16 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// httpBody returns arg when it is the Body field of a net/http Request
-// or Response; nil otherwise.
-func httpBody(pass *analysis.Pass, arg ast.Expr) ast.Expr {
+// httpBody reports whether arg is the Body field of a net/http Request
+// or Response.
+func httpBody(pass *analysis.Pass, arg ast.Expr) bool {
 	sel, ok := typeutil.Unparen(arg).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Body" {
-		return nil
+		return false
 	}
 	tv, ok := pass.Info.Types[sel.X]
 	if !ok || tv.Type == nil {
-		return nil
+		return false
 	}
-	if typeutil.Is(tv.Type, "net/http", "Request") || typeutil.Is(tv.Type, "net/http", "Response") {
-		return arg
-	}
-	return nil
+	return typeutil.Is(tv.Type, "net/http", "Request") || typeutil.Is(tv.Type, "net/http", "Response")
 }

@@ -42,7 +42,6 @@ import (
 // Analyzer is the ctxflow pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxflow",
-	Doc:  "functions that accept a context and loop at propagation scale must observe cancellation",
 	Run:  run,
 }
 

@@ -8,10 +8,8 @@ import (
 )
 
 // TestRepoClean runs the full statlint suite over the whole module and
-// requires silence, making `go test ./...` an enforcement gate for the
-// cancellation and bounded-read invariants: a new violation (or a
-// malformed suppression) fails this test even before CI's dedicated
-// statlint job runs.
+// requires silence. It is the only statlint gate: `go test ./...` runs
+// it, and CI's statlint job runs it alone. A finding cannot be waived.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checking the whole module is not a -short test")
@@ -32,6 +30,6 @@ func TestRepoClean(t *testing.T) {
 		t.Errorf("%s", d)
 	}
 	if t.Failed() {
-		t.Log("fix the finding or add a reasoned //lint:allow statlint/<analyzer> suppression; see internal/analyzers")
+		t.Log("fix the code, or the analyzer if the finding is a false positive; see internal/analyzers")
 	}
 }

@@ -8,6 +8,7 @@ package design
 
 import (
 	"fmt"
+	"math"
 
 	"statsize/internal/cell"
 	"statsize/internal/dist"
@@ -79,9 +80,13 @@ func (d *Design) computeLoad(n netlist.NetID) float64 {
 func (d *Design) Width(g netlist.GateID) float64 { return d.widths[g] }
 
 // SetWidth resizes gate g, updating the loads of the nets feeding it.
-// The width is clamped to the library's sizing range; the applied width
-// is returned.
+// The width is clamped to the library's sizing range (±Inf included);
+// the applied width is returned. A NaN width is a caller's bug, so
+// SetWidth panics on it before changing anything.
 func (d *Design) SetWidth(g netlist.GateID, w float64) float64 {
+	if math.IsNaN(w) {
+		panic(fmt.Sprintf("design: NaN width for gate %d", g))
+	}
 	w = d.Lib.ClampWidth(w)
 	old := d.widths[g]
 	if w == old {

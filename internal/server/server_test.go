@@ -364,13 +364,25 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-// TestBodySizeCap pins the 413 for oversized bodies.
+// TestBodySizeCap pins the 413 for oversized bodies, and that the
+// server closes the connection after it instead of reading on.
 func TestBodySizeCap(t *testing.T) {
 	_, ts := newHTTP(t, Config{MaxBodyBytes: 512})
 	huge := []byte(`{"design":"` + strings.Repeat("a", 2048) + `"}`)
-	status, body := postJSON(t, ts.URL+"/v1/sessions", huge)
-	if status != http.StatusRequestEntityTooLarge || errorCode(t, body) != "body_too_large" {
-		t.Fatalf("oversized body: %d %s", status, body)
+	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || errorCode(t, body) != "body_too_large" {
+		t.Fatalf("oversized body: %d %s", resp.StatusCode, body)
+	}
+	if !resp.Close {
+		t.Error("connection kept open after an oversized body")
 	}
 }
 

@@ -309,8 +309,7 @@ type SessionInfoResponse struct {
 // cap, 400 for malformed or trailing JSON. A missing body decodes the
 // zero value (endpoints with all-optional fields accept it).
 func decodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, dst any) *apiError {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
 	if err := dec.Decode(dst); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil // empty body = zero-value request
