@@ -2,8 +2,9 @@
 // tier's ingress discipline: HTTP bodies are attacker-sized input and
 // must only be consumed through a bounded reader. The server decodes
 // every request through decodeJSON in internal/server/wire.go, which
-// hands json.NewDecoder an http.MaxBytesReader, and clients cap their
-// reads with io.LimitReader. Everything else is a finding:
+// hands json.NewDecoder an http.MaxBytesReader and rejects unknown
+// fields, and clients cap their reads with io.LimitReader. Everything
+// else is a finding:
 //
 //   - json.NewDecoder(x.Body) — unbounded decode straight off the wire
 //   - io.ReadAll(x.Body)      — unbounded buffering

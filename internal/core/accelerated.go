@@ -83,19 +83,26 @@ type liveNode struct {
 	until  int
 }
 
-// newFront builds and initializes a candidate's front on worker w,
-// propagating through the candidate gate's own level exactly as
-// Initialize does.
-func newFront(a *ssta.Analysis, x netlist.GateID, w *worker) (*front, error) {
+// build initializes f as candidate x's front on worker w, propagating
+// through the candidate gate's own level exactly as Initialize does. It
+// sets every field, reusing only the capacity of f's slices, so nothing
+// of the candidate f served before carries over; the caller released
+// that candidate's values (front.release).
+func (f *front) build(a *ssta.Analysis, x netlist.GateID, w *worker) error {
 	d := a.D
-	delays, err := a.PerturbedDelays(x, d.Width(x)+d.Lib.DeltaW)
+	delays, err := a.AppendPerturbedDelays(f.delays[:0], x, d.Width(x)+d.Lib.DeltaW)
+	*f = front{gate: x, delays: delays, live: f.live[:0], pending: f.pending[:0]}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	f := &front{gate: x, delays: delays}
+	// The perturbed delays are the pin edges of the affected gates
+	// (Figure 7, step 1). Every gate has one, since the forward pass
+	// rejects a node without fanin, and a pin edge ends at its gate's
+	// output: the edges' heads are the affected gates' outputs, which
+	// queue takes once each.
 	g := d.E.G
-	for _, gid := range ssta.AffectedGates(d, x) {
-		f.queue(g, d.E.NodeOf[d.NL.Gate(gid).Out])
+	for _, ed := range f.delays {
+		f.queue(g, g.EdgeAt(ed.Edge).To)
 	}
 	// Initialize propagates up to and including the candidate's output
 	// level so every front starts with a meaningful bound (Figure 7,
@@ -104,7 +111,7 @@ func newFront(a *ssta.Analysis, x netlist.GateID, w *worker) (*front, error) {
 	for !f.dead() && f.nextLevel(g) <= ownLevel {
 		f.propagateOneLevel(a, w)
 	}
-	return f, nil
+	return nil
 }
 
 // dead reports whether the front has nothing left to compute.
@@ -270,17 +277,35 @@ func (f *front) above(o *front) bool {
 	return f.gate < o.gate
 }
 
-// release hands the front's storage back to the recyclers that kept it
-// — the sink and every live arrival — once the front is finished or
-// pruned. It runs on the iteration's caller between barriers, and it is
-// idempotent.
+// release hands the front's values back to the recyclers that kept
+// them — the sink and every live arrival — once the front is finished
+// or pruned. It runs on the iteration's caller between barriers, and it
+// is idempotent. The live list keeps its capacity for the front's next
+// build.
 func (f *front) release(c *crew) {
 	c.keeper(f.sinkKeeper).Drop(f.sinkDist)
 	f.sinkDist = dist.Kept{}
 	for _, l := range f.live {
 		c.keeper(l.keeper).Drop(l.pert)
 	}
-	f.live = nil
+	clear(f.live)
+	f.live = f.live[:0]
+}
+
+// frontStorage readies the crew's front storage for an iteration over
+// n candidates: n fronts, each to be built before use, an empty heap
+// with room for all of them, and an empty round batch. It allocates
+// only fronts no earlier iteration of the run used. Each front is an
+// allocation of its own, so a 120-byte front fills its own 128-byte
+// slot and two workers stepping different fronts never write to one
+// cache line, as packed []front elements could.
+func (c *crew) frontStorage(n int) ([]*front, frontHeap, []*front) {
+	for len(c.fronts) < n {
+		c.fronts = append(c.fronts, new(front))
+	}
+	c.heap = slices.Grow(c.heap[:0], n)
+	c.batch = slices.Grow(c.batch[:0], roundSize)
+	return c.fronts[:n], c.heap, c.batch
 }
 
 // keeper returns the recycler of the worker with the given id, for the
@@ -373,33 +398,25 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 	// historical serial loop, so trajectories stay bit-identical at any
 	// parallelism.
 	cands := candidateGates(d)
-	fronts := make([]*front, len(cands))
-	// Finished fronts release their storage as they retire; this empties
+	fronts, h, batch := c.frontStorage(len(cands))
+	// Finished fronts release their values as they retire; this empties
 	// the foreign lists and hands back the rest — pruned fronts, and
 	// every front on an error path — so no recycler holds anything once
 	// the iteration returns.
 	defer func() {
 		c.drain()
 		for _, f := range fronts {
-			if f != nil {
-				f.release(c)
-			}
+			f.release(c)
 		}
 	}()
 	err := c.pool.Run(ctx, len(cands), func(w *worker, i int) error {
-		f, err := newFront(a, cands[i], w)
-		if err != nil {
-			return err
-		}
-		fronts[i] = f
-		return nil
+		return fronts[i].build(a, cands[i], w)
 	})
 	if err != nil {
 		// The pool already prefers the lowest-index evaluation error over
 		// a bare cancellation, matching the serial loop's reporting.
 		return ir, err
 	}
-	h := make(frontHeap, 0, len(cands))
 	for _, f := range fronts {
 		ir.considered++
 		ir.nodesVisited += f.visits
@@ -430,7 +447,6 @@ func acceleratedIteration(ctx context.Context, a *ssta.Analysis, cfg Config, bas
 		f.release(c)
 	}
 
-	batch := make([]*front, 0, roundSize)
 rounds:
 	for h.Len() > 0 {
 		if err := ctx.Err(); err != nil {

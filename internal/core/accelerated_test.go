@@ -139,11 +139,17 @@ func TestIterationsMemoryless(t *testing.T) {
 	}
 }
 
-// TestWarmIterationAllocsC1908 pins the allocation volume of one warm
-// accelerated iteration (c1908, 400 bins, 2 workers): with front
-// storage recycled, what remains is per-front bookkeeping, well under
-// the 4 MiB bound. Persisting every live node to the heap allocated
-// about 17 MB here.
+// TestWarmIterationAllocsC1908 pins the allocation volume of a warm
+// accelerated iteration (c1908, 400 bins, 2 workers). The run's front
+// storage is reused and front values are recycled, so what remains is
+// what the iteration keeps or hands off — the candidate list, the
+// picks, the closures each round passes to the pool — plus recycler
+// growth while a worker's free lists reach its peak working set. That
+// growth depends on which worker steps which front, so the crew is
+// warmed for three iterations and the bound applies to the mean of the
+// next four. Rebuilding every front from nil slices allocated about
+// 1.6 MB in 9,500 objects per iteration here, and persisting every live
+// node to the heap about 17 MB.
 func TestWarmIterationAllocsC1908(t *testing.T) {
 	if testing.Short() {
 		t.Skip("c1908 iteration in short mode")
@@ -167,17 +173,26 @@ func TestWarmIterationAllocsC1908(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		iterate() // warm the arenas, the recyclers and the delay memo
+		// Warm the front storage, the arenas, the recyclers and the delay
+		// memo.
+		for range 3 {
+			iterate()
+		}
+		const measured = 4
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		iterate()
+		for range measured {
+			iterate()
+		}
 		runtime.ReadMemStats(&after)
-		const limit = 4 << 20
-		if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
-			t.Errorf("warm accelerated iteration allocated %d bytes (%d objects), want < %d",
-				got, after.Mallocs-before.Mallocs, limit)
+		bytes := (after.TotalAlloc - before.TotalAlloc) / measured
+		objects := (after.Mallocs - before.Mallocs) / measured
+		const maxBytes, maxObjects = 384 << 10, 1000
+		if bytes >= maxBytes || objects >= maxObjects {
+			t.Errorf("warm accelerated iteration allocated %d bytes in %d objects on average, want < %d bytes and < %d objects",
+				bytes, objects, maxBytes, maxObjects)
 		} else {
-			t.Logf("warm accelerated iteration: %d bytes in %d objects", got, after.Mallocs-before.Mallocs)
+			t.Logf("warm accelerated iteration: %d bytes in %d objects on average", bytes, objects)
 		}
 		return nil
 	})

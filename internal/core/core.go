@@ -413,9 +413,22 @@ func better(a, b pick) bool {
 // crew is the session's workers as one optimizer run drives them, and
 // the pool that runs them: the pool hands every sweep, front build and
 // level step the worker it runs on.
+//
+// It also holds the run's front storage, which every accelerated
+// iteration of the run reuses: one front per candidate, with the live,
+// pending and delays slices each front grows, and the iteration's heap
+// and round batch. An iteration rebuilds every front it uses in place
+// (front.build sets every field), so only slice capacity carries over
+// from one iteration to the next, and a warm iteration allocates none
+// of this scaffolding. The storage dies with the crew at run end, like
+// the recyclers' free lists, so an idle session retains none of it.
 type crew struct {
 	workers []*worker
 	pool    *par.Pool[*worker]
+
+	fronts []*front
+	heap   frontHeap
+	batch  []*front
 }
 
 // worker is one session worker in an optimizer run: its scratch

@@ -246,9 +246,11 @@ func checkFrontBounds(t *testing.T, a *ssta.Analysis, cfg Config) {
 	c := newCrew([]*ssta.Scratch{ssta.NewScratch()})
 	defer c.close()
 	fronts, gaining, tight := 0, 0, 0
+	// One front serves every candidate in turn, as a crew's front
+	// storage does across iterations.
+	f := &front{}
 	for _, gid := range candidateGates(d) {
-		f, err := newFront(a, gid, c.workers[0])
-		if err != nil {
+		if err := f.build(a, gid, c.workers[0]); err != nil {
 			t.Fatal(err)
 		}
 		bound := f.smx / d.Lib.DeltaW

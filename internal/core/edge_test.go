@@ -122,8 +122,8 @@ func TestFrontDrainsCompletely(t *testing.T) {
 	c := newCrew([]*ssta.Scratch{ssta.NewScratch()})
 	defer c.close()
 	for _, gid := range candidateGates(d)[:10] {
-		f, err := newFront(a, gid, c.workers[0])
-		if err != nil {
+		f := &front{}
+		if err := f.build(a, gid, c.workers[0]); err != nil {
 			t.Fatal(err)
 		}
 		for !f.dead() {

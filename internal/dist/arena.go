@@ -86,8 +86,9 @@ func (ar *Arena) carve(n int) []float64 {
 }
 
 // newDist hands out a scratch header viewing p. Reused headers are
-// scrubbed field by field (a Dist holds an atomic and must not be
-// copied wholesale).
+// set field by field (a Dist holds an atomic and must not be copied
+// wholesale); a scratch header's cumulative-sum cache is never filled,
+// so there is none to clear.
 func (ar *Arena) newDist(dt float64, i0 int, p []float64) *Dist {
 	ci, ii := ar.nh/arenaHdrChunk, ar.nh%arenaHdrChunk
 	if ci == len(ar.hchunks) {
@@ -96,7 +97,6 @@ func (ar *Arena) newDist(dt float64, i0 int, p []float64) *Dist {
 	ar.nh++
 	h := &ar.hchunks[ci][ii]
 	h.dt, h.i0, h.p, h.scratch = dt, i0, p, true
-	h.clearCum()
 	return h
 }
 
@@ -114,15 +114,6 @@ func (ar *Arena) Copy(d *Dist) *Dist {
 	p := ar.carve(len(d.p))
 	copy(p, d.p)
 	return ar.newDist(d.dt, d.i0, p)
-}
-
-// clearCum drops a reused header's cached cumulative sums. Most reused
-// headers never had a quantile query, and a plain atomic load is far
-// cheaper than the unconditional atomic store.
-func (d *Dist) clearCum() {
-	if d.cum.Load() != nil {
-		d.cum.Store(nil)
-	}
 }
 
 // keeperSlab is the float capacity of one Keeper slab and

@@ -334,9 +334,10 @@ func TestTrimAllZeroSpans(t *testing.T) {
 	}
 }
 
-// TestPercentileCDFMatchLinearScan pins the cached binary-search
-// quantile queries to the historical linear scans, bit for bit, across
-// randomized distributions and query points.
+// TestPercentileCDFMatchLinearScan pins both forms of the quantile
+// queries to the historical linear scans, bit for bit, across
+// randomized distributions and query points: the cached binary search
+// of an immutable value and the direct scan of a scratch view.
 func TestPercentileCDFMatchLinearScan(t *testing.T) {
 	// Reference implementations: the pre-cache linear scans, verbatim.
 	refPercentile := func(d *Dist, p float64) float64 {
@@ -361,24 +362,58 @@ func TestPercentileCDFMatchLinearScan(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 200; trial++ {
-		d := randDist(rng, 0.01, 120)
-		for _, p := range []float64{0, 0.01, 0.5, 0.9, 0.99, 0.999, 1} {
-			if got, want := d.Percentile(p), refPercentile(d, p); got != want {
-				t.Fatalf("Percentile(%v) = %x, linear scan %x", p, got, want)
+		imm := randDist(rng, 0.01, 120)
+		view := &Dist{dt: imm.dt, i0: imm.i0, p: imm.p, scratch: true}
+		for _, d := range []*Dist{imm, view} {
+			for _, p := range []float64{0, 0.01, 0.5, 0.9, 0.99, 0.999, 1} {
+				if got, want := d.Percentile(p), refPercentile(d, p); got != want {
+					t.Fatalf("scratch=%v: Percentile(%v) = %x, linear scan %x", d.scratch, p, got, want)
+				}
+			}
+			for q := 0; q < 12; q++ {
+				x := d.MinTime() + (d.MaxTime()-d.MinTime()+0.04)*(rng.Float64()*1.2-0.1)
+				if got, want := d.CDF(x), refCDF(d, x); got != want {
+					t.Fatalf("scratch=%v: CDF(%v) = %x, linear scan %x", d.scratch, x, got, want)
+				}
+			}
+			// Boundary queries exactly on and between grid points.
+			if got, want := d.CDF(d.MinTime()), refCDF(d, d.MinTime()); got != want {
+				t.Fatalf("scratch=%v: CDF(min) = %x, linear scan %x", d.scratch, got, want)
+			}
+			if got, want := d.CDF(d.MaxTime()), refCDF(d, d.MaxTime()); got != want {
+				t.Fatalf("scratch=%v: CDF(max) = %x, linear scan %x", d.scratch, got, want)
 			}
 		}
-		for q := 0; q < 12; q++ {
-			x := d.MinTime() + (d.MaxTime()-d.MinTime()+0.04)*(rng.Float64()*1.2-0.1)
-			if got, want := d.CDF(x), refCDF(d, x); got != want {
-				t.Fatalf("CDF(%v) = %x, linear scan %x", x, got, want)
-			}
+		if view.cum.Load() != nil {
+			t.Fatal("a scratch view cached its cumulative sums")
 		}
-		// Boundary queries exactly on and between grid points.
-		if got, want := d.CDF(d.MinTime()), refCDF(d, d.MinTime()); got != want {
-			t.Fatalf("CDF(min) = %x, linear scan %x", got, want)
-		}
-		if got, want := d.CDF(d.MaxTime()), refCDF(d, d.MaxTime()); got != want {
-			t.Fatalf("CDF(max) = %x, linear scan %x", got, want)
+	}
+}
+
+// TestScratchQuantileAllocsZero pins that quantile queries on an arena
+// view or a recycled value allocate nothing: they scan the running sum
+// instead of caching a heap cumulative-sum array that would die with
+// the value. Each cycle queries a fresh view or value, as a finished
+// front's sink is queried once.
+func TestScratchQuantileAllocsZero(t *testing.T) {
+	a, b := mustGauss(t, 0.01, 0.5, 0.05), mustGauss(t, 0.01, 0.6, 0.04)
+	ar, tmp := NewArena(), NewArena()
+	var r Recycler
+	view := MaxIndepInto(ar, ConvolveInto(ar, a, b), a)
+	mid := (view.MinTime() + view.MaxTime()) / 2
+	query := func(d *Dist) {
+		d.Percentile(0.99)
+		d.CDF(mid)
+	}
+	for _, tc := range []struct {
+		name  string
+		cycle func()
+	}{
+		{"arena view", func() { tmp.Reset(); query(tmp.Copy(view)) }},
+		{"recycled value", func() { k := r.Keep(view); query(k.Dist()); r.Drop(k) }},
+	} {
+		if allocs := testing.AllocsPerRun(50, tc.cycle); allocs != 0 {
+			t.Errorf("%s: quantile queries allocate %.1f times per cycle, want 0", tc.name, allocs)
 		}
 	}
 }

@@ -64,11 +64,13 @@ type Dist struct {
 	// recycled marks values a Recycler kept, which it may take back.
 	recycled bool
 
-	// cum lazily caches the cumulative sums of p for Percentile/CDF:
-	// cum[k] = p[0]+…+p[k], computed on first query and binary-searched
-	// afterwards. The pointer is atomic so concurrent readers may race
-	// to fill it — both compute the identical array, so either store
-	// wins harmlessly.
+	// cum lazily caches the cumulative sums of p for Percentile/CDF on
+	// an immutable value: cum[k] = p[0]+…+p[k], computed on first query
+	// and binary-searched afterwards. The pointer is atomic so
+	// concurrent readers may race to fill it — both compute the
+	// identical array, so either store wins harmlessly. Scratch and
+	// recycled values never fill it (see reach), so a reused header
+	// never carries a stale cache.
 	cum atomic.Pointer[[]float64]
 }
 
@@ -213,7 +215,7 @@ const probEps = 1e-12
 // bit-identical to the accumulator the historical linear scans carried,
 // so binary searches over it reproduce the scans exactly. Concurrent
 // first queries may compute it twice; both arrays are identical and the
-// atomic store is idempotent.
+// atomic store is idempotent. Only immutable values call it.
 func (d *Dist) cumsum() []float64 {
 	if c := d.cum.Load(); c != nil {
 		return *c
@@ -228,11 +230,35 @@ func (d *Dist) cumsum() []float64 {
 	return c
 }
 
+// reach returns the first index k whose running sum p[0]+…+p[k]
+// reaches thr, or len(p) when none does. An immutable value
+// binary-searches its cached cumulative sums. A scratch or recycled
+// value scans the running sum directly: it dies with its arena rewind
+// or its holder's drop, usually after one query (a finished front's
+// sink), so a cached array would be a heap allocation that outlives no
+// second query. Masses are non-negative, so the running sum never
+// decreases and both ways find the same index.
+func (d *Dist) reach(thr float64) int {
+	if d.scratch {
+		s := 0.0
+		for k, pk := range d.p {
+			s += pk
+			if s >= thr {
+				return k
+			}
+		}
+		return len(d.p)
+	}
+	c := d.cumsum()
+	return sort.Search(len(c), func(i int) bool { return c[i] >= thr })
+}
+
 // Percentile returns the p-quantile: the earliest grid point whose
-// cumulative probability reaches p. The cumulative sums are cached on
-// first query and binary-searched afterwards, so repeated quantile
-// queries against one distribution (the slack/criticality tables) cost
-// O(log n) instead of O(n).
+// cumulative probability reaches p. On an immutable value the
+// cumulative sums are cached on first query and binary-searched
+// afterwards, so repeated quantile queries against one distribution
+// (the slack/criticality tables) cost O(log n) instead of O(n); a
+// scratch or recycled value scans instead (see reach).
 //
 // The domain is [0, 1]: p = 0 answers MinTime (modulo probEps), p = 1
 // answers MaxTime. Out-of-domain inputs — NaN, p < 0, p > 1 — return
@@ -242,18 +268,18 @@ func (d *Dist) Percentile(p float64) float64 {
 	if math.IsNaN(p) || p < 0 || p > 1 {
 		return math.NaN()
 	}
-	c := d.cumsum()
-	thr := p - probEps
-	k := sort.Search(len(c), func(i int) bool { return c[i] >= thr })
-	if k == len(c) {
+	k := d.reach(p - probEps)
+	if k == len(d.p) {
 		return d.MaxTime()
 	}
 	return float64(d.i0+k) * d.dt
 }
 
 // CDF returns the probability of a value at or below t. Like
-// Percentile it binary-searches the cached cumulative sums. A NaN
-// query returns NaN (±Inf behave naturally: -Inf → 0, +Inf → 1).
+// Percentile it binary-searches the cached cumulative sums of an
+// immutable value and sums a scratch or recycled value's bins
+// directly. A NaN query returns NaN (±Inf behave naturally: -Inf → 0,
+// +Inf → 1).
 func (d *Dist) CDF(t float64) float64 {
 	if math.IsNaN(t) {
 		return math.NaN()
@@ -265,6 +291,13 @@ func (d *Dist) CDF(t float64) float64 {
 	n := sort.Search(len(d.p), func(k int) bool { return float64(d.i0+k)*d.dt > thr })
 	if n == 0 {
 		return 0
+	}
+	if d.scratch {
+		s := 0.0
+		for _, pk := range d.p[:n] {
+			s += pk
+		}
+		return s
 	}
 	return d.cumsum()[n-1]
 }

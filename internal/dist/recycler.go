@@ -71,7 +71,6 @@ func (r *Recycler) Keep(d *Dist) Kept {
 		r.chunk = r.chunk[1:]
 	}
 	h.dt, h.i0, h.p, h.scratch, h.recycled = d.dt, d.i0, p, true, true
-	h.clearCum()
 	r.held++
 	return Kept{h}
 }

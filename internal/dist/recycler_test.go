@@ -57,19 +57,22 @@ func TestRecyclerKeepCopiesScratchOnly(t *testing.T) {
 
 // TestRecyclerReusesDroppedMemory: a dropped value's mass vector and
 // header serve the next Keep of the same capacity class, whose
-// contents are fully overwritten (no stale bins, no stale quantile
-// cache).
+// contents are fully overwritten (no stale bins), and a quantile query
+// on a recycled value leaves no cache for the next holder to read.
 func TestRecyclerReusesDroppedMemory(t *testing.T) {
 	a, b := mustGauss(t, 0.01, 0.5, 0.05), mustGauss(t, 0.01, 0.6, 0.05)
 	ar := NewArena()
 	var r Recycler
 	kb := r.Keep(ConvolveInto(ar, a, b))
 	big := kb.Dist()
-	big.Percentile(0.5) // fill the quantile cache
+	big.Percentile(0.5)
+	if big.cum.Load() != nil {
+		t.Fatal("a quantile query cached cumulative sums on a recycled value")
+	}
 	n, first := big.NumBins(), &big.p[0]
 	r.Drop(kb)
 	// The smallest bin count of big's capacity class: must reuse the
-	// vector and must show neither old bins nor the old cache.
+	// vector and must show no old bins.
 	m := 1<<(bits.Len(uint(n-1))-1) + 1
 	small := &Dist{dt: 0.01, i0: 7, p: make([]float64, m), scratch: true}
 	for k := range small.p {

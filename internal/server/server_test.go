@@ -364,6 +364,56 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestUnknownFieldsRejected pins that every JSON endpoint answers a
+// field its request type does not have with 400 unknown_field naming
+// the field, and does nothing else: a misspelled option must not fall
+// back to its default. Each body is a valid request plus one unknown
+// field, so without the check the open creates a second session, the
+// resize commits and the optimizer runs.
+func TestUnknownFieldsRejected(t *testing.T) {
+	s, ts := newHTTP(t, Config{})
+	sess := openSession(t, ts.URL, &OpenSessionRequest{Design: "c17", Bins: 120})
+	base := ts.URL + "/v1/sessions/" + sess.SessionID
+	analyze := func() AnalyzeResponse {
+		t.Helper()
+		status, body := postJSON(t, base+"/analyze", nil)
+		if status != http.StatusOK {
+			t.Fatalf("analyze: %d %s", status, body)
+		}
+		var resp AnalyzeResponse
+		mustUnmarshal(t, body, &resp)
+		return resp
+	}
+	before := analyze()
+	for _, tc := range []struct {
+		url, body, field string
+	}{
+		{ts.URL + "/v1/sessions", `{"design":"c17","client":"typo","objectve":"mean","bin":64}`, "objectve"},
+		{base + "/analyze", `{"percentile":[0.5]}`, "percentile"},
+		{base + "/whatif", `{"gate":0,"width":2,"candidate":[]}`, "candidate"},
+		{base + "/resize", `{"gate":0,"width":2,"commit":true}`, "commit"},
+		{base + "/optimize", `{"optimizer":"deterministic","max_iteration":1}`, "max_iteration"},
+	} {
+		status, body := postJSON(t, tc.url, []byte(tc.body))
+		if status != http.StatusBadRequest {
+			t.Errorf("POST %s %s: status %d, want 400 (%s)", tc.url, tc.body, status, body)
+			continue
+		}
+		var env errorEnvelope
+		mustUnmarshal(t, body, &env)
+		if env.Error == nil || env.Error.Code != "unknown_field" || !strings.Contains(env.Error.Message, `"`+tc.field+`"`) {
+			t.Errorf("POST %s %s: error %s, want unknown_field naming %q", tc.url, tc.body, body, tc.field)
+		}
+	}
+	if st := s.mgr.Stats(); st.Live != 1 || st.Opened != 1 {
+		t.Errorf("rejected open changed the pool: %d live, %d opened, want 1 and 1", st.Live, st.Opened)
+	}
+	if after := analyze(); after.Objective != before.Objective || after.TotalWidth != before.TotalWidth {
+		t.Errorf("rejected requests moved the session: objective %v -> %v, total width %v -> %v",
+			before.Objective, after.Objective, before.TotalWidth, after.TotalWidth)
+	}
+}
+
 // TestBodySizeCap pins the 413 for oversized bodies, and that the
 // server closes the connection after it instead of reading on.
 func TestBodySizeCap(t *testing.T) {

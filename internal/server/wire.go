@@ -12,8 +12,9 @@
 //     never one with a request in flight.
 //   - The handlers translate HTTP/JSON to Session calls. Every decoder
 //     is bounded (body-size cap, candidate-count cap, finite-float
-//     validation) and returns 4xx on hostile input; the daemon never
-//     panics on a request body (pinned by fuzz tests).
+//     validation), rejects fields its request type lacks, and returns
+//     4xx on hostile input; the daemon never panics on a request body
+//     (pinned by fuzz tests).
 //   - Optimizer runs stream progress as server-sent events whose data
 //     payload is the stable JSON encoding of core.IterRecord — the
 //     same record the golden optimizer traces pin, so a streamed run
@@ -30,6 +31,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"strings"
 	"time"
 
 	"statsize"
@@ -306,10 +308,13 @@ type SessionInfoResponse struct {
 
 // decodeJSON reads and decodes one bounded JSON request body into dst.
 // Failures map to precise 4xx statuses: 413 when the body exceeds the
-// cap, 400 for malformed or trailing JSON. A missing body decodes the
-// zero value (endpoints with all-optional fields accept it).
+// cap, 400 naming the field for a field dst does not have (a misspelled
+// option must not fall back to its default), 400 for malformed or
+// trailing JSON. A missing body decodes the zero value (endpoints with
+// all-optional fields accept it).
 func decodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, dst any) *apiError {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil // empty body = zero-value request
@@ -318,6 +323,10 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, dst any)
 		if errors.As(err, &tooLarge) {
 			return &apiError{Status: http.StatusRequestEntityTooLarge, Code: "body_too_large",
 				Message: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit)}
+		}
+		// encoding/json reports an unknown field only in its message.
+		if field, ok := strings.CutPrefix(err.Error(), "json: unknown field "); ok {
+			return badRequest("unknown_field", "request body has unknown field %s", field)
 		}
 		return badRequest("bad_json", "decoding request body: %v", err)
 	}

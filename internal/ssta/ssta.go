@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"slices"
 
 	"statsize/internal/design"
@@ -252,13 +253,27 @@ func (a *Analysis) Percentile(p float64) float64 { return a.SinkDist().Percentil
 // the initial perturbation scope of the paper's Initialize procedure
 // (Figure 7, step 1).
 func AffectedGates(d *design.Design, x netlist.GateID) []netlist.GateID {
-	out := []netlist.GateID{x}
-	for _, in := range d.NL.Gate(x).Ins {
-		if drv := d.NL.Driver(in); drv != netlist.NoGate && !slices.Contains(out, drv) {
-			out = append(out, drv)
+	return slices.Collect(affectedGates(d, x))
+}
+
+// affectedGates yields AffectedGates' gates in its order without
+// allocating: x, then each input's driver unless it is a primary input,
+// x itself or the driver of an earlier input.
+func affectedGates(d *design.Design, x netlist.GateID) iter.Seq[netlist.GateID] {
+	return func(yield func(netlist.GateID) bool) {
+		if !yield(x) {
+			return
+		}
+		ins := d.NL.Gate(x).Ins
+		for i, in := range ins {
+			drv := d.NL.Driver(in)
+			seen := drv == netlist.NoGate || drv == x ||
+				slices.ContainsFunc(ins[:i], func(n netlist.NetID) bool { return d.NL.Driver(n) == drv })
+			if !seen && !yield(drv) {
+				return
+			}
 		}
 	}
-	return out
 }
 
 // EdgeDelay is one perturbed pin-edge delay distribution.
@@ -276,12 +291,21 @@ type EdgeDelay struct {
 // writing the width, reading the delays and restoring a design snapshot
 // produces.
 func (a *Analysis) PerturbedDelays(x netlist.GateID, w float64) ([]EdgeDelay, error) {
-	var out []EdgeDelay
-	err := a.perturbedDelays(x, w, func(e graph.EdgeID, dd *dist.Dist) { out = append(out, EdgeDelay{e, dd}) })
+	return a.AppendPerturbedDelays(nil, x, w)
+}
+
+// AppendPerturbedDelays is PerturbedDelays appending to dst: it returns
+// dst extended by the same delays in the same order, so a caller that
+// passes a slice it reuses, truncated to length 0, evaluates a
+// candidate without allocating once the delay memo is warm. On error
+// the returned slice is dst unextended.
+func (a *Analysis) AppendPerturbedDelays(dst []EdgeDelay, x netlist.GateID, w float64) ([]EdgeDelay, error) {
+	n := len(dst)
+	err := a.perturbedDelays(x, w, func(e graph.EdgeID, dd *dist.Dist) { dst = append(dst, EdgeDelay{e, dd}) })
 	if err != nil {
-		return nil, err
+		return dst[:n], err
 	}
-	return out, nil
+	return dst, nil
 }
 
 // perturbedDelays evaluates PerturbedDelays' distributions, handing each
@@ -289,7 +313,7 @@ func (a *Analysis) PerturbedDelays(x netlist.GateID, w float64) ([]EdgeDelay, er
 // a sweep revisiting the same discrete widths constructs none.
 func (a *Analysis) perturbedDelays(x netlist.GateID, w float64, set func(graph.EdgeID, *dist.Dist)) error {
 	d := a.D
-	for _, gid := range AffectedGates(d, x) {
+	for gid := range affectedGates(d, x) {
 		for _, eid := range d.E.GateEdges[gid] {
 			dd, err := d.EdgeDelayDistAt(a.DT, eid, x, w)
 			if err != nil {

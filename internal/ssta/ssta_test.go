@@ -3,6 +3,7 @@ package ssta
 import (
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -391,6 +392,39 @@ func TestPerturbedDelaysMutationFree(t *testing.T) {
 			if !ok || !dist.ApproxEqual(gd, wd, 0) {
 				t.Fatalf("gate %d edge %d: mutation-free delay diverged from mutate-and-restore reference", g, eid)
 			}
+		}
+	}
+}
+
+// TestAppendPerturbedDelaysAllocsZero pins the append form's steady
+// state: it appends exactly PerturbedDelays' delays, and once the delay
+// memo holds a candidate's delays, appending them to a reused slice
+// allocates nothing — no affected-gate list, no closure, no growth.
+func TestAppendPerturbedDelaysAllocsZero(t *testing.T) {
+	d := newDesign(t, "c432")
+	a := analyze(t, d, 400)
+	var buf []EdgeDelay
+	for g := 0; g < d.NL.NumGates(); g += 11 {
+		gid := netlist.GateID(g)
+		w := d.Width(gid) + d.Lib.DeltaW
+		want, err := a.PerturbedDelays(gid, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if buf, err = a.AppendPerturbedDelays(buf[:0], gid, w); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(buf, want) {
+			t.Fatalf("gate %d: appended %v, PerturbedDelays returned %v", g, buf, want)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			buf, err = a.AppendPerturbedDelays(buf[:0], gid, w)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Errorf("gate %d: warm AppendPerturbedDelays allocates %.1f times per call, want 0", g, allocs)
 		}
 	}
 }
