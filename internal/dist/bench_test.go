@@ -57,13 +57,16 @@ func BenchmarkDistKernels(b *testing.B) {
 	}
 	// The operand shapes the accelerated optimizer's fronts feed the
 	// kernels: an edge delay of 5–9 bins convolved with an arrival of
-	// 77–120 bins, the max and min of two overlapping fanin terms of
+	// 77–120 bins, and with the same arrival led by a subnormal bin
+	// (sublead), as about a third of optimize's and half of explore's
+	// arrivals are; the max and min of two overlapping fanin terms of
 	// that width, and the perturbation bound of an arrival against a
 	// copy shifted one bin earlier.
 	const dt = 0.01
 	for _, s := range []struct{ delay, arr int }{{5, 77}, {7, 100}, {9, 120}} {
 		delay := bell(dt, 3, s.delay)
 		arr := bell(dt, 40, s.arr)
+		sub := subnormalLead(arr)
 		other := bell(dt, 40+s.delay, s.arr-s.delay)
 		pert := bell(dt, 39, s.arr)
 		ar := NewArena()
@@ -72,6 +75,7 @@ func BenchmarkDistKernels(b *testing.B) {
 			run  func()
 		}{
 			{"Convolve", func() { ConvolveInto(ar, delay, arr) }},
+			{"Convolve/sublead", func() { ConvolveInto(ar, delay, sub) }},
 			{"MaxIndep", func() { MaxIndepInto(ar, arr, other) }},
 			{"MinIndep", func() { MinIndepInto(ar, arr, other) }},
 			{"MaxPercentileGap", func() { MaxPercentileGap(arr, pert) }},
@@ -91,27 +95,37 @@ func BenchmarkDistKernels(b *testing.B) {
 	}
 	// Each direct-convolution kernel on its own, at the edge-delay ×
 	// arrival shapes of the explore workload's 1600-bin c6288 grid
-	// (delays of 6–16 bins against arrivals of 148–200): the portable
-	// loop on every CPU, the AVX2 kernel where the CPU has it. Both
-	// give the same bits; only the time differs.
+	// (delays of 6–16 bins against arrivals of 148–200), with a normal
+	// and with a subnormal first arrival bin: the portable loop on
+	// every CPU, the AVX2 kernel where the CPU has it. Both give the
+	// same bits; only the time differs.
 	for _, s := range []struct{ delay, arr int }{{6, 148}, {8, 200}, {16, 200}} {
 		delay := bell(dt, 3, s.delay)
-		arr := bell(dt, 40, s.arr)
-		for _, k := range directKernels() {
-			ar := NewArena()
-			b.Run(fmt.Sprintf("Convolve/%s/delay%dxarr%d/into", k.name, s.delay, s.arr), func(b *testing.B) {
-				b.ReportAllocs()
-				ar.Reset()
-				k.run(ar, delay, arr) // warm the arena before timing
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
+		for _, lead := range []struct {
+			name string
+			arr  *Dist
+		}{{"", bell(dt, 40, s.arr)}, {"/sublead", subnormalLead(bell(dt, 40, s.arr))}} {
+			for _, k := range directKernels() {
+				ar := NewArena()
+				b.Run(fmt.Sprintf("Convolve%s/%s/delay%dxarr%d/into", lead.name, k.name, s.delay, s.arr), func(b *testing.B) {
+					b.ReportAllocs()
 					ar.Reset()
-					k.run(ar, delay, arr)
-				}
-			})
+					k.run(ar, delay, lead.arr) // warm the arena before timing
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						ar.Reset()
+						k.run(ar, delay, lead.arr)
+					}
+				})
+			}
 		}
 	}
 }
+
+// subnormalLead returns a copy of d whose first bin holds 0x1p-1060,
+// the subnormal low tail the forward passes leave in an arrival's
+// first bin.
+func subnormalLead(d *Dist) *Dist { return withLead(d, 0x1p-1060) }
 
 // bell returns an n-bin discretized bell curve starting at grid index
 // i0: the kernels' operand shape with an exact support width.

@@ -40,6 +40,7 @@ package dist
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 )
@@ -372,6 +373,15 @@ func ConvolveInto(ar *Arena, a, b *Dist) *Dist {
 // same order, and the extra terms x[i]·0 are +0, which leaves a sum
 // that is +0 or positive unchanged because masses are finite and ≥ 0.
 // A nil arena allocates both buffers; ConvolveInto never passes one.
+//
+// A subnormal y[0], the low tail of a Gaussian arrival, would cost a
+// microcode assist in every row whose window reads it. With nx > 1 its
+// slot in the pad copy is zeroed instead, and the column x[k]·y[0] is
+// added to outputs k < nx afterwards. That term is the last nonzero
+// one of output k (rows i > k read the left pad), so adding it last
+// makes the add the row would have made, and the pad's +0 in its slot
+// changes no sum. Output 0's partial sum is +0, and +0 + p is exact,
+// so it needs no special case: an exact add takes no assist.
 func convolveVectorInto(ar *Arena, a, b *Dist) *Dist {
 	x, y := a.p, b.p
 	if len(x) > len(y) {
@@ -380,14 +390,68 @@ func convolveVectorInto(ar *Arena, a, b *Dist) *Dist {
 	nx, m := len(x), len(y)
 	out := overwrittenFloats(ar, nx+m-1)
 	ypad := y
+	peel := false
 	if nx > 1 {
 		ypad = overwrittenFloats(ar, m+2*(nx-1))
 		clear(ypad[:nx-1])
 		copy(ypad[nx-1:], y)
 		clear(ypad[nx-1+m:])
+		if peel = subnormal(y[0]); peel {
+			ypad[nx-1] = 0
+		}
 	}
 	convolveAVX2(out, x, ypad)
+	if peel {
+		for k, xk := range x {
+			out[k] += mulSubnormal(xk, y[0])
+		}
+	}
 	return trimInto(ar, a.dt, a.i0+b.i0, out)
+}
+
+// subnormal reports whether v is a positive subnormal, 0 < v < 2^-1022.
+func subnormal(v float64) bool {
+	b := math.Float64bits(v)
+	return b != 0 && b < 1<<52
+}
+
+// mulSubnormal returns x·y for a subnormal y > 0, rounded to nearest
+// with ties to even: the bits the hardware multiply gives, computed in
+// integers so that no floating-point unit reads the subnormal. It
+// falls back to the hardware multiply when x is subnormal or x ≥ 2
+// (and for a negative or non-finite x), and returns +0 for x = +0.
+//
+// For 2^-1022 ≤ x < 2, x = mx·2^(ex-1075) with the implicit bit in mx,
+// and y = my·2^-1074. The product stays below 2^-1021, and every double
+// below 2^-1021 has 2^-1074 as its ulp, subnormal or not, so its bits
+// are its value in units of 2^-1074: mx·my/2^s rounded, s = 1075-ex.
+// The rounding takes no data-dependent branch: a mispredicted branch
+// there costs more than the rest of the multiply.
+func mulSubnormal(x, y float64) float64 {
+	bx := math.Float64bits(x)
+	ex := bx >> 52
+	if ex == 0 || ex > 1023 {
+		if bx == 0 {
+			return 0
+		}
+		return x * y
+	}
+	s := 1075 - ex
+	if s > 105 {
+		return 0 // mx·my < 2^105 ≤ 2^(s-1): below half a unit
+	}
+	hi, lo := bits.Mul64(bx&(1<<52-1)|1<<52, math.Float64bits(y))
+	// v is mx·my/2^42 (below 2^63) with the dropped bits folded into a
+	// sticky bit 0, which the rounding reads only as zero or not.
+	v := hi<<22 | lo>>42
+	if lo<<22 != 0 {
+		v |= 1
+	}
+	// Shift by t = s-42 in [10, 63] (the masks tell the compiler the
+	// shifts stay below 64); adding 2^(t-1) - 1 and the truncated
+	// quotient's low bit first rounds to nearest, ties to even.
+	t := (s - 42) & 63
+	return math.Float64frombits((v + 1<<((t-1)&63) - 1 + v>>t&1) >> t)
 }
 
 // convolvePortableInto is the direct kernel in plain Go.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -190,9 +191,17 @@ func checkKernelsBitExact(t *testing.T, label string, ar *Arena, a, b *Dist) {
 	t.Helper()
 	ar.Reset()
 	want := refConvolve(a, b)
+	pa, pb := slices.Clone(a.p), slices.Clone(b.p)
 	for _, k := range directKernels() {
 		bitIdentical(t, label+" convolve/"+k.name, want, k.run(nil, a, b))
 		bitIdentical(t, label+" convolve/"+k.name+"/arena", want, k.run(ar, a, b))
+		// The vector kernel pads a copy of the longer operand and
+		// peels a subnormal lead bin from that copy, never from the
+		// operand; with a one-bin shorter operand it reads the longer
+		// one in place.
+		if !sameBits(pa, a.p) || !sameBits(pb, b.p) {
+			t.Fatalf("%s convolve/%s: an operand changed", label, k.name)
+		}
 	}
 	bitIdentical(t, label+" convolve/dispatch", want, ConvolveInto(nil, a, b))
 	bitIdentical(t, label+" convolve/dispatch/arena", want, ConvolveInto(ar, a, b))
@@ -209,6 +218,18 @@ func checkKernelsBitExact(t *testing.T, label string, ar *Arena, a, b *Dist) {
 			t.Fatalf("%s gap: want %x, got %x", label, want, got)
 		}
 	}
+}
+
+// sameBits reports whether two mass vectors hold the same bits.
+func sameBits(p, q []float64) bool {
+	return slices.EqualFunc(p, q, func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) })
+}
+
+// withLead returns a copy of d whose first bin holds v.
+func withLead(d *Dist, v float64) *Dist {
+	p := slices.Clone(d.p)
+	p[0] = v
+	return &Dist{dt: d.dt, i0: d.i0, p: p}
 }
 
 // shapedDist builds an n-bin distribution at offset i0 whose masses
@@ -252,11 +273,12 @@ func nearOneDist(dt float64, i0, n int, off float64) *Dist {
 // feed, a shorter operand of 1–19 bins (and 24 and 34, c880's widest
 // delays at 600 bins) against a longer one of up to 300, so output
 // lengths take every residue modulo 4 and 16; supports ending on the
-// same bin; last bins within probEps of 1; and wide pairs of 768 to
-// 1600 bins, the widths wide grids reach. At minimum widths c1908
-// at 600 bins convolves delays of 4–16 bins with arrivals of 76 (the
-// median; 141 at most), c6288 at 1600 bins delays of 4–19 with
-// arrivals of 148 (212 at most).
+// same bin; last bins within probEps of 1; wide pairs of 768 to
+// 1600 bins, the widths wide grids reach; and arrivals whose first bin
+// is subnormal, which the vector kernel adds as a column apart from
+// its rows. At minimum widths c1908 at 600 bins convolves delays of
+// 4–16 bins with arrivals of 76 (the median; 141 at most), c6288 at
+// 1600 bins delays of 4–19 with arrivals of 148 (212 at most).
 func TestKernelsMatchReferenceLoops(t *testing.T) {
 	logVectorSkip(t)
 	rng := rand.New(rand.NewSource(16))
@@ -313,9 +335,103 @@ func TestKernelsMatchReferenceLoops(t *testing.T) {
 		b := shapedDist(rng, dt, rng.Intn(41)-20, w[1], 0)
 		cases = append(cases, pair{fmt.Sprintf("wide %d x %d", w[0], w[1]), a, b})
 	}
+	// Subnormal lead bins: the smallest and largest subnormals and one
+	// between, on the longer operand of every shape below. A shorter
+	// operand of one bin takes no column (the kernel reads the longer
+	// operand unpadded); one with a tiny first mass underflows its
+	// product to +0; one with zero rows multiplies +0; and masses of 2
+	// and more take the hardware multiply.
+	for _, lead := range []float64{0x1p-1074, 0x1.8p-1060, math.Float64frombits(1<<52 - 1)} {
+		for _, an := range []int{77, 148} {
+			arr := withLead(shapedDist(rng, dt, 40, an, 0), lead)
+			for _, dn := range []int{1, 2, 5, 6, 16, 34} {
+				delay := shapedDist(rng, dt, 3, dn, 0)
+				cases = append(cases,
+					pair{fmt.Sprintf("delay%d x lead %x arrival%d", dn, lead, an), delay, arr},
+					pair{fmt.Sprintf("lead %x arrival%d x delay%d", lead, an, dn), arr, delay})
+				if dn > 1 {
+					cases = append(cases, pair{fmt.Sprintf("lead %x delay%d x lead arrival%d", lead, dn, an), withLead(delay, lead), arr})
+				}
+			}
+			cases = append(cases,
+				pair{fmt.Sprintf("zero-rows delay x lead %x arrival%d", lead, an), shapedDist(rng, dt, 2, 7, 2), arr},
+				pair{fmt.Sprintf("tiny delay x lead %x arrival%d", lead, an), withLead(shapedDist(rng, dt, 2, 5, 0), 0x1p-1000), arr},
+				pair{fmt.Sprintf("heavy delay x lead %x arrival%d", lead, an), &Dist{dt: dt, i0: 1, p: []float64{0.5, 2, 3.75, 1e300, 1}}, arr})
+		}
+		for _, n := range []int{6, 40} {
+			a, b := shapedDist(rng, dt, 5, n, 0), withLead(shapedDist(rng, dt, 9, n, 0), lead)
+			cases = append(cases,
+				pair{fmt.Sprintf("equal %d x lead %x", n, lead), a, b},
+				pair{fmt.Sprintf("lead %x x equal %d", lead, n), b, a})
+		}
+	}
 	for _, c := range cases {
 		checkKernelsBitExact(t, c.name, ar, c.a, c.b)
 	}
+}
+
+// TestMulSubnormalMatchesHardware pins the integer multiply behind the
+// vector kernel's lead column to the hardware product, bit for bit: a
+// seeded sweep of subnormal y against x of every exponent field up to
+// 1024 (x < 4, so subnormal x and the x ≥ 2 fallback are swept too),
+// then hand-picked ties to even, products a hair off a tie, underflows
+// to +0, products that round up to 2^-1022, and x = 0, 1 and ≥ 2.
+func TestMulSubnormalMatchesHardware(t *testing.T) {
+	check := func(x, y float64) {
+		t.Helper()
+		got, want := mulSubnormal(x, y), x*y
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("mulSubnormal(%x, %x) = %x (bits %#x), hardware %x (bits %#x)",
+				x, y, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	rng := rand.New(rand.NewSource(29))
+	for ex := uint64(0); ex <= 1024; ex++ {
+		for range 64 {
+			// Clearing a random number of low mantissa bits makes exact
+			// ties and short products likely; a subnormal's mantissa of
+			// random length spans the whole range below 2^-1022.
+			fx := rng.Uint64() >> 12 &^ (1<<rng.Intn(53) - 1)
+			my := rng.Uint64() >> (12 + rng.Intn(52)) &^ (1<<rng.Intn(20) - 1)
+			if my == 0 {
+				my = 1
+			}
+			check(math.Float64frombits(ex<<52|fx), math.Float64frombits(my))
+		}
+	}
+	ulp := math.Float64frombits(1)
+	maxSub := math.Float64frombits(1<<52 - 1)
+	for _, c := range []struct {
+		x, y, want float64
+	}{
+		{1.5, ulp, 2 * ulp},              // 1.5 units: tie, up to even
+		{1.5, 3 * ulp, 4 * ulp},          // 4.5: tie, down to even
+		{1.25, 2 * ulp, 2 * ulp},         // 2.5: tie, down to even
+		{0.75, 2 * ulp, 2 * ulp},         // 1.5: tie, up to even
+		{0.5, ulp, 0},                    // 0.5: tie, down to +0
+		{0.5, 3 * ulp, 2 * ulp},          // 1.5: tie, up to even
+		{0x1.0000000000001p-1, ulp, ulp}, // half a unit and 2^-53: up
+		{0x1.fffffffffffffp-2, ulp, 0},   // half a unit less 2^-54: down
+		{0.25, ulp, 0},                   // below half a unit
+		{0x1p-60, maxSub, 0},             // far below a unit
+		{0x1p-1022, maxSub, 0},           // least normal x
+		{1 + 0x1p-52, maxSub, 0x1p-1022}, // rounds up to the least normal
+		{0x1.fffffffffffffp0, maxSub, 0x1.ffffffffffffdp-1022},
+		{1, ulp, ulp},
+		{1, maxSub, maxSub},
+		{0, maxSub, 0},
+		{2, maxSub, 2 * maxSub}, // x ≥ 2: the hardware multiply
+		{3.5, ulp, 3.5 * ulp},
+		{0x1p1000, 0x1.8p-1060, 0x1.8p-60},
+		{math.Inf(1), ulp, math.Inf(1)},
+		{ulp, maxSub, 0}, // subnormal x: the hardware multiply
+	} {
+		check(c.x, c.y)
+		if got := mulSubnormal(c.x, c.y); math.Float64bits(got) != math.Float64bits(c.want) {
+			t.Errorf("mulSubnormal(%x, %x) = %x, want %x", c.x, c.y, got, c.want)
+		}
+	}
+	check(math.NaN(), maxSub)
 }
 
 // fuzzDist decodes a distribution from fuzz bytes: a signed offset
@@ -356,25 +472,39 @@ func fuzzDist(data []byte, off float64) *Dist {
 // FuzzKernelsBitExact demands that the blocked and vector
 // convolutions, the segmented max/min merges and the integer-gap
 // MaxPercentileGap match their reference loops bit for bit on
-// arbitrary operands.
+// arbitrary operands, among them operands whose first bin is
+// subnormal.
 func FuzzKernelsBitExact(f *testing.F) {
 	logVectorSkip(f)
 	long := make([]byte, 41)
 	for k := range long {
 		long[k] = byte(3 + 7*k)
 	}
-	f.Add([]byte{2, 9, 40, 90, 200, 90, 40, 9, 4, 2, 1, 1, 3, 5, 8, 13, 21, 34, 55, 89}, long, uint16(20000))
-	f.Add([]byte{0, 10, 200, 40, 1}, []byte{3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint16(0))
-	f.Add([]byte{250, 255}, []byte{0, 1, 0, 0, 1}, uint16(3))
-	f.Add([]byte{5, 9, 9, 9, 9, 9, 9, 9}, []byte{5, 9, 9, 9, 9, 9, 9, 9}, uint16(40000))
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{7, 255, 128, 64}, uint16(65535))
-	f.Fuzz(func(t *testing.T, da, db []byte, offBits uint16) {
+	f.Add([]byte{2, 9, 40, 90, 200, 90, 40, 9, 4, 2, 1, 1, 3, 5, 8, 13, 21, 34, 55, 89}, long, uint16(20000), uint64(0))
+	f.Add([]byte{0, 10, 200, 40, 1}, []byte{3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint16(0), uint64(0))
+	f.Add([]byte{250, 255}, []byte{0, 1, 0, 0, 1}, uint16(3), uint64(0))
+	f.Add([]byte{5, 9, 9, 9, 9, 9, 9, 9}, []byte{5, 9, 9, 9, 9, 9, 9, 9}, uint16(40000), uint64(0))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{7, 255, 128, 64}, uint16(65535), uint64(0))
+	f.Add([]byte{0, 10, 200, 40, 1}, long, uint16(32768), uint64(1<<63|1<<40))
+	f.Add(long, []byte{0, 10, 200, 40, 1}, uint16(32768), uint64(1<<52-1))
+	f.Add([]byte{0, 10, 200, 40, 1}, long, uint16(32768), uint64(3))
+	f.Fuzz(func(t *testing.T, da, db []byte, offBits uint16, lead uint64) {
 		// offBits spans ±2e-12 around an exact unit total, straddling
 		// probEps on both sides.
 		off := (float64(offBits) - 32768) / 32768 * 2e-12
 		a, b := fuzzDist(da, off), fuzzDist(db, -off)
 		if a == nil || b == nil {
 			return
+		}
+		// Nonzero low 52 bits of lead make them the subnormal first
+		// bin of a, or of b when its top bit is set, unless that
+		// operand has one bin, which would leave it no normal mass.
+		d := a
+		if lead>>63 != 0 {
+			d = b
+		}
+		if m := lead & (1<<52 - 1); m != 0 && len(d.p) > 1 {
+			d.p[0] = math.Float64frombits(m)
 		}
 		checkKernelsBitExact(t, "fuzz", NewArena(), a, b)
 	})
