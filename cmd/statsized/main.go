@@ -51,7 +51,6 @@ func main() {
 		maxDeadline = flag.Duration("max-deadline", 0, "ceiling on per-request X-Deadline-Ms budgets (0 = default 2m, <0 disables)")
 		runLinger   = flag.Duration("run-linger", 0, "grace before a subscriber-less optimize run is canceled (0 = default 10s)")
 	)
-	registerFaultFlags()
 	flag.Parse()
 	log.SetPrefix("statsized: ")
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
@@ -68,10 +67,6 @@ func main() {
 		log.Fatalf("engine: %v", err)
 	}
 
-	mw, err := faultMiddleware()
-	if err != nil {
-		log.Fatalf("fault plan: %v", err)
-	}
 	srv := server.New(eng, server.Config{
 		Addr:             *addr,
 		MaxSessions:      *maxSessions,
@@ -87,7 +82,6 @@ func main() {
 		QueueWait:        *queueWait,
 		MaxDeadline:      *maxDeadline,
 		RunLinger:        *runLinger,
-		Middleware:       mw,
 	})
 
 	served := make(chan error, 1)

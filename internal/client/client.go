@@ -377,8 +377,10 @@ func (c *Client) Close(ctx context.Context, sessionID string) error {
 }
 
 // Health fetches /healthz, including the admission controller's
-// overload snapshot. Idempotent. A draining daemon answers 503 with a
-// well-formed body, so the response is returned alongside the APIError.
+// overload snapshot. Idempotent. A draining daemon answers 503, which
+// Health retries like any other 503; once the retries run out it
+// returns a nil response and the 503 *APIError. The draining body has
+// no error envelope, so that error's Code is "non_json_error".
 func (c *Client) Health(ctx context.Context) (*server.HealthResponse, error) {
 	var out server.HealthResponse
 	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &out, true); err != nil {

@@ -243,3 +243,30 @@ func TestRetryStopsAtContextDeadline(t *testing.T) {
 		t.Fatalf("retry loop ran %v past a 200ms context", elapsed)
 	}
 }
+
+// TestHealthDrainingIsAnError pins what Health does with a draining
+// daemon's 503: it retries it like any other 503, then returns a nil
+// response and the 503 APIError, not the draining body.
+func TestHealthDrainingIsAnError(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		fmt.Fprint(w, `{"status":"draining","uptime_s":1,"service":"statsized"}`)
+	}))
+	defer ts.Close()
+
+	c := newClient(t, ts.URL)
+	resp, err := c.Health(context.Background())
+	if resp != nil {
+		t.Fatalf("draining health returned a response: %+v", resp)
+	}
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable {
+		t.Fatalf("err %v, want a 503 APIError", err)
+	}
+	if want := int64(1 + c.cfg.MaxRetries); calls.Load() != want {
+		t.Fatalf("health made %d requests, want %d", calls.Load(), want)
+	}
+}

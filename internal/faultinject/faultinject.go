@@ -1,24 +1,19 @@
-// Package faultinject turns a declarative fault plan into misbehaving
-// HTTP plumbing: a RoundTripper that delays, errors, resets, and
-// truncates responses on the client side, and a server middleware that
-// does the same ahead of real handlers. Every decision comes from a
-// seed-driven deterministic RNG, so a chaos run that found a bug is
-// replayable from its seed alone.
+// Package faultinject turns a fault plan into a misbehaving client
+// transport: an http.RoundTripper that resets connections and truncates
+// response bodies. Every decision comes from a seed-driven
+// deterministic RNG, so a chaos run that found a bug is replayable from
+// its seed alone.
 //
-// The package is a test-and-tooling dependency: the daemon only wires
-// it in under the faultinject build tag (cmd/statsized/fault_enabled.go),
-// so the default build path never carries an injection branch.
+// The package is a test dependency: the chaos tests in internal/client
+// drive the resilient client through its Transport. The daemon never
+// imports it.
 package faultinject
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync/atomic"
-	"time"
 )
 
 // Plan declares which faults to inject and how often. Probabilities
@@ -27,101 +22,25 @@ import (
 type Plan struct {
 	// Seed drives every injection decision. Two runs with the same
 	// plan and the same request order make the same decisions.
-	Seed uint64 `json:"seed"`
-	// Latency delays a request before it is forwarded.
-	Latency *LatencyFault `json:"latency,omitempty"`
-	// Error replaces the response with a synthetic 5xx.
-	Error *ErrorFault `json:"error,omitempty"`
+	Seed uint64
 	// Reset kills the exchange as a connection-level failure: the
-	// transport returns a reset error, the middleware aborts the
-	// connection without writing a response.
-	Reset *ResetFault `json:"reset,omitempty"`
+	// transport returns ErrInjectedReset instead of a response.
+	Reset *ResetFault
 	// Truncate cuts the response body after a byte budget — the SSE
 	// mid-stream truncation shape.
-	Truncate *TruncateFault `json:"truncate,omitempty"`
-	// Exempt lists path prefixes never faulted (health probes, stats
-	// scrapes — endpoints whose failure would just confuse the harness).
-	Exempt []string `json:"exempt,omitempty"`
-}
-
-// LatencyFault delays with probability P by a uniform draw from
-// [MinMs, MaxMs] milliseconds.
-type LatencyFault struct {
-	P     float64 `json:"p"`
-	MinMs int     `json:"min_ms"`
-	MaxMs int     `json:"max_ms"`
-}
-
-// ErrorFault replaces the response with Status (default 503) with
-// probability P.
-type ErrorFault struct {
-	P      float64 `json:"p"`
-	Status int     `json:"status,omitempty"`
+	Truncate *TruncateFault
 }
 
 // ResetFault simulates a connection reset with probability P.
 type ResetFault struct {
-	P float64 `json:"p"`
+	P float64
 }
 
 // TruncateFault cuts the response body after AfterBytes (default 512)
 // with probability P.
 type TruncateFault struct {
-	P          float64 `json:"p"`
-	AfterBytes int64   `json:"after_bytes,omitempty"`
-}
-
-// ParsePlan decodes and validates a JSON plan.
-func ParsePlan(data []byte) (*Plan, error) {
-	var p Plan
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&p); err != nil {
-		return nil, fmt.Errorf("faultinject: parse plan: %w", err)
-	}
-	if err := p.validate(); err != nil {
-		return nil, err
-	}
-	return &p, nil
-}
-
-func (p *Plan) validate() error {
-	check := func(name string, prob float64) error {
-		if prob < 0 || prob > 1 {
-			return fmt.Errorf("faultinject: %s probability %v outside [0,1]", name, prob)
-		}
-		return nil
-	}
-	if p.Latency != nil {
-		if err := check("latency", p.Latency.P); err != nil {
-			return err
-		}
-		if p.Latency.MinMs < 0 || p.Latency.MaxMs < p.Latency.MinMs {
-			return fmt.Errorf("faultinject: latency window [%d,%d]ms is invalid", p.Latency.MinMs, p.Latency.MaxMs)
-		}
-	}
-	if p.Error != nil {
-		if err := check("error", p.Error.P); err != nil {
-			return err
-		}
-		if s := p.Error.Status; s != 0 && (s < 500 || s > 599) {
-			return fmt.Errorf("faultinject: error status %d is not a 5xx", s)
-		}
-	}
-	if p.Reset != nil {
-		if err := check("reset", p.Reset.P); err != nil {
-			return err
-		}
-	}
-	if p.Truncate != nil {
-		if err := check("truncate", p.Truncate.P); err != nil {
-			return err
-		}
-		if p.Truncate.AfterBytes < 0 {
-			return fmt.Errorf("faultinject: truncate after_bytes %d is negative", p.Truncate.AfterBytes)
-		}
-	}
-	return nil
+	P          float64
+	AfterBytes int64
 }
 
 // ErrInjectedReset is the connection-reset error the transport returns;
@@ -151,59 +70,43 @@ func (r *rng) hit(p float64) bool {
 	return float64(r.next()>>11)/(1<<53) < p
 }
 
-// intIn draws uniformly from [lo, hi].
-func (r *rng) intIn(lo, hi int) int {
-	if hi <= lo {
-		return lo
-	}
-	return lo + int(r.next()%uint64(hi-lo+1))
-}
-
 // decision is one request's resolved fault set, drawn in a fixed order
 // so the sequence depends only on (seed, request ordinal).
 type decision struct {
-	delay     time.Duration
-	errStatus int
-	reset     bool
-	truncAt   int64
+	reset   bool
+	truncAt int64
 }
 
-// injector owns the request ordinal counter shared by a transport or
-// middleware built from one plan.
-type injector struct {
-	plan *Plan
-	seq  atomic.Uint64
-}
-
-func (in *injector) exempt(path string) bool {
-	for _, prefix := range in.plan.Exempt {
-		if strings.HasPrefix(path, prefix) {
-			return true
-		}
+// Transport wraps inner (nil means http.DefaultTransport) with the
+// plan's faults: connection resets, and response-body truncation that
+// surfaces as io.ErrUnexpectedEOF mid-read — the shape a broken SSE
+// stream has in the wild.
+func (p *Plan) Transport(inner http.RoundTripper) http.RoundTripper {
+	if inner == nil {
+		inner = http.DefaultTransport
 	}
-	return false
+	return &transport{plan: p, inner: inner}
+}
+
+// transport owns the request ordinal counter its decisions are keyed
+// on.
+type transport struct {
+	plan  *Plan
+	seq   atomic.Uint64
+	inner http.RoundTripper
 }
 
 // decide draws the fault set for the next request. The per-request RNG
 // is keyed on (seed, request ordinal), so one request's decision is
 // independent of how many draws earlier requests made.
-func (in *injector) decide() decision {
-	n := in.seq.Add(1)
-	r := &rng{s: in.plan.Seed ^ (n * 0xA24BAED4963EE407)}
+func (t *transport) decide() decision {
+	n := t.seq.Add(1)
+	r := &rng{s: t.plan.Seed ^ (n * 0xA24BAED4963EE407)}
 	var d decision
-	if lat := in.plan.Latency; lat != nil && r.hit(lat.P) {
-		d.delay = time.Duration(r.intIn(lat.MinMs, lat.MaxMs)) * time.Millisecond
-	}
-	if e := in.plan.Error; e != nil && r.hit(e.P) {
-		d.errStatus = e.Status
-		if d.errStatus == 0 {
-			d.errStatus = http.StatusServiceUnavailable
-		}
-	}
-	if rs := in.plan.Reset; rs != nil && r.hit(rs.P) {
+	if rs := t.plan.Reset; rs != nil && r.hit(rs.P) {
 		d.reset = true
 	}
-	if tr := in.plan.Truncate; tr != nil && r.hit(tr.P) {
+	if tr := t.plan.Truncate; tr != nil && r.hit(tr.P) {
 		d.truncAt = tr.AfterBytes
 		if d.truncAt == 0 {
 			d.truncAt = 512
@@ -212,51 +115,10 @@ func (in *injector) decide() decision {
 	return d
 }
 
-// Transport wraps inner (nil means http.DefaultTransport) with the
-// plan's client-side faults: injected latency before the round trip,
-// synthetic 5xx responses, connection resets, and response-body
-// truncation that surfaces as io.ErrUnexpectedEOF mid-read — the shape
-// a broken SSE stream has in the wild.
-func (p *Plan) Transport(inner http.RoundTripper) http.RoundTripper {
-	if inner == nil {
-		inner = http.DefaultTransport
-	}
-	return &transport{injector: injector{plan: p}, inner: inner}
-}
-
-type transport struct {
-	injector
-	inner http.RoundTripper
-}
-
 func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if t.exempt(req.URL.Path) {
-		return t.inner.RoundTrip(req)
-	}
 	d := t.decide()
-	if d.delay > 0 {
-		select {
-		case <-time.After(d.delay):
-		case <-req.Context().Done():
-			return nil, req.Context().Err()
-		}
-	}
 	if d.reset {
 		return nil, ErrInjectedReset
-	}
-	if d.errStatus != 0 {
-		body := fmt.Sprintf(`{"error":{"code":"injected","message":"faultinject synthetic %d"}}`, d.errStatus)
-		return &http.Response{
-			StatusCode:    d.errStatus,
-			Status:        fmt.Sprintf("%d injected", d.errStatus),
-			Proto:         req.Proto,
-			ProtoMajor:    req.ProtoMajor,
-			ProtoMinor:    req.ProtoMinor,
-			Header:        http.Header{"Content-Type": []string{"application/json"}},
-			Body:          io.NopCloser(strings.NewReader(body)),
-			ContentLength: int64(len(body)),
-			Request:       req,
-		}, nil
 	}
 	resp, err := t.inner.RoundTrip(req)
 	if err != nil || d.truncAt == 0 {
@@ -290,75 +152,3 @@ func (b *truncatedBody) Read(p []byte) (int, error) {
 }
 
 func (b *truncatedBody) Close() error { return b.inner.Close() }
-
-// Middleware wraps next with the plan's server-side faults. Latency
-// delays the handler; a synthetic error writes the 5xx itself; a reset
-// aborts the connection through http.ErrAbortHandler (the sanctioned
-// way to kill a response without a status line); truncation caps the
-// bytes the handler may write and then aborts — which is what a tier-1
-// SSE stream torn mid-event looks like to its client.
-func (p *Plan) Middleware(next http.Handler) http.Handler {
-	in := &injector{plan: p}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if in.exempt(r.URL.Path) {
-			next.ServeHTTP(w, r)
-			return
-		}
-		d := in.decide()
-		if d.delay > 0 {
-			select {
-			case <-time.After(d.delay):
-			case <-r.Context().Done():
-				return
-			}
-		}
-		if d.reset {
-			panic(http.ErrAbortHandler)
-		}
-		if d.errStatus != 0 {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(d.errStatus)
-			fmt.Fprintf(w, `{"error":{"code":"injected","message":"faultinject synthetic %d"}}`, d.errStatus)
-			return
-		}
-		if d.truncAt > 0 {
-			next.ServeHTTP(&truncatingWriter{ResponseWriter: w, left: d.truncAt}, r)
-			return
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
-// truncatingWriter aborts the connection once the byte budget is spent.
-type truncatingWriter struct {
-	http.ResponseWriter
-	left int64
-}
-
-func (tw *truncatingWriter) Write(p []byte) (int, error) {
-	if tw.left <= 0 {
-		panic(http.ErrAbortHandler)
-	}
-	if int64(len(p)) > tw.left {
-		tw.ResponseWriter.Write(p[:tw.left])
-		tw.left = 0
-		if f, ok := tw.ResponseWriter.(http.Flusher); ok {
-			f.Flush()
-		}
-		panic(http.ErrAbortHandler)
-	}
-	n, err := tw.ResponseWriter.Write(p)
-	tw.left -= int64(n)
-	return n, err
-}
-
-// Unwrap lets http.ResponseController reach the underlying writer
-// (write deadlines on truncated SSE streams keep working).
-func (tw *truncatingWriter) Unwrap() http.ResponseWriter { return tw.ResponseWriter }
-
-// Flush keeps SSE handlers streaming through the wrapper.
-func (tw *truncatingWriter) Flush() {
-	if f, ok := tw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}

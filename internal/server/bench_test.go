@@ -9,9 +9,9 @@ import (
 // BenchmarkWhatIfBatchHTTP measures the full service path of the
 // daemon's hot endpoint — JSON decode, lease acquire, 32-candidate
 // WhatIfBatch, JSON encode — against a pooled c880 session. The
-// saturation curve lives in cmd/statload; this benchmark pins the
-// single-request cost so service-layer regressions show up in the
-// benchmark smoke run.
+// daemon under open-loop load is perfbench's serve workload; this
+// benchmark pins the single-request cost so service-layer regressions
+// show up in the benchmark smoke run.
 func BenchmarkWhatIfBatchHTTP(b *testing.B) {
 	_, ts := newHTTP(b, Config{SweepEvery: time.Hour})
 	sess := openSession(b, ts.URL, &OpenSessionRequest{Design: "c880", Client: "bench", Bins: 400})

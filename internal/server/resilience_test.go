@@ -144,6 +144,81 @@ func TestAdmissionQueueOverflowShedsImmediately(t *testing.T) {
 	<-done
 }
 
+// TestOverloadShedsOverHTTP drives a shed through the HTTP handlers:
+// with the one query slot held and the one queue place taken by a
+// parked what-if, the next what-if is refused at once with 429 shed and
+// a Retry-After header equal to the body's hint. Once the slot frees,
+// the parked request is served, and /healthz and /stats account for
+// exactly that traffic.
+func TestOverloadShedsOverHTTP(t *testing.T) {
+	s, ts := newHTTP(t, Config{QuerySlots: 1, QueryQueue: 1, QueueWait: time.Hour})
+	sess := openSession(t, ts.URL, &OpenSessionRequest{Design: "c17", Client: "overload", Bins: 120})
+	url := ts.URL + "/v1/sessions/" + sess.SessionID + "/whatif"
+	g, w := int64(0), 2.0
+	body, _ := json.Marshal(&WhatIfRequest{Gate: &g, Width: &w})
+
+	tk, aerr := s.adm.acquire(context.Background(), classQuery)
+	if aerr != nil {
+		t.Fatalf("hold the query slot: %+v", aerr)
+	}
+	defer tk.release() // a failed check must not leave the parked request waiting an hour
+
+	parked := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			parked <- 0
+			return
+		}
+		resp.Body.Close()
+		parked <- resp.StatusCode
+	}()
+	deadline := time.Now().Add(2 * time.Second)
+	for s.adm.classes[classQuery].queued.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("what-if never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// The deadline turns a request that queues instead of shedding into
+	// a fast 504 rather than an hour's wait.
+	start := time.Now()
+	status, out, retryAfter := doReq(t, "POST", url, map[string]string{"X-Deadline-Ms": "5000"}, body)
+	if status != http.StatusTooManyRequests || errorCode(t, out) != CodeShed {
+		t.Fatalf("overflow what-if: %d %s, want 429 %s", status, out, CodeShed)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("shed took %v; a full queue must refuse at once", d)
+	}
+	var env errorEnvelope
+	mustUnmarshal(t, out, &env)
+	if ra, err := strconv.Atoi(retryAfter); err != nil || ra < 1 || ra != env.Error.RetryAfterS {
+		t.Fatalf("Retry-After %q and retry_after_s %d: want equal and >= 1", retryAfter, env.Error.RetryAfterS)
+	}
+
+	tk.release()
+	if got := <-parked; got != http.StatusOK {
+		t.Fatalf("parked what-if: status %d, want 200", got)
+	}
+	if status, out := postJSON(t, url, body); status != http.StatusOK {
+		t.Fatalf("what-if after release: %d %s", status, out)
+	}
+
+	_, out = getJSON(t, ts.URL+"/healthz")
+	var h HealthResponse
+	mustUnmarshal(t, out, &h)
+	if q := h.Admission.Classes["query"]; q.Admitted != 3 || q.Shed != 1 {
+		t.Fatalf("query class %+v, want admitted 3 and shed 1", q)
+	}
+	_, out = getJSON(t, ts.URL+"/stats")
+	var st StatsResponse
+	mustUnmarshal(t, out, &st)
+	if st.Engine.WhatIfsServed != 2 {
+		t.Fatalf("whatifs_served %d, want 2", st.Engine.WhatIfsServed)
+	}
+}
+
 // TestRunRegistryConflict pins one-run-per-session: a live run blocks a
 // second with 409 run_active carrying the live run's id, and a finished
 // run is displaced.

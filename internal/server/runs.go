@@ -41,6 +41,10 @@ type recordedEvent struct {
 	data json.RawMessage
 }
 
+// runHistory caps the retained iter events per run; reconnecting past
+// the window yields 410 history_gap.
+const runHistory = 4096
+
 // optRun is one detached optimizer run.
 type optRun struct {
 	id        string
@@ -283,7 +287,7 @@ func (s *Server) launchRun(r *http.Request, t *ticket, req *OptimizeRequest) (*o
 		rn = &optRun{
 			sessionID:  lease.ID(),
 			linger:     s.cfg.RunLinger,
-			history:    s.cfg.RunHistory,
+			history:    runHistory,
 			maxDropped: -1,
 			updated:    make(chan struct{}),
 		}

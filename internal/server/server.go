@@ -64,22 +64,14 @@ type Config struct {
 	// applies to requests that send none). Default 2m; negative
 	// disables the ceiling.
 	MaxDeadline time.Duration
-	// SSEWriteTimeout is the per-event write budget on optimize
-	// streams: a reader that cannot absorb one event within it is
-	// treated as disconnected. Default 15s; negative disables.
-	SSEWriteTimeout time.Duration
 	// RunLinger is how long a detached optimize run survives without
 	// any subscriber (cancel-on-disconnect grace) and how long its
 	// recorded history stays attachable after it finishes. Default 10s.
 	RunLinger time.Duration
-	// RunHistory caps the retained iter events per run; reconnecting
-	// past the window yields 410 history_gap. Default 4096.
-	RunHistory int
 
 	// Middleware, when non-nil, wraps the daemon's full HTTP surface
-	// (outside the panic recoverer, so an aborting middleware reaches
-	// net/http directly). The faultinject build of statsized installs
-	// its chaos middleware here; nil in production.
+	// (outside the panic recoverer). perfbench's span tracer is its one
+	// user; statsized leaves it nil.
 	Middleware func(http.Handler) http.Handler
 }
 
@@ -130,17 +122,8 @@ func (c Config) normalize() Config {
 	if c.MaxDeadline < 0 {
 		c.MaxDeadline = 0 // disabled
 	}
-	if c.SSEWriteTimeout == 0 {
-		c.SSEWriteTimeout = 15 * time.Second
-	}
-	if c.SSEWriteTimeout < 0 {
-		c.SSEWriteTimeout = 0 // disabled
-	}
 	if c.RunLinger <= 0 {
 		c.RunLinger = 10 * time.Second
-	}
-	if c.RunHistory <= 0 {
-		c.RunHistory = 4096
 	}
 	return c
 }

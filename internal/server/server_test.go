@@ -275,6 +275,7 @@ func TestOpenValidation(t *testing.T) {
 		{"unknown benchmark", &OpenSessionRequest{Design: "c9999"}, 400, "bad_design"},
 		{"bad objective", &OpenSessionRequest{Design: "c17", Objective: "median"}, 400, "bad_objective"},
 		{"objective out of range", &OpenSessionRequest{Design: "c17", Objective: "p250"}, 400, "bad_objective"},
+		{"objective with decimal comma", &OpenSessionRequest{Design: "c17", Objective: "p99,5"}, 400, "bad_objective"},
 		{"negative bins", []byte(`{"design":"c17","bins":-3}`), 400, "bad_bins"},
 		{"bins over cap", []byte(`{"design":"c17","bins":70000}`), 400, "bad_bins"},
 		{"long name", &OpenSessionRequest{Design: strings.Repeat("x", 300)}, 400, "bad_name"},
@@ -737,6 +738,15 @@ func TestParseObjective(t *testing.T) {
 		{"median", false, ""},
 		{"p", false, ""},
 		{"pNaN", false, ""},
+		{"p99.5", true, "p99.5"},
+		{"p99,5", false, ""},
+		{"p99abc", false, ""},
+		{"p 95", false, ""},
+		{"p9e1", false, ""},
+		{"p0x1p6", false, ""},
+		{"p1_0", false, ""},
+		{"p99.", false, ""},
+		{"p.5", false, ""},
 	} {
 		obj, err := parseObjective(tc.in)
 		if (err == nil) != tc.ok {

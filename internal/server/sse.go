@@ -26,20 +26,24 @@ import (
 // abandoned run. This is the mechanism that keeps a stalled reader
 // from pinning an optimize run and its session lease.
 type sseWriter struct {
-	w       http.ResponseWriter
-	rc      *http.ResponseController
-	timeout time.Duration // per-event write budget; 0 disables
-	flush   func()
-	failed  bool // a write failed (client gone); subsequent writes no-op
+	w      http.ResponseWriter
+	rc     *http.ResponseController
+	flush  func()
+	failed bool // a write failed (client gone); subsequent writes no-op
 }
 
-func newSSEWriter(w http.ResponseWriter, timeout time.Duration) *sseWriter {
+// sseWriteTimeout is the per-event write budget on optimize streams: a
+// reader that cannot absorb one event within it is treated as
+// disconnected.
+const sseWriteTimeout = 15 * time.Second
+
+func newSSEWriter(w http.ResponseWriter) *sseWriter {
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
 	h.Set("Connection", "keep-alive")
 	h.Set("X-Accel-Buffering", "no") // defeat proxy buffering
-	sw := &sseWriter{w: w, rc: http.NewResponseController(w), timeout: timeout, flush: func() {}}
+	sw := &sseWriter{w: w, rc: http.NewResponseController(w), flush: func() {}}
 	if f, ok := w.(http.Flusher); ok {
 		sw.flush = f.Flush
 	}
@@ -59,15 +63,13 @@ func (sw *sseWriter) event(name string, id int, data []byte) {
 	if sw.failed {
 		return
 	}
-	if sw.timeout > 0 {
-		// Recorders and exotic ResponseWriters may not support write
-		// deadlines (ErrNotSupported); the event still goes out, just
-		// without the stall bound.
-		if err := sw.rc.SetWriteDeadline(time.Now().Add(sw.timeout)); err != nil &&
-			!errors.Is(err, http.ErrNotSupported) {
-			sw.fail()
-			return
-		}
+	// Recorders and exotic ResponseWriters may not support write
+	// deadlines (ErrNotSupported); the event still goes out, just
+	// without the stall bound.
+	if err := sw.rc.SetWriteDeadline(time.Now().Add(sseWriteTimeout)); err != nil &&
+		!errors.Is(err, http.ErrNotSupported) {
+		sw.fail()
+		return
 	}
 	if id >= 0 {
 		if _, err := fmt.Fprintf(sw.w, "id: %d\n", id); err != nil {
@@ -90,7 +92,7 @@ func (sw *sseWriter) event(name string, id int, data []byte) {
 // cancel-on-disconnect watchdog; the run itself keeps executing
 // through the linger window so the client can reconnect and resume.
 func (s *Server) streamRun(w http.ResponseWriter, r *http.Request, rn *optRun, cur *runCursor) {
-	sw := newSSEWriter(w, s.cfg.SSEWriteTimeout)
+	sw := newSSEWriter(w)
 	rn.attach()
 	defer rn.detach()
 	for !sw.failed {

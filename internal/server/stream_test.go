@@ -81,7 +81,7 @@ func collectSSE(t testing.TB, body []byte) []sseEvent {
 // TestSSEWriterFraming pins the wire framing of the three event kinds.
 func TestSSEWriterFraming(t *testing.T) {
 	rec := httptest.NewRecorder()
-	sw := newSSEWriter(rec, 0)
+	sw := newSSEWriter(rec)
 	sw.event("start", -1, []byte(`{"a":1}`))
 	sw.event("iter", 3, []byte(`{"b":2}`))
 	want := "event: start\ndata: {\"a\":1}\n\n" +

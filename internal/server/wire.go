@@ -31,6 +31,8 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"regexp"
+	"strconv"
 	"strings"
 	"time"
 
@@ -430,6 +432,11 @@ func validateOpen(req *OpenSessionRequest) *apiError {
 	return nil
 }
 
+// percentileName is the grammar of a percentile objective: "p", digits,
+// and an optional fraction. A decimal comma, an exponent, a hex float,
+// an underscore or trailing text is a typo, not a different percentile.
+var percentileName = regexp.MustCompile(`^p[0-9]+(\.[0-9]+)?$`)
+
 // parseObjective maps a wire objective name to an Objective; "" means
 // engine default (nil).
 func parseObjective(name string) (statsize.Objective, *apiError) {
@@ -438,9 +445,9 @@ func parseObjective(name string) (statsize.Objective, *apiError) {
 		return nil, nil
 	case name == "mean":
 		return statsize.Mean{}, nil
-	case len(name) > 1 && name[0] == 'p':
-		var pct float64
-		if _, err := fmt.Sscanf(name[1:], "%f", &pct); err != nil || !finite(pct) || pct <= 0 || pct >= 100 {
+	case percentileName.MatchString(name):
+		pct, err := strconv.ParseFloat(name[1:], 64)
+		if err != nil || pct <= 0 || pct >= 100 {
 			return nil, badRequest("bad_objective", "objective %q: want \"mean\" or \"pN\" with N in (0,100)", name)
 		}
 		return statsize.Percentile(pct / 100), nil
