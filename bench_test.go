@@ -289,11 +289,12 @@ func BenchmarkMonteCarlo(b *testing.B) {
 
 // BenchmarkPathHistogram measures the exact Figure 1 path-count DP.
 func BenchmarkPathHistogram(b *testing.B) {
-	d, err := newEngine(b).Benchmark("c3540")
+	eng := newEngine(b)
+	d, err := eng.Benchmark("c3540")
 	if err != nil {
 		b.Fatal(err)
 	}
-	bin := AnalyzeSTA(d).CircuitDelay() / 150
+	bin := eng.AnalyzeSTA(d).CircuitDelay() / 150
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if h := PathHistogram(d, bin); h.NumPaths() <= 0 {

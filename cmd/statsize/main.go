@@ -1,4 +1,4 @@
-// Command statsize sizes a single circuit with any registered optimizer
+// Command statsize sizes a single circuit with any of the optimizers
 // and reports the timing before and after, optionally dumping a
 // per-iteration trace and validating with Monte Carlo. The run drives
 // an incremental timing session: width commits re-propagate only the
@@ -33,8 +33,8 @@ import (
 func main() {
 	circuit := flag.String("circuit", "", "benchmark name (c17, c432 .. c7552)")
 	bench := flag.String("bench", "", "path to an ISCAS .bench netlist (alternative to -circuit)")
-	optimizer := flag.String("optimizer", "accelerated", "registered optimizer name (see -list)")
-	list := flag.Bool("list", false, "list registered optimizers and exit")
+	optimizer := flag.String("optimizer", "accelerated", "optimizer name (see -list)")
+	list := flag.Bool("list", false, "list the optimizer names and exit")
 	iters := flag.Int("iters", 100, "maximum sizing iterations")
 	bins := flag.Int("bins", 600, "SSTA grid bins")
 	areaCap := flag.Float64("area-cap", 0, "stop after this relative area increase (0.25 = +25%)")

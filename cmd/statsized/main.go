@@ -17,8 +17,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"net"
 	"os"
@@ -84,12 +86,26 @@ func main() {
 		RunLinger:        *runLinger,
 	})
 
+	// A ready file left by an earlier run names a dead address: remove
+	// it before listening, and publish the new address by renaming a
+	// finished temporary file onto it, so a harness polling for the
+	// file reads neither a stale address nor a partial line.
+	if *readyFile != "" {
+		if err := os.Remove(*readyFile); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			log.Fatalf("ready-file: %v", err)
+		}
+	}
 	served := make(chan error, 1)
 	go func() {
 		served <- srv.ListenAndServe(func(a net.Addr) {
 			log.Printf("listening on %s (max-sessions=%d idle-timeout=%s)", a, *maxSessions, *idleTimeout)
 			if *readyFile != "" {
-				if err := os.WriteFile(*readyFile, []byte(a.String()+"\n"), 0o644); err != nil {
+				tmp := *readyFile + ".tmp"
+				err := os.WriteFile(tmp, []byte(a.String()+"\n"), 0o644)
+				if err == nil {
+					err = os.Rename(tmp, *readyFile)
+				}
+				if err != nil {
 					log.Printf("ready-file: %v", err)
 				}
 			}

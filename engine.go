@@ -44,9 +44,9 @@ type Engine struct {
 	parallelism int
 
 	// counters is the engine-wide atomic session rollup behind Stats:
-	// every session the engine opens (Open, Optimize, OptimizeSuite)
-	// is bound to it at open and reports its activity inline. Atomic,
-	// so it is read lock-free.
+	// every session the engine opens (Open, Optimize) is bound to it at
+	// open and reports its activity inline. Atomic, so it is read
+	// lock-free.
 	counters session.Counters
 
 	// cache holds the elaborated benchmark base designs. Its Do
@@ -96,13 +96,12 @@ func WithBins(n int) Option {
 func WithObjective(o Objective) Option { return func(e *Engine) { e.objective = o } }
 
 // WithParallelism bounds the worker count of every parallel path the
-// engine drives: batch APIs such as OptimizeSuite, the level-parallel
-// SSTA pass behind Open, Session.WhatIfBatch evaluation, and the
-// per-candidate sweeps inside the brute-force and accelerated
-// optimizers. The worker count never changes results — all parallel
-// evaluation is mutation-free and merges in deterministic order — only
-// how fast they arrive. The default is GOMAXPROCS; 1 forces fully
-// serial evaluation.
+// engine drives: the level-parallel SSTA pass behind Open,
+// Session.WhatIfBatch evaluation, and the per-candidate sweeps inside
+// the brute-force and accelerated optimizers. The worker count never
+// changes results — all parallel evaluation is mutation-free and
+// merges in deterministic order — only how fast they arrive. The
+// default is GOMAXPROCS; 1 forces fully serial evaluation.
 func WithParallelism(n int) Option { return func(e *Engine) { e.parallelism = n } }
 
 // New builds an Engine from functional options.
@@ -145,7 +144,7 @@ func (e *Engine) Bins() int { return e.bins }
 // Objective returns the engine's default optimization objective.
 func (e *Engine) Objective() Objective { return e.objective }
 
-// Parallelism returns the engine's batch worker bound.
+// Parallelism returns the engine's worker bound.
 func (e *Engine) Parallelism() int { return e.parallelism }
 
 // Benchmark returns a minimum-sized design for a named benchmark: "c17"
@@ -205,12 +204,6 @@ func (e *Engine) GenerateCircuit(sp CircuitSpec) (*Design, error) {
 	if err != nil {
 		return nil, err
 	}
-	return design.New(nl, e.lib)
-}
-
-// NewDesign binds an existing netlist to the engine's library at
-// minimum widths.
-func (e *Engine) NewDesign(nl *Netlist) (*Design, error) {
 	return design.New(nl, e.lib)
 }
 
@@ -305,7 +298,7 @@ func (e *Engine) Open(ctx context.Context, d *Design, opts ...RunOption) (*Sessi
 }
 
 // Optimize sizes a clone of d with the named optimizer (see Optimizers
-// for the registry) under the engine's defaults adjusted by run
+// for the names) under the engine's defaults adjusted by run
 // options: it opens a session over the clone, runs the strategy against
 // it, and closes the session. The caller's design is never mutated; the
 // sized clone is Result.Design.
@@ -315,7 +308,7 @@ func (e *Engine) Open(ctx context.Context, d *Design, opts ...RunOption) (*Sessi
 // partially sized clone, the trace — is returned together with an error
 // wrapping context.Canceled.
 func (e *Engine) Optimize(ctx context.Context, d *Design, optimizer string, opts ...RunOption) (*Result, error) {
-	o, err := lookupOptimizer(optimizer)
+	run, err := lookupOptimizer(optimizer)
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +318,7 @@ func (e *Engine) Optimize(ctx context.Context, d *Design, optimizer string, opts
 		return nil, err
 	}
 	defer s.Close()
-	return o.Optimize(ctx, s, cfg)
+	return run(ctx, s, cfg)
 }
 
 // OptimizeSession runs the named optimizer against a caller-held
@@ -342,69 +335,20 @@ func (e *Engine) Optimize(ctx context.Context, d *Design, optimizer string, opts
 // All other run options (iterations, area cap, objective, ...) apply
 // normally.
 func (e *Engine) OptimizeSession(ctx context.Context, s *Session, optimizer string, opts ...RunOption) (*Result, error) {
-	o, err := lookupOptimizer(optimizer)
+	run, err := lookupOptimizer(optimizer)
 	if err != nil {
 		return nil, err
 	}
-	return o.Optimize(ctx, s, e.buildConfig(opts))
-}
-
-// SuiteResult is one circuit's outcome within OptimizeSuite.
-type SuiteResult struct {
-	Circuit string
-	Result  *Result // nil when Err is set before the run produced anything
-	Err     error
-}
-
-// OptimizeSuite runs the named optimizer over a batch of benchmark
-// circuits (nil means the full Table 1 suite) on a worker pool bounded
-// by the engine's parallelism. Results arrive in input order; a
-// circuit's failure is recorded in its SuiteResult without aborting the
-// rest. The returned error is non-nil only when the context ended the
-// batch early — per-circuit errors never abort the suite — and then the
-// undone circuits carry the context error in their Err fields.
-//
-// This is the seed of the service layer the ROADMAP aims at: one engine
-// instance, one loaded library, N concurrent sizing workloads.
-func (e *Engine) OptimizeSuite(ctx context.Context, circuits []string, optimizer string, opts ...RunOption) ([]SuiteResult, error) {
-	if _, err := lookupOptimizer(optimizer); err != nil {
-		return nil, err
-	}
-	if circuits == nil {
-		circuits = BenchmarkNames()
-	}
-	out := make([]SuiteResult, len(circuits))
-	ran := make([]bool, len(circuits))
-	// A row's own failure lands in its slot and never stops the pool, so
-	// only the context can end the batch early.
-	err := par.Run(ctx, e.parallelism, len(circuits), func(i int) error {
-		row := SuiteResult{Circuit: circuits[i]}
-		d, err := e.Benchmark(row.Circuit)
-		if err == nil {
-			row.Result, err = e.Optimize(ctx, d, optimizer, opts...)
-		}
-		row.Err = err
-		out[i], ran[i] = row, true
-		return nil
-	})
-	if err != nil {
-		for i, name := range circuits {
-			if !ran[i] {
-				out[i] = SuiteResult{Circuit: name, Err: err}
-			}
-		}
-		return out, fmt.Errorf("statsize: suite canceled: %w", err)
-	}
-	return out, nil
+	return run(ctx, s, e.buildConfig(opts))
 }
 
 // EngineStats is a point-in-time snapshot of engine-wide accounting:
 // every session the engine opened (through Open as well as the private
-// sessions backing Optimize and OptimizeSuite runs) reports into it
-// live. The delay-cache rollup sums DelayCacheStats over the engine's
-// cached benchmark base designs — clones share their base's cache, so
-// session traffic on benchmark designs is covered; designs loaded
-// through LoadBench/NewDesign carry private caches outside this rollup.
+// sessions backing Optimize runs) reports into it live. The delay-cache
+// rollup sums DelayCacheStats over the engine's cached benchmark base
+// designs — clones share their base's cache, so session traffic on
+// benchmark designs is covered; designs built through LoadBench or
+// GenerateCircuit carry private caches outside this rollup.
 // The JSON tags are a stable wire contract: statsized serves this
 // struct verbatim from /stats.
 type EngineStats struct {

@@ -3,6 +3,7 @@ package statsize
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -315,60 +316,6 @@ func TestConcurrentAnalysisTraffic(t *testing.T) {
 	wg.Wait()
 }
 
-func TestOptimizeSuite(t *testing.T) {
-	eng := newEngine(t, WithParallelism(2))
-	ctx := context.Background()
-	out, err := eng.OptimizeSuite(ctx, []string{"c17", "c432", "c9999"}, "accelerated", MaxIterations(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 {
-		t.Fatalf("suite returned %d results", len(out))
-	}
-	for i, name := range []string{"c17", "c432", "c9999"} {
-		if out[i].Circuit != name {
-			t.Errorf("result %d is %q, want input order %q", i, out[i].Circuit, name)
-		}
-	}
-	for _, r := range out[:2] {
-		if r.Err != nil {
-			t.Errorf("%s: %v", r.Circuit, r.Err)
-		}
-		if r.Result == nil || r.Result.Iterations == 0 {
-			t.Errorf("%s: no optimization happened", r.Circuit)
-		}
-	}
-	// A bad circuit fails its own row without aborting the batch.
-	var unknown *UnknownCircuitError
-	if !errors.As(out[2].Err, &unknown) || unknown.Name != "c9999" {
-		t.Errorf("c9999 err = %v, want UnknownCircuitError", out[2].Err)
-	}
-}
-
-func TestOptimizeSuiteUnknownOptimizer(t *testing.T) {
-	eng := newEngine(t)
-	_, err := eng.OptimizeSuite(context.Background(), []string{"c17"}, "simulated-annealing")
-	var unknown *UnknownOptimizerError
-	if !errors.As(err, &unknown) {
-		t.Fatalf("err = %v, want UnknownOptimizerError", err)
-	}
-}
-
-func TestOptimizeSuiteCancellation(t *testing.T) {
-	eng := newEngine(t, WithParallelism(1))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	out, err := eng.OptimizeSuite(ctx, []string{"c17", "c432"}, "accelerated", MaxIterations(1))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	for _, r := range out {
-		if r.Err == nil && r.Result == nil {
-			t.Errorf("%s: no outcome recorded on canceled suite", r.Circuit)
-		}
-	}
-}
-
 func TestOptimizerRegistry(t *testing.T) {
 	names := Optimizers()
 	for _, want := range []string{"accelerated", "brute-force", "deterministic", "heuristic-levels", "multi-size"} {
@@ -381,35 +328,6 @@ func TestOptimizerRegistry(t *testing.T) {
 		if !found {
 			t.Errorf("builtin optimizer %q missing from registry (%v)", want, names)
 		}
-	}
-
-	// Plug in a custom strategy and drive it through the engine by name.
-	custom := SessionOptimizerFunc{
-		OptName: "test-noop",
-		Run: func(ctx context.Context, s *Session, cfg Config) (*Result, error) {
-			return &Result{Method: "test-noop"}, nil
-		},
-	}
-	if err := RegisterOptimizer(custom); err != nil {
-		t.Fatal(err)
-	}
-	if err := RegisterOptimizer(custom); err == nil {
-		t.Error("duplicate registration accepted")
-	}
-	if err := RegisterOptimizer(SessionOptimizerFunc{OptName: ""}); err == nil {
-		t.Error("empty name accepted")
-	}
-	eng := newEngine(t)
-	d, err := eng.Benchmark("c17")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Optimize(context.Background(), d, "test-noop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Method != "test-noop" {
-		t.Errorf("custom optimizer not dispatched: method %q", res.Method)
 	}
 }
 
@@ -432,27 +350,45 @@ func TestUnknownOptimizerError(t *testing.T) {
 	}
 }
 
-// The registered strategy variants must actually change behavior.
+// The optimizer set is fixed at five names, and each future-work
+// variant is the accelerated optimizer with its knob at the default:
+// it records, bit for bit, what accelerated records with that knob set.
 func TestRegisteredVariants(t *testing.T) {
+	want := []string{"accelerated", "brute-force", "deterministic", "heuristic-levels", "multi-size"}
+	if got := Optimizers(); !slices.Equal(got, want) {
+		t.Fatalf("Optimizers() = %v, want exactly %v", got, want)
+	}
 	eng := newEngine(t)
-	d, err := eng.Benchmark("c17")
+	d, err := eng.Benchmark("c432")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	multi, err := eng.Optimize(ctx, d, "multi-size", MaxIterations(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(multi.Records) > 0 && len(multi.Records[0].Gates) < 2 {
-		t.Error("multi-size variant sized one gate per iteration")
-	}
-	heur, err := eng.Optimize(ctx, d, "heuristic-levels", MaxIterations(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if heur.Iterations == 0 {
-		t.Error("heuristic-levels variant made no progress")
+	run := WithConfig(Config{Bins: 400, MaxIterations: 10})
+	for _, tc := range []struct {
+		variant string
+		knob    RunOption
+	}{
+		{"heuristic-levels", HeuristicLevels(4)},
+		{"multi-size", MultiSize(3)},
+	} {
+		got, err := eng.Optimize(ctx, d, tc.variant, run)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.variant, err)
+		}
+		ref, err := eng.Optimize(ctx, d, "accelerated", run, tc.knob)
+		if err != nil {
+			t.Fatalf("accelerated for %s: %v", tc.variant, err)
+		}
+		if g, r := formatTrace("c432", tc.variant, 400, got), formatTrace("c432", tc.variant, 400, ref); g != r {
+			t.Errorf("%s trace differs from accelerated with its knob:\n%s\nwant\n%s", tc.variant, g, r)
+		}
+		if got.Iterations == 0 {
+			t.Fatalf("%s made no progress", tc.variant)
+		}
+		if tc.variant == "multi-size" && len(got.Records[0].Gates) < 2 {
+			t.Error("multi-size variant sized one gate per iteration")
+		}
 	}
 }
 

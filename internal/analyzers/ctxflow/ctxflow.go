@@ -121,7 +121,7 @@ func ctxParams(pass *analysis.Pass, ftype *ast.FuncType) map[*types.Var]bool {
 
 // usesCtx reports whether any identifier under n refers to one of the
 // context parameters. Closures are included: a loop that builds a
-// ctx-checking closure or passes ctx to par.Run observes the context.
+// ctx-checking closure or passes ctx to par.RunWith observes the context.
 func usesCtx(pass *analysis.Pass, n ast.Node, ctxs map[*types.Var]bool) bool {
 	found := false
 	ast.Inspect(n, func(c ast.Node) bool {

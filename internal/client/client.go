@@ -150,11 +150,16 @@ func deadlineHeader(ctx context.Context, h http.Header) {
 	}
 }
 
-// retryableStatus reports whether a status is worth retrying once the
-// endpoint allows retries at all: overload sheds, pool pressure, and
-// transient upstream 5xx.
-func retryableStatus(status int) bool {
-	switch status {
+// transient reports whether a failed attempt is worth retrying once
+// the endpoint allows retries at all: a transport failure, an overload
+// shed, pool pressure, or a transient upstream 5xx. Any other APIError
+// is a definitive answer.
+func transient(err error) bool {
+	var ae *APIError
+	if !errors.As(err, &ae) {
+		return true
+	}
+	switch ae.Status {
 	case http.StatusTooManyRequests, http.StatusInternalServerError,
 		http.StatusBadGateway, http.StatusServiceUnavailable:
 		return true
@@ -192,8 +197,11 @@ func parseRetryAfter(value, date string, now time.Time) time.Duration {
 	return 0
 }
 
-// parseError reads a non-2xx response into an APIError.
-func parseError(resp *http.Response) *APIError {
+// parseError reads a non-2xx response into an APIError. The one such
+// body without the error envelope that the daemon sends is the health
+// report /healthz answers while draining: it is decoded into out, when
+// out is non-nil, and coded "draining".
+func parseError(resp *http.Response, out any) *APIError {
 	ae := &APIError{Status: resp.StatusCode}
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		ae.RetryAfter = parseRetryAfter(ra, resp.Header.Get("Date"), time.Now())
@@ -205,21 +213,27 @@ func parseError(resp *http.Response) *APIError {
 		return ae
 	}
 	var env struct {
-		Error *struct {
+		Status string `json:"status"`
+		Error  *struct {
 			Code        string `json:"code"`
 			Message     string `json:"message"`
 			RetryAfterS int    `json:"retry_after_s"`
 			RunID       string `json:"run_id"`
 		} `json:"error"`
 	}
-	if jsonErr := json.Unmarshal(body, &env); jsonErr == nil && env.Error != nil {
+	jsonErr := json.Unmarshal(body, &env)
+	switch {
+	case jsonErr == nil && env.Error != nil:
 		ae.Code = env.Error.Code
 		ae.Message = env.Error.Message
 		ae.RunID = env.Error.RunID
 		if ae.RetryAfter == 0 && env.Error.RetryAfterS > 0 {
 			ae.RetryAfter = time.Duration(env.Error.RetryAfterS) * time.Second
 		}
-	} else {
+	case jsonErr == nil && env.Status == "draining" && json.Unmarshal(body, out) == nil:
+		ae.Code = server.CodeDraining
+		ae.Message = "the daemon is draining"
+	default:
 		ae.Code = "non_json_error"
 		ae.Message = strings.TrimSpace(string(body))
 	}
@@ -227,9 +241,10 @@ func parseError(resp *http.Response) *APIError {
 }
 
 // do runs one unary exchange: marshal, attempt with a per-attempt
-// timeout, decode, and — only when idempotent — retry transient
-// failures under the backoff policy.
-func (c *Client) do(ctx context.Context, method, path string, in, out any, idempotent bool) error {
+// timeout, decode, and retry a failed attempt under the backoff policy
+// while retry accepts its error. A nil retry makes one attempt, as
+// every mutation must: a lost response may have committed.
+func (c *Client) do(ctx context.Context, method, path string, in, out any, retry func(error) bool) error {
 	var body []byte
 	if in != nil {
 		var err error
@@ -239,7 +254,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, idemp
 		}
 	}
 	attempts := 1
-	if idempotent {
+	if retry != nil {
 		attempts += c.cfg.MaxRetries
 	}
 	var lastErr error
@@ -255,12 +270,8 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any, idemp
 			}
 		}
 		lastErr = c.attempt(ctx, method, path, body, out)
-		if lastErr == nil {
-			return nil
-		}
-		var ae *APIError
-		if errors.As(lastErr, &ae) && !retryableStatus(ae.Status) {
-			return lastErr // a definitive answer, not a transient failure
+		if lastErr == nil || retry == nil || !retry(lastErr) {
+			return lastErr
 		}
 		if ctx.Err() != nil {
 			break
@@ -289,7 +300,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return parseError(resp)
+		return parseError(resp, out)
 	}
 	if out == nil {
 		_, err = io.Copy(io.Discard, io.LimitReader(resp.Body, maxResponseBytes))
@@ -309,7 +320,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, body []byte, 
 // keeps one session per (design, client) key, so a replay attaches.
 func (c *Client) Open(ctx context.Context, req *server.OpenSessionRequest) (*server.OpenSessionResponse, error) {
 	var out server.OpenSessionResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/sessions", req, &out, true); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/sessions", req, &out, transient); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -318,7 +329,7 @@ func (c *Client) Open(ctx context.Context, req *server.OpenSessionRequest) (*ser
 // Info fetches session metadata. Idempotent.
 func (c *Client) Info(ctx context.Context, sessionID string) (*server.SessionInfoResponse, error) {
 	var out server.SessionInfoResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/sessions/"+sessionID, nil, &out, true); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/sessions/"+sessionID, nil, &out, transient); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -327,7 +338,7 @@ func (c *Client) Info(ctx context.Context, sessionID string) (*server.SessionInf
 // Analyze summarizes the session's current timing. Idempotent.
 func (c *Client) Analyze(ctx context.Context, sessionID string, req *server.AnalyzeRequest) (*server.AnalyzeResponse, error) {
 	var out server.AnalyzeResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/sessions/"+sessionID+"/analyze", req, &out, true); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/sessions/"+sessionID+"/analyze", req, &out, transient); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -336,7 +347,7 @@ func (c *Client) Analyze(ctx context.Context, sessionID string, req *server.Anal
 // WhatIf evaluates hypothetical resizes without committing. Idempotent.
 func (c *Client) WhatIf(ctx context.Context, sessionID string, req *server.WhatIfRequest) (*server.WhatIfResponse, error) {
 	var out server.WhatIfResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/sessions/"+sessionID+"/whatif", req, &out, true); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/sessions/"+sessionID+"/whatif", req, &out, transient); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -346,7 +357,7 @@ func (c *Client) WhatIf(ctx context.Context, sessionID string, req *server.WhatI
 // lost response may have committed, and a replay would re-apply.
 func (c *Client) Resize(ctx context.Context, sessionID string, req *server.ResizeRequest) (*server.ResizeResponse, error) {
 	var out server.ResizeResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/sessions/"+sessionID+"/resize", req, &out, false); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/sessions/"+sessionID+"/resize", req, &out, nil); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -355,7 +366,7 @@ func (c *Client) Resize(ctx context.Context, sessionID string, req *server.Resiz
 // Checkpoint pushes a restore point. NOT idempotent — never retried.
 func (c *Client) Checkpoint(ctx context.Context, sessionID string) (*server.CheckpointResponse, error) {
 	var out server.CheckpointResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/sessions/"+sessionID+"/checkpoint", nil, &out, false); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/sessions/"+sessionID+"/checkpoint", nil, &out, nil); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -364,7 +375,7 @@ func (c *Client) Checkpoint(ctx context.Context, sessionID string) (*server.Chec
 // Rollback pops to the last checkpoint. NOT idempotent — never retried.
 func (c *Client) Rollback(ctx context.Context, sessionID string) (*server.CheckpointResponse, error) {
 	var out server.CheckpointResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/sessions/"+sessionID+"/rollback", nil, &out, false); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/sessions/"+sessionID+"/rollback", nil, &out, nil); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -373,26 +384,29 @@ func (c *Client) Rollback(ctx context.Context, sessionID string) (*server.Checkp
 // Close releases the pooled session. Not retried: a second delete of a
 // session the first attempt already closed is a 404, not a success.
 func (c *Client) Close(ctx context.Context, sessionID string) error {
-	return c.do(ctx, http.MethodDelete, "/v1/sessions/"+sessionID, nil, nil, false)
+	return c.do(ctx, http.MethodDelete, "/v1/sessions/"+sessionID, nil, nil, nil)
 }
 
 // Health fetches /healthz, including the admission controller's
-// overload snapshot. Idempotent. A draining daemon answers 503, which
-// Health retries like any other 503; once the retries run out it
-// returns a nil response and the 503 *APIError. The draining body has
-// no error envelope, so that error's Code is "non_json_error".
+// overload snapshot. Idempotent, but a draining daemon's answer is
+// final: its 503 carries the health report itself, so Health makes
+// that one request and returns the report (Status "draining") together
+// with an *APIError whose Code is "draining".
 func (c *Client) Health(ctx context.Context) (*server.HealthResponse, error) {
 	var out server.HealthResponse
-	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &out, true); err != nil {
+	err := c.do(ctx, http.MethodGet, "/healthz", nil, &out, func(err error) bool {
+		return out.Status != "draining" && transient(err)
+	})
+	if err != nil && out.Status != "draining" {
 		return nil, err
 	}
-	return &out, nil
+	return &out, err
 }
 
 // Stats fetches /stats. Idempotent.
 func (c *Client) Stats(ctx context.Context) (*server.StatsResponse, error) {
 	var out server.StatsResponse
-	if err := c.do(ctx, http.MethodGet, "/stats", nil, &out, true); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/stats", nil, &out, transient); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -245,8 +245,9 @@ func TestRetryStopsAtContextDeadline(t *testing.T) {
 }
 
 // TestHealthDrainingIsAnError pins what Health does with a draining
-// daemon's 503: it retries it like any other 503, then returns a nil
-// response and the 503 APIError, not the draining body.
+// daemon's 503: the health report is the daemon's final answer, so
+// Health makes one request and returns the decoded report together
+// with a 503 APIError coded draining.
 func TestHealthDrainingIsAnError(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -257,16 +258,15 @@ func TestHealthDrainingIsAnError(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := newClient(t, ts.URL)
-	resp, err := c.Health(context.Background())
-	if resp != nil {
-		t.Fatalf("draining health returned a response: %+v", resp)
+	resp, err := newClient(t, ts.URL).Health(context.Background())
+	if resp == nil || resp.Status != "draining" || resp.UptimeS != 1 {
+		t.Fatalf("draining health returned %+v, want the decoded draining report", resp)
 	}
 	var ae *APIError
-	if !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable {
-		t.Fatalf("err %v, want a 503 APIError", err)
+	if !errors.As(err, &ae) || ae.Status != http.StatusServiceUnavailable || ae.Code != server.CodeDraining {
+		t.Fatalf("err %v, want a 503 APIError coded %q", err, server.CodeDraining)
 	}
-	if want := int64(1 + c.cfg.MaxRetries); calls.Load() != want {
-		t.Fatalf("health made %d requests, want %d", calls.Load(), want)
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("health made %d requests, want 1", n)
 	}
 }

@@ -84,7 +84,7 @@ func (c *Client) Optimize(ctx context.Context, sessionID string, req *server.Opt
 				// adopt it and replay from the top.
 				st.runID = ae.RunID
 				failures = 0
-			case retryableStatus(ae.Status):
+			case transient(ae):
 				// Shed or transient; back off and retry.
 			default:
 				return nil, err // 4xx/410: definitive
@@ -127,7 +127,7 @@ func (c *Client) streamOnce(ctx context.Context, path string, body []byte, st *s
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, false, parseError(resp)
+		return nil, false, parseError(resp, nil)
 	}
 
 	progressed := false

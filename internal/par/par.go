@@ -35,11 +35,13 @@ func Workers(n int) int {
 	return n
 }
 
-// Run invokes fn(i) for every i in [0, n) across at most workers
-// goroutines and waits for all of them. Each fn call must write its
-// result to a caller-owned slot indexed by i; slots are never shared
-// between indices, so no synchronization is needed beyond the
-// happens-before edge Run itself provides on return.
+// RunWith invokes fn(s, i) for every i in [0, n) on one worker per
+// state, each handing its own state s to fn, and waits for all of them:
+// a one-shot Pool over states, narrowed to n workers when n is smaller.
+// Each fn call must write its result to a caller-owned slot indexed by
+// i; slots are never shared between indices, so no synchronization is
+// needed beyond the happens-before edge RunWith itself provides on
+// return.
 //
 // Cancellation and failure: once the context dies or any fn returns an
 // error, remaining indices are skipped (best effort — calls already in
@@ -47,17 +49,10 @@ func Workers(n int) int {
 // deterministic failure: the lowest-index fn error wins; a pure
 // context cancellation returns ctx.Err().
 //
-// workers <= 1 (or n <= 1) degenerates to a serial loop on the calling
+// One state (or n <= 1) degenerates to a serial loop on the calling
 // goroutine, the reference the parallel paths are tested bit-identical
 // against. For a sequence of dependent batches (the SSTA levels), use a
 // Pool, which amortizes worker startup across batches.
-func Run(ctx context.Context, workers, n int, fn func(i int) error) error {
-	return RunWith(ctx, make([]struct{}, Workers(workers)), n, func(_ struct{}, i int) error { return fn(i) })
-}
-
-// RunWith is Run on one worker per state, each handing its own state
-// to fn: a one-shot Pool over states, narrowed to n workers when n is
-// smaller.
 func RunWith[S any](ctx context.Context, states []S, n int, fn func(s S, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -132,11 +127,10 @@ func (p *Pool[S]) Close() {
 
 // Run processes one batch through the pool and waits for the barrier:
 // fn(s, i) for every i in [0, n), where s is the state of the worker
-// that draws i, under the package-level Run's contract. Which worker
-// draws which index is scheduling-dependent. A batch wakes only as many
-// workers as it has indices, so fn sees only the first min(len(states),
-// n) states: a narrow batch on a wide pool leaves the other workers
-// asleep.
+// that draws i, under RunWith's contract. Which worker draws which
+// index is scheduling-dependent. A batch wakes only as many workers as
+// it has indices, so fn sees only the first min(len(states), n) states:
+// a narrow batch on a wide pool leaves the other workers asleep.
 func (p *Pool[S]) Run(ctx context.Context, n int, fn func(s S, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()

@@ -13,7 +13,7 @@ func TestRunCoversEveryIndexOnce(t *testing.T) {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			const n = 1000
 			counts := make([]atomic.Int32, n)
-			err := Run(context.Background(), workers, n, func(i int) error {
+			err := RunWith(context.Background(), make([]struct{}, workers), n, func(_ struct{}, i int) error {
 				counts[i].Add(1)
 				return nil
 			})
@@ -36,7 +36,7 @@ func TestRunLowestIndexErrorWins(t *testing.T) {
 	wantErr := errors.New("boom-10")
 	// Indices 10, 20, 30 fail. Run enough times that scheduling varies.
 	for trial := 0; trial < 20; trial++ {
-		err := Run(context.Background(), 8, 40, func(i int) error {
+		err := RunWith(context.Background(), make([]struct{}, 8), 40, func(_ struct{}, i int) error {
 			switch i {
 			case 10:
 				return wantErr
@@ -55,7 +55,7 @@ func TestRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := atomic.Int32{}
-	err := Run(ctx, 4, 100, func(i int) error {
+	err := RunWith(ctx, make([]struct{}, 4), 100, func(struct{}, int) error {
 		ran.Add(1)
 		return nil
 	})

@@ -354,7 +354,7 @@ func (s *Server) executeRun(runCtx context.Context, rn *optRun, req *OptimizeReq
 	if obj := rn.lease.Objective(); obj != nil {
 		opts = append(opts, statsize.ForObjective(obj))
 	}
-	res, err := s.eng.OptimizeSession(runCtx, rn.lease.Session(), req.Optimizer, opts...)
+	res, err := s.optimize(runCtx, rn.lease.Session(), req.Optimizer, opts...)
 
 	ev := DoneEvent{Canceled: errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)}
 	if err != nil && !ev.Canceled {

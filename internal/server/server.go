@@ -140,6 +140,11 @@ type Server struct {
 	started time.Time
 	clock   func() time.Time
 
+	// optimize runs a detached optimize run's named optimizer on its
+	// session: eng.OptimizeSession, except in a test that sets a
+	// failing function to exercise a run's error exit.
+	optimize func(ctx context.Context, s *statsize.Session, optimizer string, opts ...statsize.RunOption) (*statsize.Result, error)
+
 	// streamCtx bounds every SSE optimize run; Shutdown cancels it so
 	// streams terminate promptly while ordinary requests drain.
 	streamCtx     context.Context
@@ -161,11 +166,12 @@ type Server struct {
 func New(eng *statsize.Engine, cfg Config) *Server {
 	cfg = cfg.normalize()
 	s := &Server{
-		eng:     eng,
-		cfg:     cfg,
-		mgr:     NewManager(eng, cfg),
-		started: time.Now(),
-		clock:   time.Now,
+		eng:      eng,
+		cfg:      cfg,
+		mgr:      NewManager(eng, cfg),
+		started:  time.Now(),
+		clock:    time.Now,
+		optimize: eng.OptimizeSession,
 	}
 	s.streamCtx, s.cancelStreams = context.WithCancel(context.Background())
 	s.adm = newAdmission(cfg, func() bool {

@@ -14,7 +14,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -167,40 +166,26 @@ func TestOptimizeStreamReplaysGoldenTrace(t *testing.T) {
 	}
 }
 
-// failingOptimizer names a registered optimizer whose every run fails
-// with errOptimizerFailed before touching the session.
-const failingOptimizer = "test-fails"
-
-var (
-	errOptimizerFailed       = errors.New("optimizer failed on purpose")
-	registerFailingOptimizer sync.Once
-)
-
 // TestOptimizeStreamReportsOptimizerError pins the error exit of a
 // run: an optimizer that returns an error still ends the stream with
 // exactly one terminal done event, which carries the error and is not
 // marked canceled, and the run gives its session lease back.
 func TestOptimizeStreamReportsOptimizerError(t *testing.T) {
-	// The registry is process-wide, so -count=N must register only once.
-	registerFailingOptimizer.Do(func() {
-		err := statsize.RegisterOptimizer(statsize.SessionOptimizerFunc{
-			OptName: failingOptimizer,
-			Run: func(context.Context, *statsize.Session, statsize.Config) (*statsize.Result, error) {
-				return nil, errOptimizerFailed
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	_, ts := newHTTP(t, Config{})
+	errOptimizerFailed := errors.New("optimizer failed on purpose")
+	s := newDaemon(t, Config{})
+	// Every run on this server fails before touching the session.
+	s.optimize = func(context.Context, *statsize.Session, string, ...statsize.RunOption) (*statsize.Result, error) {
+		return nil, errOptimizerFailed
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
 	sess := openSession(t, ts.URL, &OpenSessionRequest{Design: "c17", Client: "fails", Bins: 120})
 	base := ts.URL + "/v1/sessions/" + sess.SessionID
 
 	// The request deadline bounds the stream: a run that never records
 	// done ends here without one instead of hanging the test.
 	status, events, raw := optimizeStream(t, base+"/optimize",
-		map[string]string{HeaderDeadlineMs: "10000"}, &OptimizeRequest{Optimizer: failingOptimizer})
+		map[string]string{HeaderDeadlineMs: "10000"}, &OptimizeRequest{Optimizer: "accelerated"})
 	if status != http.StatusOK {
 		t.Fatalf("optimize: %d %s", status, raw)
 	}

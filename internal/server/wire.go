@@ -225,7 +225,7 @@ type CheckpointResponse struct {
 
 // OptimizeRequest starts a streamed optimizer run on the session.
 type OptimizeRequest struct {
-	Optimizer       string  `json:"optimizer"`                   // registry name; required
+	Optimizer       string  `json:"optimizer"`                   // one of statsize.Optimizers(); required
 	MaxIterations   int     `json:"max_iterations,omitempty"`    // 0 means the optimizer default
 	MaxAreaIncrease float64 `json:"max_area_increase,omitempty"` // fractional cap; 0 means unlimited
 	MultiSize       int     `json:"multi_size,omitempty"`        // top-k gates per iteration; 0 means default
@@ -457,7 +457,7 @@ func parseObjective(name string) (statsize.Objective, *apiError) {
 }
 
 // validateOptimize checks an OptimizeRequest against the optimizer
-// registry.
+// names.
 func validateOptimize(req *OptimizeRequest) *apiError {
 	if req.Optimizer == "" {
 		return badRequest("missing_field", "optimizer is required")

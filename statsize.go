@@ -20,10 +20,9 @@
 // per-gate arrival, statistical slack and criticality via the backward
 // required-time pass), uncommitted what-ifs, incremental resizes and
 // Checkpoint/Rollback transactions all run against the live analysis.
-// Optimizers are pluggable by name (see Optimizers and
-// RegisterOptimizer) and drive sessions, all long-running methods take
-// a context.Context, and optimization always runs on a private clone
-// of the caller's design.
+// Optimizers are chosen by name from a fixed set (see Optimizers) and
+// drive sessions, all long-running methods take a context.Context, and
+// optimization always runs on a private clone of the caller's design.
 //
 // Quick start:
 //
@@ -141,14 +140,6 @@ type UnknownCircuitError struct{ Name string }
 func (e *UnknownCircuitError) Error() string {
 	return "statsize: unknown benchmark circuit " + e.Name
 }
-
-// NewDesign binds an existing netlist to a library at minimum widths.
-func NewDesign(nl *Netlist, lib *Library) (*Design, error) {
-	return design.New(nl, lib)
-}
-
-// AnalyzeSTA runs deterministic static timing analysis.
-func AnalyzeSTA(d *Design) *STAResult { return sta.Analyze(d) }
 
 // PathHistogram computes the exact path-count-versus-delay histogram
 // (Figure 1's x-axis) with the given bin width in nanoseconds.

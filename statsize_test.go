@@ -44,7 +44,7 @@ func TestEndToEndQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det := AnalyzeSTA(d)
+	det := eng.AnalyzeSTA(d)
 	if det.CircuitDelay() <= 0 {
 		t.Fatal("bad nominal delay")
 	}
