@@ -1,7 +1,7 @@
 // Benchmark harness: one testing.B benchmark per table and figure of the
 // paper's evaluation, plus benchmarks of the design choices called out in
 // DESIGN.md. Each benchmark runs a scaled-down but shape-preserving
-// version of the corresponding experiment; the cmd/ tools run the full
+// version of the corresponding experiment; cmd/paper runs the full
 // protocols (see EXPERIMENTS.md for recorded paper-vs-measured results).
 //
 //	go test -bench=. -benchmem
@@ -79,7 +79,7 @@ func BenchmarkFigure2(b *testing.B) {
 
 // BenchmarkFigure10 regenerates the area-delay curves with Monte Carlo
 // validation (the paper plots c3540; the benchmark uses c432 to stay
-// fast — cmd/figure10 runs the paper's circuit).
+// fast — `paper figure10` runs the paper's circuit).
 func BenchmarkFigure10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Figure10(context.Background(), "c432", benchOpts("c432")); err != nil {

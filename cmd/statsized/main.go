@@ -70,7 +70,6 @@ func main() {
 	}
 
 	srv := server.New(eng, server.Config{
-		Addr:             *addr,
 		MaxSessions:      *maxSessions,
 		IdleTimeout:      *idleTimeout,
 		SweepEvery:       *sweepEvery,
@@ -89,35 +88,38 @@ func main() {
 	// A ready file left by an earlier run names a dead address: remove
 	// it before listening, and publish the new address by renaming a
 	// finished temporary file onto it, so a harness polling for the
-	// file reads neither a stale address nor a partial line.
+	// file reads neither a stale address nor a partial line. A daemon
+	// that cannot publish exits rather than leave that harness waiting.
 	if *readyFile != "" {
 		if err := os.Remove(*readyFile); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			log.Fatalf("ready-file: %v", err)
 		}
 	}
+	l, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("listen %s: %v", *addr, err)
+	}
+	log.Printf("listening on %s (max-sessions=%d idle-timeout=%s)", l.Addr(), *maxSessions, *idleTimeout)
+	if *readyFile != "" {
+		tmp := *readyFile + ".tmp"
+		err = os.WriteFile(tmp, []byte(l.Addr().String()+"\n"), 0o644)
+		if err == nil {
+			err = os.Rename(tmp, *readyFile)
+		}
+		if err != nil {
+			l.Close()
+			log.Fatalf("ready-file: %v", err)
+		}
+	}
 	served := make(chan error, 1)
-	go func() {
-		served <- srv.ListenAndServe(func(a net.Addr) {
-			log.Printf("listening on %s (max-sessions=%d idle-timeout=%s)", a, *maxSessions, *idleTimeout)
-			if *readyFile != "" {
-				tmp := *readyFile + ".tmp"
-				err := os.WriteFile(tmp, []byte(a.String()+"\n"), 0o644)
-				if err == nil {
-					err = os.Rename(tmp, *readyFile)
-				}
-				if err != nil {
-					log.Printf("ready-file: %v", err)
-				}
-			}
-		})
-	}()
+	go func() { served <- srv.Serve(l) }()
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
 
 	select {
 	case err := <-served:
-		// Listener failure before any signal: a fatal boot error.
+		// Serve failure before any signal: a fatal error.
 		if err != nil {
 			log.Fatalf("serve: %v", err)
 		}

@@ -42,8 +42,8 @@ type Arena struct {
 const arenaMinSlab = 4 << 10
 
 // arenaHdrChunk is the Dist-header count per chunk. Chunks are never
-// reallocated or copied (headers hold an atomic field and outstanding
-// views point into them), only appended.
+// reallocated or copied (outstanding views point into them), only
+// appended.
 const arenaHdrChunk = 64
 
 // NewArena returns an empty arena; memory is acquired lazily as the
@@ -85,10 +85,7 @@ func (ar *Arena) carve(n int) []float64 {
 	}
 }
 
-// newDist hands out a scratch header viewing p. Reused headers are
-// set field by field (a Dist holds an atomic and must not be copied
-// wholesale); a scratch header's cumulative-sum cache is never filled,
-// so there is none to clear.
+// newDist hands out a scratch header viewing p.
 func (ar *Arena) newDist(dt float64, i0 int, p []float64) *Dist {
 	ci, ii := ar.nh/arenaHdrChunk, ar.nh%arenaHdrChunk
 	if ci == len(ar.hchunks) {

@@ -144,16 +144,16 @@ func bell(dt float64, i0, n int) *Dist {
 	return &Dist{dt: dt, i0: i0, p: p}
 }
 
-// BenchmarkPercentile measures the cached quantile query against a
-// fresh distribution (first query pays the cumulative-sum build) and a
-// warm one (binary search only) — the satellite fix for timingreport's
-// per-gate slack table.
+// BenchmarkPercentile times a quantile query on a distribution already
+// queried (warm) and on a freshly built one (cold). Both rows time the
+// same scan of the running sum: no query builds or reuses a cache, so
+// a first query costs what a repeated one does.
 func BenchmarkPercentile(b *testing.B) {
 	x, y := kernelOperands(b, 1600)
 	d := Convolve(x, y)
 	b.Run("warm", func(b *testing.B) {
 		b.ReportAllocs()
-		d.Percentile(0.99) // build the cache
+		d.Percentile(0.99)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			d.Percentile(0.99)

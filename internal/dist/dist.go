@@ -42,7 +42,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"sync/atomic"
 )
 
 // Dist is a discretized probability distribution on a uniform grid:
@@ -64,15 +63,6 @@ type Dist struct {
 	scratch bool
 	// recycled marks values a Recycler kept, which it may take back.
 	recycled bool
-
-	// cum lazily caches the cumulative sums of p for Percentile/CDF on
-	// an immutable value: cum[k] = p[0]+…+p[k], computed on first query
-	// and binary-searched afterwards. The pointer is atomic so
-	// concurrent readers may race to fill it — both compute the
-	// identical array, so either store wins harmlessly. Scratch and
-	// recycled values never fill it (see reach), so a reused header
-	// never carries a stale cache.
-	cum atomic.Pointer[[]float64]
 }
 
 // trim drops zero-mass bins at both ends, keeping supports tight.
@@ -211,55 +201,24 @@ func (d *Dist) Std() float64 {
 // query must not skip to the next bin over such noise.
 const probEps = 1e-12
 
-// cumsum returns the cached cumulative-sum array, computing it on first
-// use: cumsum()[k] is the running sum p[0]+…+p[k] in index order —
-// bit-identical to the accumulator the historical linear scans carried,
-// so binary searches over it reproduce the scans exactly. Concurrent
-// first queries may compute it twice; both arrays are identical and the
-// atomic store is idempotent. Only immutable values call it.
-func (d *Dist) cumsum() []float64 {
-	if c := d.cum.Load(); c != nil {
-		return *c
-	}
-	c := make([]float64, len(d.p))
+// reach returns the first index k whose running sum p[0]+…+p[k],
+// accumulated in index order, reaches thr, or len(p) when none does.
+// It scans and allocates nothing: almost every value is queried once,
+// right after it is built or persisted, so a cached cumulative-sum
+// array would be a heap allocation that serves no second query.
+func (d *Dist) reach(thr float64) int {
 	s := 0.0
 	for k, pk := range d.p {
 		s += pk
-		c[k] = s
-	}
-	d.cum.Store(&c)
-	return c
-}
-
-// reach returns the first index k whose running sum p[0]+…+p[k]
-// reaches thr, or len(p) when none does. An immutable value
-// binary-searches its cached cumulative sums. A scratch or recycled
-// value scans the running sum directly: it dies with its arena rewind
-// or its holder's drop, usually after one query (a finished front's
-// sink), so a cached array would be a heap allocation that outlives no
-// second query. Masses are non-negative, so the running sum never
-// decreases and both ways find the same index.
-func (d *Dist) reach(thr float64) int {
-	if d.scratch {
-		s := 0.0
-		for k, pk := range d.p {
-			s += pk
-			if s >= thr {
-				return k
-			}
+		if s >= thr {
+			return k
 		}
-		return len(d.p)
 	}
-	c := d.cumsum()
-	return sort.Search(len(c), func(i int) bool { return c[i] >= thr })
+	return len(d.p)
 }
 
 // Percentile returns the p-quantile: the earliest grid point whose
-// cumulative probability reaches p. On an immutable value the
-// cumulative sums are cached on first query and binary-searched
-// afterwards, so repeated quantile queries against one distribution
-// (the slack/criticality tables) cost O(log n) instead of O(n); a
-// scratch or recycled value scans instead (see reach).
+// cumulative probability reaches p (see reach).
 //
 // The domain is [0, 1]: p = 0 answers MinTime (modulo probEps), p = 1
 // answers MaxTime. Out-of-domain inputs — NaN, p < 0, p > 1 — return
@@ -276,11 +235,9 @@ func (d *Dist) Percentile(p float64) float64 {
 	return float64(d.i0+k) * d.dt
 }
 
-// CDF returns the probability of a value at or below t. Like
-// Percentile it binary-searches the cached cumulative sums of an
-// immutable value and sums a scratch or recycled value's bins
-// directly. A NaN query returns NaN (±Inf behave naturally: -Inf → 0,
-// +Inf → 1).
+// CDF returns the probability of a value at or below t: the running
+// sum of the bins at or below t, in index order. A NaN query returns
+// NaN (±Inf behave naturally: -Inf → 0, +Inf → 1).
 func (d *Dist) CDF(t float64) float64 {
 	if math.IsNaN(t) {
 		return math.NaN()
@@ -290,17 +247,11 @@ func (d *Dist) CDF(t float64) float64 {
 	// thr; grid times increase strictly with the index, so the
 	// predicate is monotone.
 	n := sort.Search(len(d.p), func(k int) bool { return float64(d.i0+k)*d.dt > thr })
-	if n == 0 {
-		return 0
+	s := 0.0
+	for _, pk := range d.p[:n] {
+		s += pk
 	}
-	if d.scratch {
-		s := 0.0
-		for _, pk := range d.p[:n] {
-			s += pk
-		}
-		return s
-	}
-	return d.cumsum()[n-1]
+	return s
 }
 
 // ShiftBins returns a copy displaced by n grid steps (negative n shifts

@@ -41,14 +41,14 @@ func CorrelationStudy(ctx context.Context, opts Options, sharedFracs []float64) 
 		if err != nil {
 			return nil, err
 		}
-		bound := a.Percentile(opts.Percentile)
+		bound := a.Percentile(objectiveP)
 		for _, frac := range sharedFracs {
 			m := montecarlo.CorrModel{GlobalFrac: frac * 0.6, RegionFrac: frac * 0.4}
 			mc, err := montecarlo.RunCorrelated(ctx, d, opts.MCSamples, opts.Seed+29, m)
 			if err != nil {
 				return nil, err
 			}
-			p99 := mc.Percentile(opts.Percentile)
+			p99 := mc.Percentile(objectiveP)
 			rows = append(rows, CorrelationRow{
 				Circuit:    name,
 				SharedFrac: frac,

@@ -45,8 +45,6 @@ type Options struct {
 	// TracePoints is how many (area, delay) points Figure 10 records per
 	// curve. Default 25.
 	TracePoints int
-	// Percentile of the objective. Default 0.99.
-	Percentile float64
 	// Seed drives circuit generation and Monte Carlo.
 	Seed int64
 	// Progress, when non-nil, receives one line per major step.
@@ -72,11 +70,12 @@ func (o Options) withDefaults() Options {
 	if o.TracePoints <= 0 {
 		o.TracePoints = 25
 	}
-	if o.Percentile <= 0 || o.Percentile >= 1 {
-		o.Percentile = 0.99
-	}
 	return o
 }
+
+// objectiveP is the delay percentile every experiment optimizes and
+// reports: the paper's 99-percentile point.
+const objectiveP = 0.99
 
 // Full returns the paper-scale protocol: all circuits, 1000+ sizing
 // iterations, 10000 Monte Carlo samples.
@@ -124,65 +123,78 @@ type Table1Row struct {
 	StatIters    int
 }
 
-// Table1 reproduces the paper's Table 1: both optimizers start from the
-// minimum-sized circuit; the deterministic baseline runs until
-// convergence or the iteration cap, and the statistical optimizer runs
-// the same number of iterations (both size one gate by Δw per iteration,
-// so equal iterations means equal added area). The reported 99-percentile
-// delays come from a fresh SSTA pass over each optimized design.
+// Table1 reproduces the paper's Table 1 from one equal-area run per
+// circuit. The reported 99-percentile delays come from a fresh SSTA
+// pass over each optimized design.
 func Table1(ctx context.Context, opts Options) ([]Table1Row, error) {
 	opts = opts.withDefaults()
 	var rows []Table1Row
 	for _, name := range opts.Circuits {
 		opts.progress("table1: %s", name)
-		dDet, err := buildDesign(name, opts.Seed)
+		run, err := equalArea(ctx, name, opts)
 		if err != nil {
 			return nil, err
 		}
-		dStat, err := buildDesign(name, opts.Seed)
+		det99, err := percentileOf(ctx, run.det, opts)
 		if err != nil {
 			return nil, err
 		}
-		detRes, err := runOnSession(ctx, dDet, core.Config{
-			MaxIterations: opts.Iterations,
-			Bins:          opts.Bins,
-		}, core.Deterministic)
-		if err != nil {
-			return nil, err
-		}
-		iters := detRes.Iterations
-		if iters == 0 {
-			iters = opts.Iterations
-		}
-		statRes, err := runOnSession(ctx, dStat, core.Config{
-			MaxIterations: iters,
-			Bins:          opts.Bins,
-			Objective:     core.Percentile(opts.Percentile),
-		}, core.Accelerated)
-		if err != nil {
-			return nil, err
-		}
-		det99, err := percentileOf(ctx, dDet, opts)
-		if err != nil {
-			return nil, err
-		}
-		stat99, err := percentileOf(ctx, dStat, opts)
+		stat99, err := percentileOf(ctx, run.stat, opts)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, Table1Row{
 			Circuit:    name,
-			Nodes:      dDet.NL.TimingNodeCount(),
-			Edges:      dDet.NL.TimingEdgeCount(),
-			AreaIncPct: statRes.AreaIncrease(),
+			Nodes:      run.det.NL.TimingNodeCount(),
+			Edges:      run.det.NL.TimingEdgeCount(),
+			AreaIncPct: run.statRes.AreaIncrease(),
 			Det99:      det99,
 			Stat99:     stat99,
 			ImprPct:    100 * (det99 - stat99) / det99,
-			DetIters:   detRes.Iterations,
-			StatIters:  statRes.Iterations,
+			DetIters:   run.detRes.Iterations,
+			StatIters:  run.statRes.Iterations,
 		})
 	}
 	return rows, nil
+}
+
+// equalAreaRun is one circuit sized both ways for the same added area.
+type equalAreaRun struct {
+	det, stat       *design.Design
+	detRes, statRes *core.Result
+}
+
+// equalArea starts both optimizers from the minimum-sized circuit: the
+// deterministic baseline runs until convergence or the iteration cap,
+// and the statistical optimizer runs the same number of iterations
+// (both size one gate by Δw per iteration, so equal iterations means
+// equal added area). Table 1 and Figure 1 report this one run.
+func equalArea(ctx context.Context, name string, opts Options) (*equalAreaRun, error) {
+	det, err := buildDesign(name, opts.Seed)
+	if err != nil {
+		return nil, err
+	}
+	stat, err := buildDesign(name, opts.Seed)
+	if err != nil {
+		return nil, err
+	}
+	detRes, err := runOnSession(ctx, det, core.Config{MaxIterations: opts.Iterations, Bins: opts.Bins}, core.Deterministic)
+	if err != nil {
+		return nil, err
+	}
+	iters := detRes.Iterations
+	if iters == 0 {
+		iters = opts.Iterations
+	}
+	statRes, err := runOnSession(ctx, stat, core.Config{
+		MaxIterations: iters,
+		Bins:          opts.Bins,
+		Objective:     core.Percentile(objectiveP),
+	}, core.Accelerated)
+	if err != nil {
+		return nil, err
+	}
+	return &equalAreaRun{det: det, stat: stat, detRes: detRes, statRes: statRes}, nil
 }
 
 // runOnSession opens an incremental timing session over d under cfg,
@@ -211,7 +223,7 @@ func percentileOf(ctx context.Context, d *design.Design, opts Options) (float64,
 	if err != nil {
 		return 0, err
 	}
-	return a.Percentile(opts.Percentile), nil
+	return a.Percentile(objectiveP), nil
 }
 
 // Table2Row is one line of the paper's Table 2.

@@ -97,7 +97,7 @@ func traceRun(
 			Iter:     iter,
 			Area:     d.TotalWidth(),
 			P99Bound: p99,
-			P99MC:    mc.Percentile(opts.Percentile),
+			P99MC:    mc.Percentile(objectiveP),
 		})
 	}
 	sample(0)
@@ -105,7 +105,7 @@ func traceRun(
 	cfg := core.Config{
 		MaxIterations: opts.Iterations,
 		Bins:          opts.Bins,
-		Objective:     core.Percentile(opts.Percentile),
+		Objective:     core.Percentile(objectiveP),
 		OnIteration: func(r core.IterRecord) {
 			if (r.Iter+1)%stride == 0 {
 				sample(r.Iter + 1)
@@ -148,35 +148,13 @@ type Figure1Result struct {
 // improves the statistical circuit delay (Figure 1b).
 func Figure1(ctx context.Context, circuit string, opts Options) (*Figure1Result, error) {
 	opts = opts.withDefaults()
-	res := &Figure1Result{Circuit: circuit}
-
-	dDet, err := buildDesign(circuit, opts.Seed)
+	opts.progress("figure1: %s", circuit)
+	run, err := equalArea(ctx, circuit, opts)
 	if err != nil {
 		return nil, err
 	}
-	opts.progress("figure1: %s deterministic", circuit)
-	detRes, err := runOnSession(ctx, dDet, core.Config{MaxIterations: opts.Iterations, Bins: opts.Bins}, core.Deterministic)
-	if err != nil {
-		return nil, err
-	}
-	iters := detRes.Iterations
-	if iters == 0 {
-		iters = opts.Iterations
-	}
-	dStat, err := buildDesign(circuit, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	opts.progress("figure1: %s statistical", circuit)
-	statRes, err := runOnSession(ctx, dStat, core.Config{
-		MaxIterations: iters,
-		Bins:          opts.Bins,
-		Objective:     core.Percentile(opts.Percentile),
-	}, core.Accelerated)
-	if err != nil {
-		return nil, err
-	}
-	res.DetIters, res.StatIters = detRes.Iterations, statRes.Iterations
+	dDet, dStat := run.det, run.stat
+	res := &Figure1Result{Circuit: circuit, DetIters: run.detRes.Iterations, StatIters: run.statRes.Iterations}
 
 	bin := sta.Analyze(dDet).CircuitDelay() / 120
 	res.DetHist = sta.PathHistogram(dDet, bin)
@@ -221,11 +199,11 @@ func Figure2(ctx context.Context, circuit string, opts Options) (*Figure2Result,
 		return nil, err
 	}
 	before := a.SinkDist()
-	p99Before := before.Percentile(opts.Percentile)
+	p99Before := before.Percentile(objectiveP)
 	res, err := runOnSession(ctx, d, core.Config{
 		MaxIterations: 1,
 		Bins:          opts.Bins,
-		Objective:     core.Percentile(opts.Percentile),
+		Objective:     core.Percentile(objectiveP),
 	}, core.Accelerated)
 	if err != nil {
 		return nil, err
@@ -243,7 +221,7 @@ func Figure2(ctx context.Context, circuit string, opts Options) (*Figure2Result,
 		Unperturbed: before,
 		Perturbed:   a2.SinkDist(),
 		P99Before:   p99Before,
-		P99After:    a2.Percentile(opts.Percentile),
+		P99After:    a2.Percentile(objectiveP),
 	}, nil
 }
 

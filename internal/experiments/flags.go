@@ -3,13 +3,13 @@ package experiments
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 )
 
 // FlagOptions registers the shared experiment flags on a FlagSet and
-// returns a resolver to call after parsing. Every cmd/ tool uses this so
-// the quick and paper-scale protocols stay consistent.
+// returns a resolver to call after parsing. Every cmd/paper subcommand
+// uses this so the quick and paper-scale protocols stay consistent.
+// Progress lines go to the FlagSet's output unless -quiet is set.
 func FlagOptions(fs *flag.FlagSet) func() Options {
 	circuits := fs.String("circuits", "", "comma-separated circuit names (default: full suite)")
 	iters := fs.Int("iters", 0, "sizing iterations (default 120; -full: 1000)")
@@ -49,7 +49,7 @@ func FlagOptions(fs *flag.FlagSet) func() Options {
 		}
 		o.Seed = *seed
 		if !*quiet {
-			o.Progress = func(s string) { fmt.Fprintln(os.Stderr, s) }
+			o.Progress = func(s string) { fmt.Fprintln(fs.Output(), s) }
 		}
 		return o
 	}

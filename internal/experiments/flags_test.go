@@ -25,6 +25,22 @@ func TestFlagOptionsDefaults(t *testing.T) {
 	}
 }
 
+// Without -quiet, progress lines go to the flag set's output, so a
+// caller that redirects usage text redirects progress with it.
+func TestFlagOptionsProgressToOutput(t *testing.T) {
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	var out strings.Builder
+	fs.SetOutput(&out)
+	resolve := FlagOptions(fs)
+	if err := fs.Parse(nil); err != nil {
+		t.Fatal(err)
+	}
+	resolve().progress("table1: %s", "c17")
+	if got := out.String(); got != "table1: c17\n" {
+		t.Errorf("progress wrote %q to the flag set's output, want %q", got, "table1: c17\n")
+	}
+}
+
 func TestFlagOptionsFullAndOverrides(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	resolve := FlagOptions(fs)

@@ -16,8 +16,6 @@ import (
 // Config parameterizes one daemon instance. The zero value is usable:
 // Normalize fills every unset knob with the documented default.
 type Config struct {
-	// Addr is the listen address for ListenAndServe (":8790" default).
-	Addr string
 	// MaxSessions caps the live session pool — the daemon's memory
 	// budget proxy, since each session holds a full SSTA analysis.
 	// Beyond it the least-recently-used unleased session is evicted;
@@ -77,9 +75,6 @@ type Config struct {
 
 // normalize fills defaults.
 func (c Config) normalize() Config {
-	if c.Addr == "" {
-		c.Addr = ":8790"
-	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 64
 	}
@@ -129,8 +124,8 @@ func (c Config) normalize() Config {
 }
 
 // Server is the statsized daemon: an Engine, a session pool, and the
-// HTTP surface over them. Construct with New, serve with Serve or
-// ListenAndServe, stop with Shutdown.
+// HTTP surface over them. Construct with New, serve with Serve, stop
+// with Shutdown.
 type Server struct {
 	eng     *statsize.Engine
 	cfg     Config
@@ -233,20 +228,6 @@ func (s *Server) Serve(l net.Listener) error {
 		return nil
 	}
 	return err
-}
-
-// ListenAndServe listens on cfg.Addr and serves. The ready callback,
-// when non-nil, runs with the bound address before accepting — the
-// daemon main uses it to publish the resolved port (":0" listens).
-func (s *Server) ListenAndServe(ready func(addr net.Addr)) error {
-	l, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return fmt.Errorf("statsized: listen %s: %w", s.cfg.Addr, err)
-	}
-	if ready != nil {
-		ready(l.Addr())
-	}
-	return s.Serve(l)
 }
 
 // Shutdown stops the daemon gracefully: the janitor stops, optimize

@@ -13,8 +13,8 @@ import (
 // warm serial WhatIfBatch iteration on c17 (6 candidates). The warm
 // cost is per-batch bookkeeping (props/results slices, the batch
 // wrapper) plus what genuinely escapes per candidate (the persisted
-// sink distribution and its lazily built cumulative-sum cache) — the
-// arenas, overlay maps and delay distributions are all recycled.
+// sink distribution) — the arenas, overlay maps and delay
+// distributions are all recycled.
 // Measured ~40; the limit leaves headroom for runtime-version noise
 // while still catching any return of the historical per-node
 // allocation storm (hundreds of allocations per candidate).
