@@ -26,6 +26,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"statsize/internal/design"
@@ -280,6 +281,11 @@ func descendHeld(ctx context.Context, tx *session.Tx, cfg Config, method string,
 		InitialWidth:     d.TotalWidth(),
 		InitialObjective: objective(a, cfg),
 		Design:           d,
+	}
+	if math.IsNaN(res.InitialObjective) {
+		// Every sensitivity would be NaN, and NaN passes the
+		// minSensitivity check, so the run would size blindly.
+		return nil, fmt.Errorf("core: %s optimization: the objective is NaN at the initial design", method)
 	}
 	res.FinalObjective = res.InitialObjective
 

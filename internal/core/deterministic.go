@@ -27,7 +27,7 @@ func Deterministic(ctx context.Context, s *session.Session, cfg Config) (*Result
 
 // nominalDelay is the deterministic sizer's objective: the nominal
 // circuit delay of the analysis' design.
-func nominalDelay(a *ssta.Analysis, _ Config) float64 { return sta.Analyze(a.D).CircuitDelay() }
+func nominalDelay(a *ssta.Analysis, _ Config) float64 { return a.D.NominalDelay() }
 
 // deterministicIteration scores every gate on the nominal critical path
 // that can still grow by the nominal delay change of one width step from
@@ -48,7 +48,7 @@ func deterministicIteration(_ context.Context, a *ssta.Analysis, _ Config, base 
 		}
 		ir.considered++
 		d.SetWidth(gid, next)
-		after := sta.Analyze(d).CircuitDelay()
+		after := d.NominalDelay()
 		d.Restore(pre)
 		top.offer(pick{gate: gid, sens: (base - after) / d.Lib.DeltaW})
 	}

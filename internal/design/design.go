@@ -243,24 +243,32 @@ func (d *Design) RecomputeLoads(tol float64) error {
 	return nil
 }
 
-// SuggestDT returns a grid bin width for SSTA: the estimated maximum
-// nominal circuit delay divided by the requested bin budget. The
-// estimate is a longest-path pass over nominal delays at current widths.
+// NominalDelays returns the nominal delay of every timing edge, indexed
+// by edge ID (see EdgeNominalDelay).
+func (d *Design) NominalDelays() []float64 {
+	delay := make([]float64, d.E.G.NumEdges())
+	for e := range delay {
+		delay[e] = d.EdgeNominalDelay(graph.EdgeID(e))
+	}
+	return delay
+}
+
+// NominalDelay returns the nominal circuit delay at current widths: the
+// sink's arrival in the longest-path pass over NominalDelays.
+func (d *Design) NominalDelay() float64 {
+	g := d.E.G
+	arr := make([]float64, g.NumNodes())
+	g.LongestPaths(d.NominalDelays(), arr, nil)
+	return arr[g.Sink()]
+}
+
+// SuggestDT returns a grid bin width for SSTA: the nominal circuit delay
+// at current widths divided by the requested bin budget.
 func (d *Design) SuggestDT(bins int) float64 {
 	if bins <= 0 {
 		panic("design: non-positive bin budget")
 	}
-	g := d.E.G
-	arr := make([]float64, g.NumNodes())
-	for _, n := range g.Topo() {
-		for _, eid := range g.In(n) {
-			e := g.EdgeAt(eid)
-			if t := arr[e.From] + d.EdgeNominalDelay(eid); t > arr[n] {
-				arr[n] = t
-			}
-		}
-	}
-	maxDelay := arr[g.Sink()]
+	maxDelay := d.NominalDelay()
 	if maxDelay <= 0 {
 		maxDelay = 1
 	}

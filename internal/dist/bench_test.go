@@ -145,9 +145,8 @@ func bell(dt float64, i0, n int) *Dist {
 }
 
 // BenchmarkPercentile times a quantile query on a distribution already
-// queried (warm) and on a freshly built one (cold). Both rows time the
-// same scan of the running sum: no query builds or reuses a cache, so
-// a first query costs what a repeated one does.
+// queried. The row stands for a first query too: every query scans the
+// running sum, and none builds or reuses a cache.
 func BenchmarkPercentile(b *testing.B) {
 	x, y := kernelOperands(b, 1600)
 	d := Convolve(x, y)
@@ -157,15 +156,6 @@ func BenchmarkPercentile(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			d.Percentile(0.99)
-		}
-	})
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			fresh := Convolve(x, y)
-			b.StartTimer()
-			fresh.Percentile(0.99)
 		}
 	})
 }

@@ -156,11 +156,11 @@ func Figure1(ctx context.Context, circuit string, opts Options) (*Figure1Result,
 	dDet, dStat := run.det, run.stat
 	res := &Figure1Result{Circuit: circuit, DetIters: run.detRes.Iterations, StatIters: run.statRes.Iterations}
 
-	bin := sta.Analyze(dDet).CircuitDelay() / 120
-	res.DetHist = sta.PathHistogram(dDet, bin)
-	res.StatHist = sta.PathHistogram(dStat, bin)
-	res.DetWall = res.DetHist.CountAtLeast(0.9 * sta.Analyze(dDet).CircuitDelay())
-	res.StatWall = res.StatHist.CountAtLeast(0.9 * sta.Analyze(dDet).CircuitDelay())
+	detDelay := dDet.NominalDelay()
+	res.DetHist = sta.PathHistogram(dDet, detDelay/120)
+	res.StatHist = sta.PathHistogram(dStat, detDelay/120)
+	res.DetWall = res.DetHist.CountAtLeast(0.9 * detDelay)
+	res.StatWall = res.StatHist.CountAtLeast(0.9 * detDelay)
 
 	aDet, err := ssta.Analyze(ctx, dDet, dDet.SuggestDT(opts.Bins))
 	if err != nil {

@@ -194,6 +194,29 @@ func (g *Graph) MaxLevel() int { return int(g.maxLevel) }
 // callers must not mutate it.
 func (g *Graph) Topo() []NodeID { return g.topo }
 
+// LongestPaths is the scalar longest-path pass every deterministic and
+// sampled timing computation shares. Given one delay per edge, it sets
+// arr[n] for every node: 0 at the source, and elsewhere the largest
+// arr[From]+delay[e] over n's fan-in edges, taken in edge-ID order with
+// the first of equal values winning. Arrivals are not floored at 0, so
+// a negative delay can give a negative arrival. When via is non-nil,
+// via[n] receives the winning fan-in edge, and -1 at the source. arr and
+// via have one entry per node.
+func (g *Graph) LongestPaths(delay, arr []float64, via []EdgeID) {
+	for _, n := range g.topo {
+		best, bestEdge := 0.0, EdgeID(-1)
+		for _, eid := range g.in[n] {
+			if t := arr[g.edges[eid].From] + delay[eid]; bestEdge < 0 || t > best {
+				best, bestEdge = t, eid
+			}
+		}
+		arr[n] = best
+		if via != nil {
+			via[n] = bestEdge
+		}
+	}
+}
+
 // String summarizes the graph.
 func (g *Graph) String() string {
 	return fmt.Sprintf("Graph{nodes=%d, edges=%d, levels=%d}", g.NumNodes(), g.NumEdges(), g.MaxLevel())

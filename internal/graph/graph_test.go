@@ -44,6 +44,47 @@ func TestDiamondBasics(t *testing.T) {
 	}
 }
 
+// TestLongestPaths pins the pass's rule on the diamond (edges 0: src→a,
+// 1: a→n1, 2: a→n2, 3: n1→d, 4: n2→d, 5: d→sink): the source arrives at
+// 0, a tie goes to the lower edge ID, via may be nil, and arrivals are
+// not floored at 0.
+func TestLongestPaths(t *testing.T) {
+	g := buildDiamond(t)
+	cases := []struct {
+		name   string
+		delay  []float64
+		arr    []float64 // by node: src, a, n1, n2, d, sink
+		dVia   EdgeID
+		useVia bool
+	}{
+		{"tie", []float64{1, 2, 1, 1, 2, 0.5}, []float64{0, 1, 3, 2, 4, 4.5}, 3, true},
+		{"nil via", []float64{1, 2, 1, 1, 2, 0.5}, []float64{0, 1, 3, 2, 4, 4.5}, 0, false},
+		{"negative", []float64{1, -3, -2, 0, 0, -0.5}, []float64{0, 1, -2, -1, -1, -1.5}, 4, true},
+	}
+	for _, c := range cases {
+		arr := []float64{9, 9, 9, 9, 9, 9} // every entry must be written
+		var via []EdgeID
+		if c.useVia {
+			via = []EdgeID{9, 9, 9, 9, 9, 9}
+		}
+		g.LongestPaths(c.delay, arr, via)
+		for n, want := range c.arr {
+			if arr[n] != want {
+				t.Errorf("%s: arrival at node %d = %v, want %v", c.name, n, arr[n], want)
+			}
+		}
+		if !c.useVia {
+			continue
+		}
+		if via[g.Source()] != -1 {
+			t.Errorf("%s: via at the source = %d, want -1", c.name, via[g.Source()])
+		}
+		if via[4] != c.dVia {
+			t.Errorf("%s: via at the join = edge %d, want %d", c.name, via[4], c.dVia)
+		}
+	}
+}
+
 func TestTopoRespectsEdges(t *testing.T) {
 	g := buildDiamond(t)
 	pos := make(map[NodeID]int)

@@ -56,28 +56,14 @@ func RunCorrelated(ctx context.Context, d *design.Design, samples int, seed int6
 	if grid <= 0 {
 		grid = 4
 	}
-	g := d.E.G
-	rng := rand.New(rand.NewSource(seed))
-	nominal := make([]float64, g.NumEdges())
-	for e := 0; e < g.NumEdges(); e++ {
-		nominal[e] = d.EdgeNominalDelay(graph.EdgeID(e))
-	}
 	region := placeGates(d, grid)
 	sigma, trunc := d.Lib.SigmaRatio, d.Lib.TruncSigmas
 	wGlobal := math.Sqrt(m.GlobalFrac)
 	wRegion := math.Sqrt(m.RegionFrac)
 	wLocal := math.Sqrt(1 - m.GlobalFrac - m.RegionFrac)
-
-	topo := g.Topo()
-	arrival := make([]float64, g.NumNodes())
 	regionZ := make([]float64, grid*grid)
 	gateZ := make([]float64, d.NL.NumGates())
-	delay := make([]float64, g.NumEdges())
-	out := make([]float64, samples)
-	for s := 0; s < samples; s++ {
-		if s%cancelCheckStride == 0 && ctx.Err() != nil {
-			return canceled(ctx, out[:s])
-		}
+	return sinkDelays(ctx, d, samples, seed, func(rng *rand.Rand, nominal, delay []float64) {
 		zg := rng.NormFloat64()
 		for r := range regionZ {
 			regionZ[r] = rng.NormFloat64()
@@ -92,27 +78,11 @@ func RunCorrelated(ctx context.Context, d *design.Design, samples int, seed int6
 			gateZ[i] = z
 		}
 		for e := range delay {
-			gid := d.E.EdgeGate[graph.EdgeID(e)]
-			if gid == netlist.NoGate {
-				delay[e] = 0
-				continue
+			if gid := d.E.EdgeGate[graph.EdgeID(e)]; gid != netlist.NoGate {
+				delay[e] = nominal[e] * (1 + sigma*gateZ[gid])
 			}
-			delay[e] = nominal[e] * (1 + sigma*gateZ[gid])
 		}
-		for _, n := range topo {
-			best := 0.0
-			for _, eid := range g.In(n) {
-				ed := g.EdgeAt(eid)
-				if t := arrival[ed.From] + delay[eid]; t > best {
-					best = t
-				}
-			}
-			arrival[n] = best
-		}
-		out[s] = arrival[g.Sink()]
-	}
-	sort.Float64s(out)
-	return &Result{Delays: out}, nil
+	})
 }
 
 // placeGates assigns gates to grid regions with a synthetic row-major

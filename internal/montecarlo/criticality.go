@@ -3,7 +3,6 @@ package montecarlo
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"statsize/internal/design"
 	"statsize/internal/graph"
@@ -14,71 +13,30 @@ import (
 // the circuit's critical path — the statistical generalization of "being
 // on the critical path" that motivates why the paper's optimizer must
 // compute sensitivities for all gates rather than one path (Section
-// 3.1). Each Monte Carlo sample backtracks its argmax path from the sink
-// and credits every gate on it.
+// 3.1). It draws the samples Run draws at the same seed; each sample
+// backtracks its longest path from the sink along the pass's winning
+// fan-in edges and credits every gate on it. On cancellation it returns
+// the estimate over the samples drawn so far (nil when none completed)
+// with the wrapped context error.
 func Criticality(ctx context.Context, d *design.Design, samples int, seed int64) ([]float64, error) {
 	if samples < 1 {
 		return nil, fmt.Errorf("montecarlo: %d samples", samples)
 	}
 	g := d.E.G
-	rng := rand.New(rand.NewSource(seed))
-	nominal := make([]float64, g.NumEdges())
-	for e := 0; e < g.NumEdges(); e++ {
-		nominal[e] = d.EdgeNominalDelay(graph.EdgeID(e))
-	}
-	sigma, trunc := d.Lib.SigmaRatio, d.Lib.TruncSigmas
-	topo := g.Topo()
-	arrival := make([]float64, g.NumNodes())
-	via := make([]graph.EdgeID, g.NumNodes()) // argmax in-edge per node
-	delay := make([]float64, g.NumEdges())
 	counts := make([]int, d.NL.NumGates())
-
-	for s := 0; s < samples; s++ {
-		if s%cancelCheckStride == 0 && ctx.Err() != nil {
-			// Return the partial estimate over the samples drawn so far
-			// (nil when none completed), mirroring Run's contract.
-			var partial []float64
-			if s > 0 {
-				partial = estimates(counts, s)
-			}
-			return partial, fmt.Errorf("montecarlo: criticality canceled after %d samples: %w", s, ctx.Err())
-		}
-		for e := range delay {
-			if nominal[e] == 0 {
-				delay[e] = 0
-				continue
-			}
-			delay[e] = nominal[e] * (1 + sigma*truncNorm(rng, trunc))
-		}
-		for _, n := range topo {
-			best, bestEdge := 0.0, graph.EdgeID(-1)
-			for _, eid := range g.In(n) {
-				e := g.EdgeAt(eid)
-				if t := arrival[e.From] + delay[eid]; bestEdge < 0 || t > best {
-					best, bestEdge = t, eid
-				}
-			}
-			arrival[n] = best
-			via[n] = bestEdge
-		}
-		// Backtrack the unique argmax path and credit its gates.
-		for n := g.Sink(); n != g.Source(); {
-			eid := via[n]
-			if gid := d.E.EdgeGate[eid]; gid != netlist.NoGate {
+	done, err := sample(ctx, d, samples, seed, independent(d.Lib), func(_ []float64, via []graph.EdgeID) {
+		for n := g.Sink(); n != g.Source(); n = g.EdgeAt(via[n]).From {
+			if gid := d.E.EdgeGate[via[n]]; gid != netlist.NoGate {
 				counts[gid]++
 			}
-			n = g.EdgeAt(eid).From
 		}
+	})
+	if done == 0 {
+		return nil, err
 	}
-	return estimates(counts, samples), nil
-}
-
-// estimates converts path-hit counts into per-gate criticality
-// fractions over the given number of completed samples.
-func estimates(counts []int, samples int) []float64 {
 	out := make([]float64, len(counts))
 	for i, c := range counts {
-		out[i] = float64(c) / float64(samples)
+		out[i] = float64(c) / float64(done)
 	}
-	return out
+	return out, err
 }

@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"statsize/internal/cell"
 	"statsize/internal/design"
 	"statsize/internal/graph"
 )
@@ -30,14 +31,65 @@ type Result struct {
 	Delays []float64 // ascending
 }
 
-// canceled builds the partial Result of an interrupted sampling run:
-// the samples drawn so far, sorted, alongside the wrapped context
-// error, so a caller that chooses to can still read coarse statistics
-// off the truncated sample set.
-func canceled(ctx context.Context, drawn []float64) (*Result, error) {
-	sort.Float64s(drawn)
-	return &Result{Delays: drawn}, fmt.Errorf(
-		"montecarlo: canceled after %d samples: %w", len(drawn), ctx.Err())
+// drawFunc fills delay with one sample of every edge's delay, drawing
+// from rng around the edges' nominal delays. Source and sink arcs, whose
+// nominal delay is 0, keep delay 0.
+type drawFunc func(rng *rand.Rand, nominal, delay []float64)
+
+// sample is the one Monte Carlo loop behind Run, RunCorrelated and
+// Criticality. It seeds one RNG and, for each of samples samples in
+// turn, draws the edge delays with draw, runs the longest-path pass over
+// them and hands its arrivals and winning fan-in edges to record. The
+// pass does not floor arrivals at 0: every sampled delay stays
+// non-negative while the library's SigmaRatio·TruncSigmas is at most 1
+// (the default library's is 0.1·3), and past that bound an arrival may
+// be negative, as it may in SSTA. ctx is checked every cancelCheckStride
+// samples; sample returns how many samples it recorded and, when it
+// stopped early, the wrapped context error.
+func sample(ctx context.Context, d *design.Design, samples int, seed int64, draw drawFunc,
+	record func(arr []float64, via []graph.EdgeID)) (int, error) {
+	g := d.E.G
+	rng := rand.New(rand.NewSource(seed))
+	nominal := d.NominalDelays()
+	delay := make([]float64, g.NumEdges())
+	arr := make([]float64, g.NumNodes())
+	via := make([]graph.EdgeID, g.NumNodes())
+	for s := 0; s < samples; s++ {
+		if s%cancelCheckStride == 0 && ctx.Err() != nil {
+			return s, fmt.Errorf("montecarlo: canceled after %d samples: %w", s, ctx.Err())
+		}
+		draw(rng, nominal, delay)
+		g.LongestPaths(delay, arr, via)
+		record(arr, via)
+	}
+	return samples, nil
+}
+
+// sinkDelays runs sample with draw and returns the sorted sink arrivals.
+// On cancellation the Result holds the samples drawn so far, sorted,
+// alongside the wrapped context error, so a caller that chooses to can
+// still read coarse statistics off the truncated sample set.
+func sinkDelays(ctx context.Context, d *design.Design, samples int, seed int64, draw drawFunc) (*Result, error) {
+	out := make([]float64, 0, samples)
+	sink := d.E.G.Sink()
+	_, err := sample(ctx, d, samples, seed, draw, func(arr []float64, _ []graph.EdgeID) {
+		out = append(out, arr[sink])
+	})
+	sort.Float64s(out)
+	return &Result{Delays: out}, err
+}
+
+// independent draws every gate arc's delay on its own from its
+// truncated Gaussian: the paper's intra-die model.
+func independent(lib *cell.Library) drawFunc {
+	sigma, trunc := lib.SigmaRatio, lib.TruncSigmas
+	return func(rng *rand.Rand, nominal, delay []float64) {
+		for e, nom := range nominal {
+			if nom != 0 {
+				delay[e] = nom * (1 + sigma*truncNorm(rng, trunc))
+			}
+		}
+	}
 }
 
 // Run simulates the design with the given sample count and seed. On
@@ -47,45 +99,7 @@ func Run(ctx context.Context, d *design.Design, samples int, seed int64) (*Resul
 	if samples < 1 {
 		return nil, fmt.Errorf("montecarlo: %d samples", samples)
 	}
-	g := d.E.G
-	rng := rand.New(rand.NewSource(seed))
-	nominal := make([]float64, g.NumEdges())
-	for e := 0; e < g.NumEdges(); e++ {
-		nominal[e] = d.EdgeNominalDelay(graph.EdgeID(e))
-	}
-	sigma := d.Lib.SigmaRatio
-	trunc := d.Lib.TruncSigmas
-	topo := g.Topo()
-	arrival := make([]float64, g.NumNodes())
-	out := make([]float64, samples)
-	delay := make([]float64, g.NumEdges())
-	for s := 0; s < samples; s++ {
-		if s%cancelCheckStride == 0 && ctx.Err() != nil {
-			return canceled(ctx, out[:s])
-		}
-		for e := range delay {
-			if nominal[e] == 0 {
-				continue // source/sink arcs
-			}
-			delay[e] = nominal[e] * (1 + sigma*truncNorm(rng, trunc))
-		}
-		for i := range arrival {
-			arrival[i] = 0
-		}
-		for _, n := range topo {
-			best := 0.0
-			for _, eid := range g.In(n) {
-				ed := g.EdgeAt(eid)
-				if t := arrival[ed.From] + delay[eid]; t > best {
-					best = t
-				}
-			}
-			arrival[n] = best
-		}
-		out[s] = arrival[g.Sink()]
-	}
-	sort.Float64s(out)
-	return &Result{Delays: out}, nil
+	return sinkDelays(ctx, d, samples, seed, independent(d.Lib))
 }
 
 // truncNorm draws a standard normal rejected outside ±k.

@@ -29,31 +29,22 @@ type Result struct {
 // widths.
 func Analyze(d *design.Design) *Result {
 	g := d.E.G
+	delay := d.NominalDelays()
 	r := &Result{
 		d:        d,
 		Arrival:  make([]float64, g.NumNodes()),
 		Required: make([]float64, g.NumNodes()),
 	}
-	topo := g.Topo()
-	for _, n := range topo {
-		best := 0.0
-		for _, eid := range g.In(n) {
-			e := g.EdgeAt(eid)
-			if t := r.Arrival[e.From] + d.EdgeNominalDelay(eid); t > best {
-				best = t
-			}
-		}
-		r.Arrival[n] = best
-	}
+	g.LongestPaths(delay, r.Arrival, nil)
 	for i := range r.Required {
 		r.Required[i] = math.Inf(1)
 	}
 	r.Required[g.Sink()] = r.Arrival[g.Sink()]
+	topo := g.Topo()
 	for i := len(topo) - 1; i >= 0; i-- {
 		n := topo[i]
 		for _, eid := range g.Out(n) {
-			e := g.EdgeAt(eid)
-			if t := r.Required[e.To] - d.EdgeNominalDelay(eid); t < r.Required[n] {
+			if t := r.Required[g.EdgeAt(eid).To] - delay[eid]; t < r.Required[n] {
 				r.Required[n] = t
 			}
 		}

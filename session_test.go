@@ -623,6 +623,27 @@ func TestOptimizeSessionInterleaved(t *testing.T) {
 	}
 }
 
+// TestOptimizeRejectsNaNObjective: a percentile outside [0, 1] reads NaN
+// on every distribution, so every sensitivity would be NaN. Each
+// statistical optimizer must refuse the run and size nothing.
+func TestOptimizeRejectsNaNObjective(t *testing.T) {
+	eng, s := openSession(t, "c432")
+	w0, err := s.TotalWidth()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"accelerated", "brute-force", "heuristic-levels", "multi-size"} {
+		res, err := eng.OptimizeSession(context.Background(), s, name,
+			ForObjective(Percentile(1.5)), MaxIterations(3))
+		if err == nil {
+			t.Errorf("%s: optimized a NaN objective over %d iterations", name, res.Iterations)
+		}
+		if w, err := s.TotalWidth(); err != nil || w != w0 {
+			t.Errorf("%s: total width %v (err %v), want %v unchanged", name, w, err, w0)
+		}
+	}
+}
+
 // TestWhatIfBatchMatchesSerial is the batch determinism acceptance
 // check: WhatIfBatch over every candidate gate must return, in
 // candidate order, results bit-identical to the equivalent serial
