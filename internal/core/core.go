@@ -25,6 +25,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"time"
@@ -138,18 +139,33 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// IterRecord describes one completed sizing iteration.
+// IterRecord describes one completed sizing iteration. Its JSON form,
+// the tags below, is a public contract: the daemon's SSE progress
+// stream emits records in exactly this encoding and external clients
+// parse it (TestIterRecordJSONGolden pins the bytes). Floats encode in
+// Go's shortest round-trip form, which parses back to the identical
+// bits, and Elapsed travels as integer nanoseconds.
 type IterRecord struct {
-	Iter        int
-	Gates       []netlist.GateID // gates sized this iteration
-	Sensitivity float64          // best sensitivity found
-	Objective   float64          // objective value after sizing
-	TotalWidth  float64          // total gate size after sizing
+	Iter        int              `json:"iter"`
+	Gates       []netlist.GateID `json:"gates"`       // gates sized this iteration
+	Sensitivity float64          `json:"sensitivity"` // best sensitivity found
+	Objective   float64          `json:"objective"`   // objective value after sizing
+	TotalWidth  float64          `json:"total_width"` // total gate size after sizing
 	// Candidate statistics for Table 2.
-	CandidatesConsidered int
-	CandidatesPruned     int // fronts retired before reaching the sink
-	NodesVisited         int // perturbed-arrival computations
-	Elapsed              time.Duration
+	CandidatesConsidered int           `json:"candidates_considered"`
+	CandidatesPruned     int           `json:"candidates_pruned"` // fronts retired before reaching the sink
+	NodesVisited         int           `json:"nodes_visited"`     // perturbed-arrival computations
+	Elapsed              time.Duration `json:"elapsed_ns"`
+}
+
+// MarshalJSON encodes the record by its tags, with nil Gates as []
+// rather than null, so clients can index unconditionally.
+func (r IterRecord) MarshalJSON() ([]byte, error) {
+	type tagged IterRecord // the tags without this method
+	if r.Gates == nil {
+		r.Gates = []netlist.GateID{}
+	}
+	return json.Marshal(tagged(r))
 }
 
 // Result summarizes an optimization run.

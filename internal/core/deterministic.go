@@ -31,26 +31,20 @@ func nominalDelay(a *ssta.Analysis, _ Config) float64 { return a.D.NominalDelay(
 
 // deterministicIteration scores every gate on the nominal critical path
 // that can still grow by the nominal delay change of one width step from
-// base, and picks the best one; MultiSize does not apply.
-//
-// Each trial width is written, analyzed and rolled back. Restore
-// rewrites the snapshot verbatim, so no load keeps the rounding residue
-// that undoing the width with SetWidth would leave.
+// base, and picks the best one; MultiSize does not apply. Each trial
+// reads the nominal delay at its width without writing the design
+// (Design.NominalDelayAt).
 func deterministicIteration(_ context.Context, a *ssta.Analysis, _ Config, base float64, _ *crew) (innerResult, error) {
 	d := a.D
 	var ir innerResult
 	top := newTopK(1)
-	pre := d.Snapshot()
 	for _, gid := range sta.Analyze(d).CriticalGates() {
 		next := d.Width(gid) + d.Lib.DeltaW
 		if next > d.Lib.WMax {
 			continue
 		}
 		ir.considered++
-		d.SetWidth(gid, next)
-		after := d.NominalDelay()
-		d.Restore(pre)
-		top.offer(pick{gate: gid, sens: (base - after) / d.Lib.DeltaW})
+		top.offer(pick{gate: gid, sens: (base - d.NominalDelayAt(gid, next)) / d.Lib.DeltaW})
 	}
 	ir.picks = top.sorted()
 	return ir, nil

@@ -8,7 +8,9 @@ package design
 
 import (
 	"fmt"
+	"iter"
 	"math"
+	"slices"
 
 	"statsize/internal/cell"
 	"statsize/internal/dist"
@@ -164,36 +166,67 @@ func (d *Design) DelayCacheStats() (hits, misses, flushes uint64, entries int) {
 // for production paths, where the cache is always a win.
 func (d *Design) DropDelayCache() { d.delays = nil }
 
-// EdgeDelayDistAt returns the discretized pin-to-pin delay distribution
-// of a timing edge with gate x hypothetically at width w (clamped to
-// the library range, exactly as SetWidth would clamp it), or nil for
-// zero-delay source/sink arcs. Nothing is mutated: the driving gate's
-// width and the output net's load are evaluated functionally, so any
-// number of goroutines may call it concurrently over one design. The
-// load is the cached load plus one input-capacitance delta per pin of x
-// reading the net — the floating-point operations SetWidth performs —
-// so the distribution is bit-identical to writing the width, calling
-// EdgeDelayDist and restoring a snapshot. At x's committed width every
-// delta is c − c = 0 and the result equals EdgeDelayDist.
-func (d *Design) EdgeDelayDistAt(dt float64, e graph.EdgeID, x netlist.GateID, w float64) (*dist.Dist, error) {
-	g := d.E.EdgeGate[e]
-	if g == netlist.NoGate {
-		return nil, nil
+// AffectedGates yields the gates whose pin-to-pin delays change when
+// gate x is resized, without allocating: x itself (its drive changed),
+// then the driver of each of x's input nets (their output loads
+// changed), skipping primary inputs, x itself and the driver of an
+// earlier input. This is the initial perturbation scope of the paper's
+// Initialize procedure (Figure 7, step 1), and every evaluation of a
+// move reads exactly the pin edges of these gates at the new width.
+func (d *Design) AffectedGates(x netlist.GateID) iter.Seq[netlist.GateID] {
+	return func(yield func(netlist.GateID) bool) {
+		if !yield(x) {
+			return
+		}
+		ins := d.NL.Gate(x).Ins
+		for i, in := range ins {
+			drv := d.NL.Driver(in)
+			seen := drv == netlist.NoGate || drv == x ||
+				slices.ContainsFunc(ins[:i], func(n netlist.NetID) bool { return d.NL.Driver(n) == drv })
+			if !seen && !yield(drv) {
+				return
+			}
+		}
 	}
-	w = d.Lib.ClampWidth(w)
-	gate := d.NL.Gate(g)
-	width := d.widths[g]
+}
+
+// driveAt returns the width of gate g, the driver of a timing edge, and
+// the load on its output net with gate x hypothetically at width w
+// (already clamped), writing nothing, so any number of goroutines may
+// call it concurrently over one design. The load is the cached load
+// plus one input-capacitance delta per pin of x reading the net, the
+// floating-point operations SetWidth performs, so every delay read
+// through it is bit-identical to writing the width, reading the delay
+// and restoring a snapshot. At x's committed width every delta is
+// c − c = 0 and the committed width and load come back.
+func (d *Design) driveAt(g, x netlist.GateID, w float64) (width, load float64) {
+	width = d.widths[g]
 	if g == x {
 		width = w
 	}
-	load := d.loads[gate.Out]
-	for _, r := range d.NL.Readers(gate.Out) {
+	out := d.NL.Gate(g).Out
+	load = d.loads[out]
+	for _, r := range d.NL.Readers(out) {
 		if r.Gate == x {
 			kind := d.NL.Gate(x).Kind
 			load += d.Lib.InputCap(kind, w) - d.Lib.InputCap(kind, d.widths[x])
 		}
 	}
-	return d.delayDist(dt, gate.Kind, d.E.EdgePin[e], width, load)
+	return width, load
+}
+
+// EdgeDelayDistAt returns the discretized pin-to-pin delay distribution
+// of a timing edge with gate x hypothetically at width w (clamped to
+// the library range, exactly as SetWidth would clamp it), or nil for
+// zero-delay source/sink arcs. Nothing is mutated (see driveAt), and
+// at x's committed width the result equals EdgeDelayDist.
+func (d *Design) EdgeDelayDistAt(dt float64, e graph.EdgeID, x netlist.GateID, w float64) (*dist.Dist, error) {
+	g := d.E.EdgeGate[e]
+	if g == netlist.NoGate {
+		return nil, nil
+	}
+	width, load := d.driveAt(g, x, d.Lib.ClampWidth(w))
+	return d.delayDist(dt, d.NL.Gate(g).Kind, d.E.EdgePin[e], width, load)
 }
 
 // State is a snapshot of the mutable sizing state (widths, loads, total)
@@ -255,10 +288,32 @@ func (d *Design) NominalDelays() []float64 {
 
 // NominalDelay returns the nominal circuit delay at current widths: the
 // sink's arrival in the longest-path pass over NominalDelays.
-func (d *Design) NominalDelay() float64 {
+func (d *Design) NominalDelay() float64 { return d.sinkArrival(d.NominalDelays()) }
+
+// NominalDelayAt returns the nominal circuit delay with gate x
+// hypothetically at width w (clamped as SetWidth clamps it), writing
+// nothing: it re-evaluates the pin edges of AffectedGates(x) over
+// NominalDelays through driveAt, so the result is bit-identical to
+// NominalDelay after SetWidth(x, w).
+func (d *Design) NominalDelayAt(x netlist.GateID, w float64) float64 {
+	w = d.Lib.ClampWidth(w)
+	delay := d.NominalDelays()
+	for g := range d.AffectedGates(x) {
+		kind := d.NL.Gate(g).Kind
+		width, load := d.driveAt(g, x, w)
+		for _, e := range d.E.GateEdges[g] {
+			delay[e] = d.Lib.NominalDelay(kind, d.E.EdgePin[e], width, load)
+		}
+	}
+	return d.sinkArrival(delay)
+}
+
+// sinkArrival returns the sink's arrival in the longest-path pass over
+// per-edge delays.
+func (d *Design) sinkArrival(delay []float64) float64 {
 	g := d.E.G
 	arr := make([]float64, g.NumNodes())
-	g.LongestPaths(d.NominalDelays(), arr, nil)
+	g.LongestPaths(delay, arr, nil)
 	return arr[g.Sink()]
 }
 

@@ -2,6 +2,7 @@ package design
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -113,6 +114,44 @@ func TestDuplicateInputPinLoads(t *testing.T) {
 	d.SetWidth(nl.Driver(z), 4)
 	if err := d.RecomputeLoads(1e-9); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestAffectedGates(t *testing.T) {
+	d := c17Design(t)
+	// Gate driving net 22 = NAND(10, 16): affected set is itself plus
+	// the drivers of nets 10 and 16.
+	x := d.NL.Driver(mustNet(t, d, "22"))
+	got := slices.Collect(d.AffectedGates(x))
+	want := map[netlist.GateID]bool{x: true}
+	for _, in := range d.NL.Gate(x).Ins {
+		want[d.NL.Driver(in)] = true
+	}
+	if len(got) != len(want) {
+		t.Fatalf("affected gates %v, want %d entries", got, len(want))
+	}
+	for _, g := range got {
+		if !want[g] {
+			t.Errorf("unexpected affected gate %d", g)
+		}
+	}
+	// A gate fed directly by PIs is affected alone.
+	solo := slices.Collect(d.AffectedGates(d.NL.Driver(mustNet(t, d, "10"))))
+	if len(solo) != 1 {
+		t.Errorf("PI-fed gate affected set %v, want just itself", solo)
+	}
+	// A driver wired to both pins of the resized gate is yielded once.
+	nl, err := netlist.ParseBench(strings.NewReader("INPUT(a)\nOUTPUT(z)\nb = NOT(a)\nz = NAND(b, b)\n"), "dup", lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup, err := New(nl, lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z := nl.Driver(mustNet(t, dup, "z"))
+	if got, want := slices.Collect(dup.AffectedGates(z)), []netlist.GateID{z, nl.Driver(mustNet(t, dup, "b"))}; !slices.Equal(got, want) {
+		t.Errorf("duplicate-pin affected set %v, want %v", got, want)
 	}
 }
 

@@ -130,7 +130,10 @@ type WhatIfResult struct {
 // changes results: every parallel path is bit-identical to its serial
 // reference. rollup, when non-nil, is the engine-wide Counters
 // the session reports its open, its operations and its Close into;
-// nil leaves the session unbound, accounting only in its own Stats.
+// nil leaves the session unbound, accounting only in its own Stats. An
+// objective that reads NaN on the opening sink distribution, such as a
+// percentile outside [0, 1], would make every objective and
+// sensitivity the session reports NaN, so it fails the open.
 func Open(ctx context.Context, d *design.Design, dt float64, obj Objective, workers int, rollup *Counters) (*Session, error) {
 	if obj == nil {
 		return nil, fmt.Errorf("session: nil objective")
@@ -139,6 +142,9 @@ func Open(ctx context.Context, d *design.Design, dt float64, obj Objective, work
 	a, err := ssta.AnalyzeParallel(ctx, d, dt, workers)
 	if err != nil {
 		return nil, err
+	}
+	if math.IsNaN(obj.Eval(a.SinkDist())) {
+		return nil, fmt.Errorf("session: the objective %v is NaN at the opening design", obj)
 	}
 	scratch := make([]*ssta.Scratch, workers)
 	for i := range scratch {

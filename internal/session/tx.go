@@ -76,12 +76,12 @@ func (t *Tx) Scratch() []*ssta.Scratch { return t.scratch }
 // distribution.
 func (t *Tx) Objective() float64 { return t.obj.Eval(t.a.SinkDist()) }
 
-// Resize commits gate g at width w: the design width changes (clamped
-// to the library range; NaN is an error) and the perturbation
-// propagates incrementally — recomputing only the nodes it reaches —
-// before the analysis takes the new delays and arrivals. On error,
-// including cancellation mid commit, the design width is restored and
-// the analysis was never touched, so a resize is all-or-nothing.
+// Resize commits gate g at width w (clamped to the library range; NaN
+// is an error) through ssta.ResizeCommit: the perturbation propagates
+// incrementally, recomputing only the nodes it reaches, and only then
+// do the design and the analysis take the new width, delays and
+// arrivals. On error, including cancellation mid commit, neither was
+// written, so a resize is all-or-nothing.
 func (t *Tx) Resize(ctx context.Context, g netlist.GateID, w float64) (ResizeStats, error) {
 	if err := t.checkMove(g, w); err != nil {
 		return ResizeStats{}, err
@@ -90,20 +90,15 @@ func (t *Tx) Resize(ctx context.Context, g netlist.GateID, w float64) (ResizeSta
 		return ResizeStats{}, fmt.Errorf("session: resize canceled: %w", err)
 	}
 	oldW := t.d.Width(g)
-	// Design pre-image for all-or-nothing semantics; ResizeCommit itself
-	// writes the analysis only after its propagation completes.
-	dSt := t.d.Snapshot()
-	applied := t.d.SetWidth(g, w)
-	n, err := t.a.ResizeCommit(ctx, g, t.scratch[0])
+	n, err := t.a.ResizeCommit(ctx, g, w, t.scratch[0])
 	if err != nil {
-		t.d.Restore(dSt)
 		return ResizeStats{}, err
 	}
 	t.record(opResize, 1, n)
 	return ResizeStats{
 		Gate:            g,
 		OldWidth:        oldW,
-		NewWidth:        applied,
+		NewWidth:        t.d.Width(g),
 		NodesRecomputed: n,
 		FullPassNodes:   t.stats.TotalNodes,
 		Objective:       t.Objective(),
@@ -112,63 +107,15 @@ func (t *Tx) Resize(ctx context.Context, g netlist.GateID, w float64) (ResizeSta
 
 // WhatIf evaluates resizing gate g to width w without committing: the
 // exact objective sensitivity from propagating the perturbation through
-// the graph with overlays, pruned where the perturbation dies out.
-// Neither the design nor the analysis changes.
+// the graph with overlays, pruned where the perturbation dies out. It
+// is a WhatIfBatch of one candidate; neither the design nor the
+// analysis changes.
 func (t *Tx) WhatIf(ctx context.Context, g netlist.GateID, w float64) (WhatIfResult, error) {
-	if err := t.checkMove(g, w); err != nil {
-		return WhatIfResult{}, err
-	}
-	res, err := t.evalWhatIf(ctx, t.Objective(), g, w)
+	res, err := t.WhatIfBatch(ctx, []Candidate{{Gate: g, Width: w}})
 	if err != nil {
 		return WhatIfResult{}, err
 	}
-	t.record(opWhatIf, 1, res.NodesVisited)
-	return res, nil
-}
-
-// evalWhatIf is the stats-free evaluation core shared by WhatIf and
-// WhatIfBatch: the propagation (whatIfSink) followed by the objective
-// summary (finishWhatIf).
-func (t *Tx) evalWhatIf(ctx context.Context, base float64, g netlist.GateID, w float64) (WhatIfResult, error) {
-	wEff, sink, visited, err := t.whatIfSink(ctx, g, w, t.scratch[0])
-	if err != nil {
-		return WhatIfResult{}, err
-	}
-	return t.finishWhatIf(base, g, wEff, sink.Dist(), visited), nil
-}
-
-// whatIfSink propagates one candidate's perturbation and returns the
-// perturbed sink distribution. It only reads session state (the
-// design's widths, the base analysis), so WhatIfBatch may invoke it
-// from several goroutines at once while the session lock pins that
-// state — each goroutine with its own Scratch. The user-supplied
-// Objective is deliberately NOT evaluated here: objectives carry no
-// thread-safety requirement, so their Eval runs only on the merging
-// goroutine (finishWhatIf).
-func (t *Tx) whatIfSink(ctx context.Context, g netlist.GateID, w float64, sc *ssta.Scratch) (float64, dist.Owned, int, error) {
-	wEff := t.d.Lib.ClampWidth(w)
-	sink, visited, err := t.a.WhatIf(ctx, g, wEff, sc)
-	if err != nil {
-		return 0, dist.Owned{}, visited, err
-	}
-	return wEff, sink, visited, nil
-}
-
-// finishWhatIf summarizes one propagated candidate into a WhatIfResult,
-// evaluating the objective on the caller's goroutine.
-func (t *Tx) finishWhatIf(base float64, g netlist.GateID, wEff float64, sink *dist.Dist, visited int) WhatIfResult {
-	after := t.obj.Eval(sink)
-	res := WhatIfResult{
-		Gate:         g,
-		Width:        wEff,
-		Objective:    after,
-		Delta:        base - after,
-		NodesVisited: visited,
-	}
-	if dw := wEff - t.d.Width(g); dw != 0 {
-		res.Sensitivity = res.Delta / dw
-	}
-	return res
+	return res[0], nil
 }
 
 // WhatIfBatch evaluates all candidates concurrently over the read-only
@@ -192,19 +139,19 @@ func (t *Tx) WhatIfBatch(ctx context.Context, candidates []Candidate) ([]WhatIfR
 		return nil, fmt.Errorf("session: what-if batch canceled: %w", err)
 	}
 	base := t.Objective()
-	type propagated struct {
-		wEff    float64
-		sink    dist.Owned
-		visited int
-	}
-	props := make([]propagated, len(candidates))
+	results := make([]WhatIfResult, len(candidates))
+	sinks := make([]dist.Owned, len(candidates))
+	// Each candidate only reads session state (the design's widths, the
+	// base analysis), so the workers propagate concurrently, each in its
+	// own Scratch, while the session lock pins that state. The objective
+	// carries no thread-safety requirement, so its Eval runs only on this
+	// goroutine, in the merge below.
 	err := par.RunWith(ctx, t.scratch, len(candidates), func(sc *ssta.Scratch, i int) error {
-		wEff, sink, visited, err := t.whatIfSink(ctx, candidates[i].Gate, candidates[i].Width, sc)
-		if err != nil {
-			return err
-		}
-		props[i] = propagated{wEff: wEff, sink: sink, visited: visited}
-		return nil
+		c := candidates[i]
+		w := t.d.Lib.ClampWidth(c.Width)
+		sink, visited, err := t.a.WhatIf(ctx, c.Gate, w, sc)
+		results[i], sinks[i] = WhatIfResult{Gate: c.Gate, Width: w, NodesVisited: visited}, sink
+		return err
 	})
 	if err != nil {
 		// Dress pure cancellation in the batch wrapper; real evaluation
@@ -214,11 +161,15 @@ func (t *Tx) WhatIfBatch(ctx context.Context, candidates []Candidate) ([]WhatIfR
 		}
 		return nil, err
 	}
-	results := make([]WhatIfResult, len(candidates))
 	visited := 0
-	for i, p := range props {
-		results[i] = t.finishWhatIf(base, candidates[i].Gate, p.wEff, p.sink.Dist(), p.visited)
-		visited += p.visited
+	for i := range results {
+		r := &results[i]
+		r.Objective = t.obj.Eval(sinks[i].Dist())
+		r.Delta = base - r.Objective
+		if dw := r.Width - t.d.Width(r.Gate); dw != 0 {
+			r.Sensitivity = r.Delta / dw
+		}
+		visited += r.NodesVisited
 	}
 	t.record(opWhatIf, len(results), visited)
 	return results, nil

@@ -90,8 +90,7 @@ func TestComputeRequired(t *testing.T) {
 	}
 
 	// Arrival mutation invalidates the cache.
-	a.D.SetWidth(0, a.D.Width(0)+0.5)
-	if _, err := a.ResizeCommit(ctx, 0, NewScratch()); err != nil {
+	if _, err := a.ResizeCommit(ctx, 0, a.D.Width(0)+0.5, NewScratch()); err != nil {
 		t.Fatal(err)
 	}
 	if a.HasRequired() {
@@ -130,8 +129,7 @@ func TestWhatIfMatchesCommit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dc.SetWidth(gid, w)
-		recomputed, err := ac.ResizeCommit(ctx, gid, NewScratch())
+		recomputed, err := ac.ResizeCommit(ctx, gid, w, NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,9 +143,10 @@ func TestWhatIfMatchesCommit(t *testing.T) {
 }
 
 // TestResizeCommitCanceledLeavesAnalysis pins the commit contract: a
-// resize commit whose propagation is canceled leaves the analysis
-// exactly as it was — every arrival and edge-delay pointer, and the
-// cached required times.
+// resize commit whose propagation is canceled leaves the design and the
+// analysis exactly as they were — the gate's width, every net load and
+// the total width, every arrival and edge-delay pointer, and the cached
+// required times.
 func TestResizeCommitCanceledLeavesAnalysis(t *testing.T) {
 	a := c17Analysis(t)
 	d := a.D
@@ -164,11 +163,24 @@ func TestResizeCommitCanceledLeavesAnalysis(t *testing.T) {
 		edges[e] = a.EdgeDelay(graph.EdgeID(e))
 	}
 
-	d.SetWidth(2, d.Width(2)+1)
+	w0, total0 := d.Width(2), d.TotalWidth()
+	loads := make([]float64, d.NL.NumNets())
+	for n := range loads {
+		loads[n] = d.Load(netlist.NetID(n))
+	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := a.ResizeCommit(ctx, 2, NewScratch()); !errors.Is(err, context.Canceled) {
+	if _, err := a.ResizeCommit(ctx, 2, w0+1, NewScratch()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled commit returned %v, want context.Canceled", err)
+	}
+	if d.Width(2) != w0 || d.TotalWidth() != total0 {
+		t.Fatalf("canceled commit left width %v and total %v, want %v and %v", d.Width(2), d.TotalWidth(), w0, total0)
+	}
+	for n, want := range loads {
+		if d.Load(netlist.NetID(n)) != want {
+			t.Fatalf("canceled commit changed the load of net %d", n)
+		}
 	}
 	for n, want := range arrivals {
 		if a.Arrival(graph.NodeID(n)) != want {
@@ -198,8 +210,7 @@ func TestSnapshotRestore(t *testing.T) {
 	sink0 := a.SinkDist()
 	req0 := a.Required(d.E.G.Sink())
 
-	d.SetWidth(2, d.Width(2)+1)
-	if _, err := a.ResizeCommit(ctx, 2, NewScratch()); err != nil {
+	if _, err := a.ResizeCommit(ctx, 2, d.Width(2)+1, NewScratch()); err != nil {
 		t.Fatal(err)
 	}
 	if dist.ApproxEqual(sink0, a.SinkDist(), 0) {

@@ -60,8 +60,7 @@ func BenchmarkResizeCommitVsFull(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			g := netlist.GateID(i % d.NL.NumGates())
-			d.SetWidth(g, d.Width(g)+d.Lib.DeltaW)
-			if _, err := a.ResizeCommit(context.Background(), g, sc); err != nil {
+			if _, err := a.ResizeCommit(context.Background(), g, d.Width(g)+d.Lib.DeltaW, sc); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -19,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"slices"
 
 	"statsize/internal/design"
@@ -247,35 +246,6 @@ func (a *Analysis) SinkDist() *dist.Dist { return a.Arrival(a.D.E.G.Sink()) }
 // — the paper's optimization objective at p = 0.99.
 func (a *Analysis) Percentile(p float64) float64 { return a.SinkDist().Percentile(p) }
 
-// AffectedGates returns the set of gates whose pin-to-pin delays change
-// when gate x is resized: x itself (its drive changed) and the driver of
-// each of x's input nets (their output loads changed). This is exactly
-// the initial perturbation scope of the paper's Initialize procedure
-// (Figure 7, step 1).
-func AffectedGates(d *design.Design, x netlist.GateID) []netlist.GateID {
-	return slices.Collect(affectedGates(d, x))
-}
-
-// affectedGates yields AffectedGates' gates in its order without
-// allocating: x, then each input's driver unless it is a primary input,
-// x itself or the driver of an earlier input.
-func affectedGates(d *design.Design, x netlist.GateID) iter.Seq[netlist.GateID] {
-	return func(yield func(netlist.GateID) bool) {
-		if !yield(x) {
-			return
-		}
-		ins := d.NL.Gate(x).Ins
-		for i, in := range ins {
-			drv := d.NL.Driver(in)
-			seen := drv == netlist.NoGate || drv == x ||
-				slices.ContainsFunc(ins[:i], func(n netlist.NetID) bool { return d.NL.Driver(n) == drv })
-			if !seen && !yield(drv) {
-				return
-			}
-		}
-	}
-}
-
 // EdgeDelay is one perturbed pin-edge delay distribution.
 type EdgeDelay struct {
 	Edge  graph.EdgeID
@@ -284,12 +254,12 @@ type EdgeDelay struct {
 
 // PerturbedDelays returns the delay distributions that change when gate
 // x is resized to w — the pin edges of x and of the drivers of x's input
-// nets (Figure 7, step 1), each edge once, in AffectedGates order. The
-// evaluation is mutation-free (design.EdgeDelayDistAt), so any number of
-// goroutines may evaluate different candidates concurrently against one
-// quiescent analysis, and the distributions are bit-identical to what
-// writing the width, reading the delays and restoring a design snapshot
-// produces.
+// nets (Figure 7, step 1), each edge once, in Design.AffectedGates
+// order. The evaluation is mutation-free (design.EdgeDelayDistAt), so
+// any number of goroutines may evaluate different candidates
+// concurrently against one quiescent analysis, and the distributions
+// are bit-identical to what writing the width, reading the delays and
+// restoring a design snapshot produces.
 func (a *Analysis) PerturbedDelays(x netlist.GateID, w float64) ([]EdgeDelay, error) {
 	return a.AppendPerturbedDelays(nil, x, w)
 }
@@ -313,7 +283,7 @@ func (a *Analysis) AppendPerturbedDelays(dst []EdgeDelay, x netlist.GateID, w fl
 // a sweep revisiting the same discrete widths constructs none.
 func (a *Analysis) perturbedDelays(x netlist.GateID, w float64, set func(graph.EdgeID, *dist.Dist)) error {
 	d := a.D
-	for gid := range affectedGates(d, x) {
+	for gid := range d.AffectedGates(x) {
 		for _, eid := range d.E.GateEdges[gid] {
 			dd, err := d.EdgeDelayDistAt(a.DT, eid, x, w)
 			if err != nil {
@@ -473,23 +443,25 @@ func (a *Analysis) WhatIfFull(x netlist.GateID, w float64, sc *Scratch) (dist.Ow
 	return sc.arr[g.Sink()].Persist(), visited, nil
 }
 
-// ResizeCommit makes the analysis consistent after gate x has been
-// resized in the design. It propagates x's perturbation at the
-// committed width through sc exactly as WhatIf does, and only once the
-// propagation completes writes the new pin-edge delays and the
-// persisted overlay arrivals into the analysis and drops the cached
-// required times. At the committed width the perturbed delays equal
-// EdgeDelayDist's, so the result is bit-identical to a full pass.
-// Returns the number of nodes recomputed; on any error, cancellation
-// included, the analysis is unchanged.
-func (a *Analysis) ResizeCommit(ctx context.Context, x netlist.GateID, sc *Scratch) (int, error) {
-	if err := a.perturb(sc, x, a.D.Width(x)); err != nil {
+// ResizeCommit resizes gate x to width w (clamped to the library range;
+// w must not be NaN) in the design and the analysis. It loads and
+// propagates the move through sc exactly as WhatIf does, and only once
+// the propagation completes writes the width into the design, whose
+// loads then equal the ones the move was evaluated at, the new pin-edge
+// delays and the persisted overlay arrivals into the analysis, and
+// drops the cached required times, so the result is bit-identical to a
+// full pass. Returns the number of nodes recomputed; on any error,
+// cancellation included, neither the design nor the analysis has
+// changed.
+func (a *Analysis) ResizeCommit(ctx context.Context, x netlist.GateID, w float64, sc *Scratch) (int, error) {
+	if err := a.perturb(sc, x, w); err != nil {
 		return 0, err
 	}
 	recomputed, err := a.propagate(ctx, sc)
 	if err != nil {
 		return recomputed, fmt.Errorf("ssta: resize commit canceled: %w", err)
 	}
+	a.D.SetWidth(x, w)
 	for e, dd := range sc.delay {
 		if dd != nil {
 			a.edge[e] = dd.Persist()

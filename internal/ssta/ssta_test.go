@@ -170,8 +170,7 @@ func TestResizeCommitMatchesFullReanalysis(t *testing.T) {
 	// Resize a handful of gates spread across the circuit.
 	gates := []netlist.GateID{0, 5, 17, 42, 99}
 	for i, gid := range gates {
-		d.SetWidth(gid, d.Width(gid)+d.Lib.DeltaW)
-		n, err := a.ResizeCommit(ctx, gid, sc)
+		n, err := a.ResizeCommit(ctx, gid, d.Width(gid)+d.Lib.DeltaW, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,33 +247,6 @@ func TestAnalyzeValidation(t *testing.T) {
 	}
 }
 
-func TestAffectedGates(t *testing.T) {
-	d := newDesign(t, "c17")
-	// Gate driving net 22 = NAND(10, 16): affected set is itself plus
-	// the drivers of nets 10 and 16.
-	n22, _ := d.NL.NetByName("22")
-	x := d.NL.Driver(n22)
-	got := AffectedGates(d, x)
-	want := map[netlist.GateID]bool{x: true}
-	for _, in := range d.NL.Gate(x).Ins {
-		want[d.NL.Driver(in)] = true
-	}
-	if len(got) != len(want) {
-		t.Fatalf("affected gates %v, want %d entries", got, len(want))
-	}
-	for _, g := range got {
-		if !want[g] {
-			t.Errorf("unexpected affected gate %d", g)
-		}
-	}
-	// A gate fed directly by PIs is affected alone.
-	n10, _ := d.NL.NetByName("10")
-	solo := AffectedGates(d, d.NL.Driver(n10))
-	if len(solo) != 1 {
-		t.Errorf("PI-fed gate affected set %v, want just itself", solo)
-	}
-}
-
 // TestZeroFaninDiagnostic pins the defensive contract of the forward
 // pass: a node with no fanin edges (only possible through a
 // disconnected or malformed elaboration — graph validation rejects such
@@ -329,10 +301,11 @@ func TestAnalyzeParallelDeterminism(t *testing.T) {
 }
 
 // TestPerturbedDelaysMutationFree: evaluating a candidate's perturbed
-// delays must leave the design bit-identical (no width, load or total
-// drift) and must match the mutate-evaluate-restore reference (write
-// the width with SetWidth, read the delays, Restore a snapshot)
-// distribution for distribution.
+// delays and its nominal circuit delay must leave the design
+// bit-identical (no width, load or total drift) and must match the
+// mutate-evaluate-restore reference (write the width with SetWidth,
+// read the delays and the nominal delay, Restore a snapshot)
+// distribution for distribution and bit for bit.
 func TestPerturbedDelaysMutationFree(t *testing.T) {
 	d := newDesign(t, "c432")
 	a := analyze(t, d, 400)
@@ -353,18 +326,19 @@ func TestPerturbedDelaysMutationFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		nominal := d.NominalDelayAt(gid, w)
 
 		if d.TotalWidth() != totalBefore {
-			t.Fatalf("gate %d: PerturbedDelays changed total width", g)
+			t.Fatalf("gate %d: PerturbedDelays or NominalDelayAt changed total width", g)
 		}
 		for i := range widthsBefore {
 			if d.Width(netlist.GateID(i)) != widthsBefore[i] {
-				t.Fatalf("gate %d: PerturbedDelays changed width of gate %d", g, i)
+				t.Fatalf("gate %d: PerturbedDelays or NominalDelayAt changed width of gate %d", g, i)
 			}
 		}
 		for i := range loadsBefore {
 			if d.Load(netlist.NetID(i)) != loadsBefore[i] {
-				t.Fatalf("gate %d: PerturbedDelays changed load of net %d", g, i)
+				t.Fatalf("gate %d: PerturbedDelays or NominalDelayAt changed load of net %d", g, i)
 			}
 		}
 
@@ -372,14 +346,18 @@ func TestPerturbedDelaysMutationFree(t *testing.T) {
 		want := make(map[graph.EdgeID]*dist.Dist)
 		pre := d.Snapshot()
 		d.SetWidth(gid, w)
-		for _, ag := range AffectedGates(d, gid) {
+		for ag := range d.AffectedGates(gid) {
 			for _, eid := range d.E.GateEdges[ag] {
 				if want[eid], err = d.EdgeDelayDist(a.DT, eid); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
+		wantNominal := d.NominalDelay()
 		d.Restore(pre)
+		if math.Float64bits(nominal) != math.Float64bits(wantNominal) {
+			t.Fatalf("gate %d: NominalDelayAt %v, NominalDelay after SetWidth %v", g, nominal, wantNominal)
+		}
 		gotByEdge := make(map[graph.EdgeID]*dist.Dist)
 		for _, ed := range got {
 			gotByEdge[ed.Edge] = ed.Delay

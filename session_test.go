@@ -224,7 +224,7 @@ func resizeCone(d *Design, x GateID) map[graph.NodeID]bool {
 	g := d.E.G
 	cone := make(map[graph.NodeID]bool)
 	var queue []graph.NodeID
-	for _, gid := range ssta.AffectedGates(d, x) {
+	for gid := range d.AffectedGates(x) {
 		n := d.E.NodeOf[d.NL.Gate(gid).Out]
 		if !cone[n] {
 			cone[n] = true
@@ -640,6 +640,30 @@ func TestOptimizeRejectsNaNObjective(t *testing.T) {
 		}
 		if w, err := s.TotalWidth(); err != nil || w != w0 {
 			t.Errorf("%s: total width %v (err %v), want %v unchanged", name, w, err, w0)
+		}
+	}
+}
+
+// TestOpenRejectsNaNObjective: a session whose objective reads NaN on
+// the opening design would report NaN objectives and sensitivities
+// with a nil error, so Engine.Open refuses it and counts no open.
+func TestOpenRejectsNaNObjective(t *testing.T) {
+	eng, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := eng.Benchmark("c17")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []float64{1.5, -0.5} {
+		s, err := eng.Open(context.Background(), d, ForObjective(Percentile(p)))
+		if err == nil {
+			s.Close()
+			t.Errorf("Percentile(%v): session opened on a NaN objective", p)
+		}
+		if n := eng.Stats().SessionsOpened; n != 0 {
+			t.Errorf("Percentile(%v): SessionsOpened = %d, want 0", p, n)
 		}
 	}
 }
